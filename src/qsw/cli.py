@@ -17,11 +17,13 @@ from .series import DEFAULT_TABLE, caps
 from .qfunctions import garrett_a, garrett_b, rq_at_power
 from .polynomials import rogers_szego, sw_classic, sw_star
 from .verify import (
-    BindingViolation, UnknownIdentity, VerifyConfig, registry,
+    BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, registry,
     report_lines, reports_json, resolve_garrett_convention, verify_all,
 )
 
-EVAL_FAMILIES = ("sw", "sw-star", "rs", "rq", "garrett-a", "garrett-b")
+EVAL_FAMILIES = {"sw": sw_classic, "sw-star": sw_star, "rs": rogers_szego,
+                 "rq": rq_at_power, "garrett-a": garrett_a,
+                 "garrett-b": garrett_b}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -85,22 +87,25 @@ def _cmd_list() -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = VerifyConfig(
-        qmax=args.qmax,
-        var_caps=dict(args.cap),
-        sum_order=args.sum_order,
-        trials=args.trials,
-        seed=args.seed,
-        bindings=dict(args.bind),
-    )
     ids = None if args.ident == "all" else [args.ident]
     try:
+        cfg = VerifyConfig(
+            qmax=args.qmax,
+            var_caps=dict(args.cap),
+            sum_order=args.sum_order,
+            trials=args.trials,
+            seed=args.seed,
+            bindings=dict(args.bind),
+        )
         reports = verify_all(cfg, ids)
     except UnknownIdentity as exc:
         print(f"unknown identity: {exc}", file=sys.stderr)
         return 2
     except BindingViolation as exc:
         print(f"binding violation: {exc}", file=sys.stderr)
+        return 2
+    except InvalidRequest as exc:
+        print(f"invalid request: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(reports_json(reports))
@@ -110,24 +115,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.n < 0:
-        print("--n must be non-negative", file=sys.stderr)
+    # every family rejects an out-of-range --n or --qmax with ValueError
+    try:
+        s = EVAL_FAMILIES[args.family](
+            args.n, caps(args.qmax, DEFAULT_TABLE), DEFAULT_TABLE)
+    except ValueError as exc:
+        print(f"invalid request: {exc}", file=sys.stderr)
         return 2
-    cps = caps(args.qmax, DEFAULT_TABLE)
-    table = DEFAULT_TABLE
-    n = args.n
-    if args.family == "sw":
-        s = sw_classic(n, cps, table)
-    elif args.family == "sw-star":
-        s = sw_star(n, cps, table)
-    elif args.family == "rs":
-        s = rogers_szego(n, cps, table)
-    elif args.family == "rq":
-        s = rq_at_power(n, cps, table)
-    elif args.family == "garrett-a":
-        s = garrett_a(n, cps, table)
-    else:
-        s = garrett_b(n, cps, table)
     print(s.json_text() if args.json else s.text())
     return 0
 

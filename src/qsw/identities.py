@@ -5,6 +5,10 @@ sides go through dq / rr_op machinery, closed-form sides through Pochhammer
 products, hypergeometric sums, and the Garrett polynomials.  Sides never
 share intermediate series values.
 
+Each right-hand formula is written once, as a builder over one-letter
+parameter names; registry entries that are specialisations of a formula
+(a -> az, b -> bz, ...) call the same builder with other names.
+
 Laurent-weighted sums (Garrett forms, D_q closed forms with q^(k(k-n))
 factors) are assembled at a widened q-window and truncated back to the
 requested caps, so every reported result is exact modulo its stated ideal.
@@ -16,6 +20,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
+from itertools import count
+from operator import add, mul
 from typing import Callable, Optional
 
 from .series import (
@@ -33,6 +40,12 @@ from .verify import BindingViolation, _stable_seed
 TABLE = DEFAULT_TABLE
 ZV = TABLE.zero_vexps
 ZV_B = tuple(1 if TABLE.names[j + 1] == "b" else 0 for j in range(TABLE.nvars))
+
+# Repeated draws in a row after which the random bindings of an identity are
+# taken to be exhausted.  One free rational has 14 values, each drawn with
+# probability at least 1/18, so an undrawn one survives this many draws with
+# probability below 1e-24.
+DRAW_PATIENCE = 1000
 
 
 @dataclass
@@ -68,6 +81,10 @@ class Env:
             c, d = bv
             return monomial_series(c, d, {}, self.table, self.caps)
         return self.const(bv)
+
+    def syms(self, names: str):
+        """Product of the one-letter symbols in names, e.g. "az" -> a*z."""
+        return reduce(mul, map(self.sym, names))
 
     def pochn(self, args, n):
         return poch(args, n, self.caps, self.table)
@@ -163,12 +180,19 @@ class IdentitySpec:
                 trials = cfg.trials if cfg.trials is not None else self.trials
                 blist = []
                 seen = set()
+                repeats = 0
                 while len(blist) < trials:
                     b = self.rand(rng)
                     key = tuple(sorted(b.items()))
                     if key in seen:
+                        repeats += 1
+                        if repeats > DRAW_PATIENCE:
+                            raise BindingViolation(
+                                f"{self.id} has only {len(blist)} distinct "
+                                f"random bindings, {trials} trials requested")
                         continue
                     seen.add(key)
+                    repeats = 0
                     blist.append(self.complete(b))
         else:
             blist = [{}]
@@ -183,54 +207,89 @@ def _ident(**kw) -> None:
     REGISTRY.append(IdentitySpec(**kw))
 
 
-# -- small shared helpers -------------------------------------------------------
+# -- shared combinators -----------------------------------------------------------
 
 
-def _rr1_prod(e: Env) -> Series:
-    """(q, q^4; q^5)_inf at e.caps."""
-    return poch([e.qpow(1), e.qpow(4)], INFINITY, e.caps, e.table, base=5)
+def _gf_lhs(coeff, z, nmax=lambda e: e.order):
+    """Left side sum_{n <= nmax(e)} coeff(e, n) z^n; z is a variable name,
+    replaced by its value when the case binds it."""
+    def build(e):
+        zv = e.sym(z)
+        return reduce(add, (coeff(e, n) * zv ** n for n in range(nmax(e) + 1)))
+    return build
 
 
-def _rr2_prod(e: Env) -> Series:
-    """(q^2, q^3; q^5)_inf at e.caps."""
-    return poch([e.qpow(2), e.qpow(3)], INFINITY, e.caps, e.table, base=5)
+def _bound(e: Env, poly, n: int) -> Series:
+    """poly(n, caps, table) with the case's bound values substituted; built
+    with n of headroom in each bound variable so its powers survive the cap
+    until they become constants."""
+    w = e.inflated(**dict.fromkeys(e.bindings, n))
+    return e.bind_values(poly(n, w.caps, w.table))
 
 
-def _rr1_inv(e: Env) -> Series:
-    """1/(q, q^4; q^5)_inf at e.caps."""
-    return poch_inf_inv([e.qpow(1), e.qpow(4)], e.caps, e.table, base=5)
+def _dq_image(operand, widen="xa"):
+    """Left side D_q^n{operand(w)} in x, n = ints["n"], with n of headroom in
+    each variable of widen (D_q^n lowers the x-degree by n)."""
+    def build(e):
+        n = e.ints["n"]
+        w = e.inflated(**dict.fromkeys(widen, n))
+        return dq_pow(operand(w), "x", n).truncate(e.caps)
+    return build
 
 
-def _rr2_inv(e: Env) -> Series:
-    """1/(q^2, q^3; q^5)_inf at e.caps."""
-    return poch_inf_inv([e.qpow(2), e.qpow(3)], e.caps, e.table, base=5)
+def _rr_image(operand, widen, x="x"):
+    """Left side R(yD_q){operand(w)} in x: the operand gets headroom in each
+    variable of widen for the operator's certified order
+    min(y-cap, isqrt(qmax)); the image is bound and truncated to e.caps."""
+    def build(e):
+        nmax = min(e.vcap("y"), math.isqrt(e.caps.qmax))
+        w = e.inflated(**dict.fromkeys(widen, nmax))
+        out = rr_op(operand(w), OperatorContext(x, "y"), w.caps)
+        return e.bind_values(out).truncate(e.caps)
+    return build
+
+
+def _powers(e: Env, u: Series, weight):
+    """(k, q^weight(k) u^k) for k = 0, 1, ... up to the first power that
+    vanishes modulo e.caps; weight is nondecreasing and u has no negative
+    q-exponent, so every later power vanishes too."""
+    upow = e.one()
+    for k in count():
+        p = e.qpow(weight(k)) * upow
+        if p.is_zero():
+            return
+        yield k, p
+        upow = upow * u
+
+
+def _garrett_form(e: Env, k: int, s: int, first, second) -> Series:
+    """q^(-s) * (a_k(q) first(w) - b_k(q) second(w)) at e.caps.
+
+    first and second build pure q-series at w, a copy of e whose q-window
+    is widened by s so the ordinary combination is exact at e.caps.  The
+    per-term negative powers cancel only in this combination, never in the
+    a- and b-sums separately.
+    """
+    w = e.inflated(dq=s)
+    body = garrett_a(k, w.caps, w.table) * first(w) \
+        - garrett_b(k, w.caps, w.table) * second(w)
+    return (w.qpow(-s) * body).truncate(e.caps)
+
+
+def _garrett_rq(e: Env, k: int) -> Series:
+    """Garrett's expansion of sum q^(n^2+kn)/(q;q)_n with its printed sign:
+    q^(-C(k,2)) (a_k(q) R_q(1) - b_k(q) R_q(q))."""
+    return _garrett_form(e, k, k * (k - 1) // 2,
+                         lambda w: rq(1, w.caps, w.table),
+                         lambda w: rq(w.qpow(1)))
 
 
 def _garrett_bracket(e: Env, k: int, shift: int) -> Series:
-    """q^(-shift) * (a_k(q)/(q,q^4;q^5)inf - b_k(q)/(q^2,q^3;q^5)inf).
-
-    Pure q-series; computed at a widened window so the ordinary combination
-    is exact at e.caps.  The per-term negative powers cancel only in this
-    combination, never in the a- and b-sums separately.
-    """
-    w = e.inflated(dq=shift)
-    body = garrett_a(k, w.caps, w.table) * _rr1_inv(w)         - garrett_b(k, w.caps, w.table) * _rr2_inv(w)
-    return (w.qpow(-shift) * body).truncate(e.caps)
-
-
-def _inv_one_minus(u: Series, e: Env) -> Series:
-    """1/(1 - u) for a weighted term u: plain geometric sum."""
-    total = e.one()
-    upow = u
-    while not upow.is_zero():
-        total = total + upow
-        upow = upow * u
-    return total
-
-
-def _rr_bound(e: Env) -> int:
-    """Certified truncation order of the operator sum at e.caps."""
-    return min(e.vcap("y"), math.isqrt(e.caps.qmax))
+    """q^(-shift) * (a_k(q)/(q,q^4;q^5)inf - b_k(q)/(q^2,q^3;q^5)inf)."""
+    return _garrett_form(
+        e, k, shift,
+        lambda w: w.pochinf_inv([w.qpow(1), w.qpow(4)], base=5),
+        lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5))
 
 
 def _nonzero_frac(rng) -> Fraction:
@@ -260,6 +319,45 @@ def _require(bindings, *names):
             raise BindingViolation(f"binding for {name} must be rational")
         if isinstance(v, Fraction) and v == 0:
             raise BindingViolation(f"binding for {name} must be nonzero")
+
+
+def _inverse_binding(target, *names):
+    """Completer for the constraint target * prod(names) = 1: the names
+    must be bound to nonzero rationals, and target defaults to the
+    reciprocal of their product."""
+    def complete(bindings):
+        _require(bindings, *names)
+        vals = [bindings[name] for name in names]
+        if not all(isinstance(v, Fraction) for v in vals):
+            raise BindingViolation(
+                f"{' and '.join(names)} must be nonzero rationals")
+        p = math.prod(vals)
+        t = bindings.get(target)
+        if t is None:
+            bindings[target] = 1 / p
+        elif t * p != 1:
+            raise BindingViolation(
+                f"constraint {target}{''.join(names)} = 1 violated")
+        return bindings
+    return complete
+
+
+def _ts_complete(bindings):
+    _require(bindings, "t", "s")
+    t, s = bindings["t"], bindings["s"]
+    if not isinstance(t, Fraction) or not isinstance(s, Fraction):
+        raise BindingViolation("t and s must be nonzero rationals")
+    if t == s:
+        raise BindingViolation("t and s must differ (t/s = 1 degenerates)")
+    return bindings
+
+
+def _rand_ts(rng):
+    t = _nonzero_frac(rng)
+    s = _nonzero_frac(rng)
+    while s == t:
+        s = _nonzero_frac(rng)
+    return {"t": t, "s": s}
 
 
 # -- Pochhammer identities (I-POCH-*) --------------------------------------------
@@ -351,58 +449,38 @@ _ident(
 # -- classical Stieltjes-Wigert generating functions -------------------------------
 
 
-def _gf_lhs(weight):
-    def build(e):
-        t = e.var("t")
-        total = None
-        tpow = e.one()
-        for n in range(e.order + 1):
-            term = weight(e, n) * sw_classic(n, e.caps, e.table) * tpow
-            total = term if total is None else total + term
-            tpow = tpow * t
-        return total
-    return build
-
-
-def _gf1_rhs(e):
-    t, x = e.var("t"), e.var("x")
-    z = -(e.qpow(1) * t * x)
-    return e.pochinf_inv([t]) * phi([], [0], z, e.caps, e.table)
-
-
-def _gf2_rhs(e):
-    t, x = e.var("t"), e.var("x")
-    z = -(e.qpow(1) * t * x)
-    return e.pochinf([t]) * phi([], [0, t], z, e.caps, e.table)
-
-
-def _gf3_rhs(e):
-    a, t, x = e.var("a"), e.var("t"), e.var("x")
-    z = -(e.qpow(1) * t * x)
-    return (e.pochinf([a * t]) / e.pochinf([t])) \
-        * phi([a], [0, a * t], z, e.caps, e.table)
+def _sw_arg(e):
+    """-qtx, the argument of the generating functions of S_n(x;q)."""
+    return -(e.qpow(1) * e.var("t") * e.var("x"))
 
 
 _ident(
     id="I-GF1",
     description="generating function sum S_n(x;q) t^n via 0phi1",
-    build_lhs=_gf_lhs(lambda e, n: e.one()),
-    build_rhs=_gf1_rhs, window=("t",),
+    build_lhs=_gf_lhs(lambda e, n: sw_classic(n, e.caps, e.table), "t"),
+    build_rhs=lambda e: e.pochinf_inv([e.var("t")])
+    * phi([], [0], _sw_arg(e), e.caps, e.table),
+    window=("t",),
 )
 
 _ident(
     id="I-GF2",
     description="alternating generating function of S_n(x;q) via 0phi2",
-    build_lhs=_gf_lhs(lambda e, n: e.qpow(n * (n - 1) // 2)
-                      * (1 if n % 2 == 0 else -1)),
-    build_rhs=_gf2_rhs, window=("t",),
+    build_lhs=_gf_lhs(lambda e, n: (-1) ** n * e.qpow(n * (n - 1) // 2)
+                      * sw_classic(n, e.caps, e.table), "t"),
+    build_rhs=lambda e: e.pochinf([e.var("t")])
+    * phi([], [0, e.var("t")], _sw_arg(e), e.caps, e.table),
+    window=("t",),
 )
 
 _ident(
     id="I-GF3",
     description="(a;q)_n-weighted generating function of S_n(x;q) via 1phi2",
-    build_lhs=_gf_lhs(lambda e, n: e.pochn([e.var("a")], n)),
-    build_rhs=_gf3_rhs, window=("t",),
+    build_lhs=_gf_lhs(lambda e, n: e.pochn([e.var("a")], n)
+                      * sw_classic(n, e.caps, e.table), "t"),
+    build_rhs=lambda e: e.pochinf([e.syms("at")]) / e.pochinf([e.var("t")])
+    * phi([e.var("a")], [0, e.syms("at")], _sw_arg(e), e.caps, e.table),
+    window=("t",),
 )
 
 
@@ -421,45 +499,26 @@ def _leibniz_sweep(cfg, rng):
     return cases
 
 
-def _poly_from_spec(spec, e):
-    xs = e.table.slot("x")
-    entries = []
-    for c, qe, xe in spec:
-        ve = [0] * e.table.nvars
-        ve[xs] = xe
-        entries.append((c, Monomial(qe, tuple(ve))))
-    from .series import make_series
-    return make_series(entries, e.caps, e.table)
+def _spec_poly(e, key):
+    """sum c q^i x^j over the case's random (c, i, j) triples."""
+    return reduce(add, (monomial_series(c, i, {"x": j}, e.table, e.caps)
+                        for c, i, j in e.ints[key]))
 
 
-def _leibniz_lhs(e):
-    w = e.inflated(dq=e.caps.qmax + 40)
-    f = _poly_from_spec(e.ints["fspec"], w)
-    g = _poly_from_spec(e.ints["gspec"], w)
-    return leibniz_rhs(f, g, "x", e.ints["n"]).truncate(e.caps)
-
-
-def _leibniz_rhs_side(e):
-    w = e.inflated(dq=e.caps.qmax + 40)
-    f = _poly_from_spec(e.ints["fspec"], w)
-    g = _poly_from_spec(e.ints["gspec"], w)
-    return dq_pow(f * g, "x", e.ints["n"]).truncate(e.caps)
-
-
+# Both sides are built at e.caps: D_q and x -> q^k x never lower q-degrees,
+# and leibniz_rhs widens its own window for its Laurent weights.
 _ident(
     id="I-LEIBNIZ",
     description="Leibniz rule for the q-derivative on randomized pairs",
-    build_lhs=_leibniz_lhs, build_rhs=_leibniz_rhs_side,
+    build_lhs=lambda e: leibniz_rhs(_spec_poly(e, "fspec"),
+                                    _spec_poly(e, "gspec"), "x", e.ints["n"]),
+    build_rhs=_dq_image(lambda w: _spec_poly(w, "fspec")
+                        * _spec_poly(w, "gspec"), widen=""),
     sweep=_leibniz_sweep,
 )
 
 
 # -- D_q closed forms (I-DQ-4 .. I-DQ-9) ----------------------------------------------
-
-
-def _dq4_lhs(e):
-    xk = monomial_series(1, 0, {"x": e.ints["k"]}, e.table, e.caps)
-    return dq_pow(xk, "x", e.ints["n"])
 
 
 def _dq4_rhs(e):
@@ -471,17 +530,12 @@ def _dq4_rhs(e):
 _ident(
     id="I-DQ-4",
     description="closed form for D_q^n x^k",
-    build_lhs=_dq4_lhs, build_rhs=_dq4_rhs,
+    build_lhs=_dq_image(lambda w: monomial_series(
+        1, 0, {"x": w.ints["k"]}, w.table, w.caps), widen=""),
+    build_rhs=_dq4_rhs,
     sweep=lambda cfg, rng: [{"n": n, "k": k}
                             for k in range(9) for n in range(k + 1)],
 )
-
-
-def _dq5_lhs(e):
-    n = e.ints["n"]
-    w = e.inflated(x=n, a=n)
-    f = w.pochinf_inv([w.var("a") * w.var("x")])
-    return dq_pow(f, "x", n).truncate(e.caps)
 
 
 def _dq5_rhs(e):
@@ -492,40 +546,26 @@ def _dq5_rhs(e):
 _ident(
     id="I-DQ-5",
     description="D_q^n of 1/(ax;q)inf",
-    build_lhs=_dq5_lhs, build_rhs=_dq5_rhs,
+    build_lhs=_dq_image(lambda w: w.pochinf_inv([w.syms("ax")])),
+    build_rhs=_dq5_rhs,
     sweep=_range_sweep("n", 4),
 )
-
-
-def _dq6_lhs(e):
-    n = e.ints["n"]
-    w = e.inflated(x=n, a=n)
-    f = w.pochinf([w.var("a") * w.var("x")])
-    return dq_pow(f, "x", n).truncate(e.caps)
 
 
 def _dq6_rhs(e):
     a = e.var("a")
     n = e.ints["n"]
-    sign = 1 if n % 2 == 0 else -1
-    return sign * a ** n * e.qpow(n * (n - 1) // 2) \
+    return (-1) ** n * a ** n * e.qpow(n * (n - 1) // 2) \
         * e.pochinf([a * e.qpow(n) * e.var("x")])
 
 
 _ident(
     id="I-DQ-6",
     description="D_q^n of (ax;q)inf",
-    build_lhs=_dq6_lhs, build_rhs=_dq6_rhs,
+    build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])),
+    build_rhs=_dq6_rhs,
     sweep=_range_sweep("n", 4),
 )
-
-
-def _dq7_lhs(e):
-    n = e.ints["n"]
-    w = e.inflated(x=n, a=n, b=n)
-    f = w.pochinf([w.var("a") * w.var("x")]) \
-        * w.pochinf([w.var("b") * w.var("x")])
-    return dq_pow(f, "x", n).truncate(e.caps)
 
 
 def _dq7_rhs(e):
@@ -534,13 +574,10 @@ def _dq7_rhs(e):
     n = e.ints["n"]
     w = e.inflated(dq=(n * n) // 4 + 1)
     a, b, x = w.var("a"), w.var("b"), w.var("x")
-    acc = None
-    for k in range(n + 1):
-        term = w.qbinom(n, k) * w.qpow(k * (k - n)) * a ** k * b ** (n - k) \
-            / w.pochn([a * x], k)
-        acc = term if acc is None else acc + term
-    sign = 1 if n % 2 == 0 else -1
-    rhs = sign * w.qpow(n * (n - 1) // 2) * w.pochinf([a * x]) \
+    acc = reduce(add, (w.qbinom(n, k) * w.qpow(k * (k - n)) * a ** k
+                       * b ** (n - k) / w.pochn([a * x], k)
+                       for k in range(n + 1)))
+    rhs = (-1) ** n * w.qpow(n * (n - 1) // 2) * w.pochinf([a * x]) \
         * w.pochinf([b * w.qpow(n) * x]) * acc
     return rhs.truncate(e.caps)
 
@@ -548,60 +585,46 @@ def _dq7_rhs(e):
 _ident(
     id="I-DQ-7",
     description="D_q^n of (ax,bx;q)inf",
-    build_lhs=_dq7_lhs, build_rhs=_dq7_rhs,
+    build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])
+                        * w.pochinf([w.syms("bx")]), widen="xab"),
+    build_rhs=_dq7_rhs,
     sweep=_range_sweep("n", 4),
 )
-
-
-def _dq8_lhs(e):
-    n = e.ints["n"]
-    w = e.inflated(x=n, a=n, b=n)
-    f = w.pochinf([w.var("a") * w.var("x")]) \
-        / w.pochinf([w.var("b") * w.var("x")])
-    return dq_pow(f, "x", n).truncate(e.caps)
 
 
 def _dq8_rhs(e):
     n = e.ints["n"]
     a, b, x = e.var("a"), e.var("b"), e.var("x")
-    acc = None
-    for k in range(n + 1):
-        sign = 1 if k % 2 == 0 else -1
-        term = e.qbinom(n, k) * e.qpow(k * (k - 1) // 2) * sign * a ** k \
-            * b ** (n - k) * e.pochn([b * x], k) / e.pochn([a * x], k)
-        acc = term if acc is None else acc + term
+    acc = reduce(add, (e.qbinom(n, k) * e.qpow(k * (k - 1) // 2) * (-1) ** k
+                       * a ** k * b ** (n - k) * e.pochn([b * x], k)
+                       / e.pochn([a * x], k) for k in range(n + 1)))
     return e.pochinf([a * x]) / e.pochinf([b * x]) * acc
 
 
 _ident(
     id="I-DQ-8",
     description="D_q^n of (ax;q)inf/(bx;q)inf",
-    build_lhs=_dq8_lhs, build_rhs=_dq8_rhs,
+    build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])
+                        / w.pochinf([w.syms("bx")]), widen="xab"),
+    build_rhs=_dq8_rhs,
     sweep=_range_sweep("n", 4),
 )
-
-
-def _dq9_lhs(e):
-    n = e.ints["n"]
-    w = e.inflated(x=n, a=n, b=n)
-    f = w.pochinf_inv([w.var("a") * w.var("x"), w.var("b") * w.var("x")])
-    return dq_pow(f, "x", n).truncate(e.caps)
 
 
 def _dq9_rhs(e):
     n = e.ints["n"]
     a, b, x = e.var("a"), e.var("b"), e.var("x")
-    acc = None
-    for k in range(n + 1):
-        term = e.qbinom(n, k) * a ** k * b ** (n - k) * e.pochn([b * x], k)
-        acc = term if acc is None else acc + term
+    acc = reduce(add, (e.qbinom(n, k) * a ** k * b ** (n - k)
+                       * e.pochn([b * x], k) for k in range(n + 1)))
     return e.pochinf_inv([a * x, b * x]) * acc
 
 
 _ident(
     id="I-DQ-9",
     description="D_q^n of 1/(ax,bx;q)inf",
-    build_lhs=_dq9_lhs, build_rhs=_dq9_rhs,
+    build_lhs=_dq_image(lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]),
+                        widen="xab"),
+    build_rhs=_dq9_rhs,
     sweep=_range_sweep("n", 4),
 )
 
@@ -622,13 +645,6 @@ _ident(
 )
 
 
-def _rqdqn_lhs(e):
-    n = e.ints["n"]
-    w = e.inflated(x=n, a=n)
-    f = rq(w.var("a") * w.var("x"))
-    return dq_pow(f, "x", n).truncate(e.caps)
-
-
 def _rqdqn_rhs(e):
     n = e.ints["n"]
     a = e.var("a")
@@ -638,7 +654,8 @@ def _rqdqn_rhs(e):
 _ident(
     id="I-RQ-DQN",
     description="n-th q-derivative of R_q(ax)",
-    build_lhs=_rqdqn_lhs, build_rhs=_rqdqn_rhs,
+    build_lhs=_dq_image(lambda w: rq(w.syms("ax"))),
+    build_rhs=_rqdqn_rhs,
     sweep=_range_sweep("n", 4),
 )
 
@@ -646,7 +663,8 @@ _ident(
     id="I-RR1",
     description="Rogers-Ramanujan: R_q(1) = 1/(q,q^4;q^5)inf",
     build_lhs=lambda e: rq(1, e.caps, e.table),
-    build_rhs=lambda e: _rr1_prod(e).reciprocal(),
+    build_rhs=lambda e: e.pochinf([e.qpow(1), e.qpow(4)], base=5)
+    .reciprocal(),
     qmax=60,
 )
 
@@ -654,7 +672,8 @@ _ident(
     id="I-RR2",
     description="Rogers-Ramanujan: R_q(q) = 1/(q^2,q^3;q^5)inf",
     build_lhs=lambda e: rq(e.qpow(1)),
-    build_rhs=lambda e: _rr2_prod(e).reciprocal(),
+    build_rhs=lambda e: e.pochinf([e.qpow(2), e.qpow(3)], base=5)
+    .reciprocal(),
     qmax=60,
 )
 
@@ -662,36 +681,24 @@ _ident(
 def garrett_candidates(k: int, qmax: int):
     """Direct-sum oracle for sum q^(n^2+kn)/(q;q)_n plus both candidate
     Garrett expansions ("plain" and "alternating")."""
-    cps = caps(qmax, TABLE)
-    lhs = rq_at_power(k, cps, TABLE)
-    s = k * (k - 1) // 2
-    wcaps = TruncationSpec(qmax + s, cps.vcaps)
-    body = rq(1, wcaps, TABLE) * garrett_a(k, wcaps, TABLE) \
-        - rq(q_power(1, TABLE, wcaps), wcaps, TABLE) * garrett_b(k, wcaps, TABLE)
-    plain = (q_power(-s, TABLE, wcaps) * body).truncate(cps)
-    alt = plain if k % 2 == 0 else -plain
-    return lhs, {"plain": plain, "alternating": alt}
-
-
-def _garrett_lhs(e):
-    return rq_at_power(e.ints["k"], e.caps, e.table)
+    e = Env(caps(qmax, TABLE), 0, {}, None)
+    lhs = rq_at_power(k, e.caps, TABLE)
+    plain = _garrett_rq(e, k)
+    return lhs, {"plain": plain, "alternating": -plain if k % 2 else plain}
 
 
 def _garrett_rhs(e):
     k = e.ints["k"]
-    s = k * (k - 1) // 2
-    w = e.inflated(dq=s)
-    body = rq(1, w.caps, w.table) * garrett_a(k, w.caps, w.table) \
-        - rq(w.qpow(1)) * garrett_b(k, w.caps, w.table)
-    sign = -1 if (e.convention == "alternating" and k % 2) else 1
-    return (sign * w.qpow(-s) * body).truncate(e.caps)
+    plain = _garrett_rq(e, k)
+    return -plain if e.convention == "alternating" and k % 2 else plain
 
 
 _ident(
     id="I-GARRETT",
     description="Garrett expansion of R_q(q^k) under the measured sign "
                 "convention",
-    build_lhs=_garrett_lhs, build_rhs=_garrett_rhs,
+    build_lhs=lambda e: rq_at_power(e.ints["k"], e.caps, e.table),
+    build_rhs=_garrett_rhs,
     sweep=lambda cfg, rng: [{"k": k} for k in range(7)],
     qmax=40, uses_garrett=True,
 )
@@ -699,6 +706,116 @@ _ident(
 
 # -- operator images and generating functions (T4) -------------------------------------
 
+
+def _invpoch_rhs(a):
+    """R_q(ay)/(ax;q)inf, the image of 1/(ax;q)inf (T4-INVPOCH)."""
+    return lambda e: rq(e.syms(a + "y")) * e.pochinf_inv([e.syms(a + "x")])
+
+
+def _poch_rhs(a):
+    """(ax;q)inf 0phi2(-; ax, 0; q, qay), the image of (ax;q)inf (T4-POCH)."""
+    return lambda e: e.pochinf([e.syms(a + "x")]) \
+        * phi([], [e.syms(a + "x"), 0], e.qpow(1) * e.syms(a + "y"),
+              e.caps, e.table)
+
+
+def _ratio_rhs(u, v, a=lambda e: e.var("a")):
+    """(au;q)inf/(u;q)inf 1phi2(a; au, 0; q, qv), the image of
+    (az;q)inf/(z;q)inf under R(yD_q) in z (T4-RATIO: u = z, v = y)."""
+    def build(e):
+        a_, us = a(e), e.syms(u)
+        return e.pochinf([a_ * us]) * e.pochinf_inv([us]) \
+            * phi([a_], [a_ * us, 0], e.qpow(1) * e.syms(v), e.caps, e.table)
+    return build
+
+
+def _by1rq_rhs(e):
+    """(ax;q)inf/(bx;q)inf sum_k q^(k(3k-1)/2) (bx;q)_k (-ay)^k
+    R_q(q^(2k)by) / ((ax;q)_k (q;q)_k)."""
+    a, b, x, y = (e.var(v) for v in "abxy")
+    return e.pochinf([a * x]) / e.pochinf([b * x]) * reduce(add, (
+        p * e.pochn([b * x], k) * rq(e.qpow(2 * k) * b * y)
+        / e.pochn([a * x], k) * e.qfact_inv(k)
+        for k, p in _powers(e, -(a * y), lambda k: k * (3 * k - 1) // 2)))
+
+
+def _garrett_ratio_rhs(a_, b_):
+    """by = 1 Garrett form of R(yD_q){(ax;q)inf/(bx;q)inf} (T4-BY1):
+    (ax;q)inf/(bx;q)inf sum_k (bx;q)_k (-ay)^k G_k / ((ax;q)_k (q;q)_k),
+    G_k the Garrett bracket at 2k shifted by C(k,2)."""
+    def build(e):
+        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.sym("y")
+
+        def terms():
+            bx_k = inv_ax_k = e.one()
+            for k, p in _powers(e, -(a * y), lambda k: 0):
+                if k:
+                    bx_k = bx_k * (e.one() - b * x * e.qpow(k - 1))
+                    inv_ax_k = inv_ax_k / (e.one() - a * x * e.qpow(k - 1))
+                yield bx_k * p * _garrett_bracket(e, 2 * k, k * (k - 1) // 2) \
+                    * inv_ax_k * e.qfact_inv(k)
+        return e.pochinf([a * x]) * e.pochinf_inv([b * x]) \
+            * reduce(add, terms())
+    return build
+
+
+def _rq_sum_rhs(a_, b_):
+    """R(yD_q){1/(ax,bx;q)inf} as an R_q-weighted sum (T4-2PROD-RQ):
+    1/(ax,bx;q)inf sum_i q^(i^2) (bx;q)_i (ay)^i R_q(bq^(2i)y) / (q;q)_i."""
+    def build(e):
+        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.var("y")
+        return e.pochinf_inv([a * x, b * x]) * reduce(add, (
+            p * e.pochn([b * x], i) * rq(b * e.qpow(2 * i) * y)
+            * e.qfact_inv(i)
+            for i, p in _powers(e, a * y, lambda i: i * i)))
+    return build
+
+
+def _garrett_prod_rhs(a_, b_):
+    """by = 1 Garrett form of R(yD_q){1/(ax,bx;q)inf} (T4-2PROD):
+    1/(ax,bx;q)inf sum_i (bx;q)_i (ay)^i G_i / (q;q)_i, G_i the Garrett
+    bracket at 2i shifted by i(i-1)."""
+    def build(e):
+        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.sym("y")
+
+        def terms():
+            bx_i = e.one()
+            for i, p in _powers(e, a * y, lambda i: 0):
+                if i:
+                    bx_i = bx_i * (e.one() - b * x * e.qpow(i - 1))
+                yield bx_i * p * _garrett_bracket(e, 2 * i, i * (i - 1)) \
+                    * e.qfact_inv(i)
+        return e.pochinf_inv([a * x, b * x]) * reduce(add, terms())
+    return build
+
+
+def _sriaga_coeff(e, n):
+    """S*_n(x, y) (a;q)_n / (q;q)_n, with bound y substituted."""
+    return _bound(e, sw_star, n) * e.pochn([e.var("a")], n) * e.qfact_inv(n)
+
+
+def _rsgf_coeff(e, n):
+    """S*_n(x, y) r_n(a, b) / (q;q)_n, with bound y and b substituted."""
+    return _bound(e, sw_star, n) * _bound(e, rogers_szego, n) * e.qfact_inv(n)
+
+
+def _bound_z_order(e):
+    """Last n with a surviving term when z is a bound constant: the x-degree
+    n-k of S*_n is capped and its y^k term carries q^(k^2)."""
+    return e.vcap("x") + math.isqrt(e.caps.qmax)
+
+
+# R(yD_q) images shared by an R_q-weighted form and its Garrett form
+_ratio_image = _rr_image(
+    lambda w: w.pochinf([w.syms("ax")]) / w.pochinf([w.syms("bx")]), "xa")
+_two_inv_image = _rr_image(
+    lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]), "xab")
+# case generation of the by = 1 Garrett forms and of the Rogers formulas
+_BY1 = dict(free=("y",), complete=_inverse_binding("b", "y"),
+            rand=lambda rng: {"y": _nonzero_frac(rng)},
+            uses_garrett=True, constraints=("b = 1/y",))
+_TS = dict(free=("t", "s"), complete=_ts_complete, rand=_rand_ts,
+           constraints=("t, s nonzero rationals with t != s",))
 
 _ident(
     id="T4-XN",
@@ -709,432 +826,111 @@ _ident(
     sweep=_range_sweep("n", 10),
 )
 
-
-def _invpoch_lhs(e):
-    nmax = _rr_bound(e)
-    w = e.inflated(x=nmax, a=nmax)
-    f = w.pochinf_inv([w.var("a") * w.var("x")])
-    return rr_op(f, OperatorContext("x", "y"), w.caps).truncate(e.caps)
-
-
 _ident(
     id="T4-INVPOCH",
     description="R(yD_q){1/(ax;q)inf} = R_q(ay)/(ax;q)inf",
-    build_lhs=_invpoch_lhs,
-    build_rhs=lambda e: rq(e.var("a") * e.var("y"))
-    * e.pochinf_inv([e.var("a") * e.var("x")]),
+    build_lhs=_rr_image(lambda w: w.pochinf_inv([w.syms("ax")]), "xa"),
+    build_rhs=_invpoch_rhs("a"),
 )
-
-
-def _t4gf_lhs(e):
-    z = e.var("z")
-    total = None
-    zpow = e.one()
-    for n in range(e.order + 1):
-        term = sw_star(n, e.caps, e.table) * zpow * e.qfact_inv(n)
-        total = term if total is None else total + term
-        zpow = zpow * z
-    return total
-
 
 _ident(
     id="T4-GF",
     description="sum S*_n(x,y) z^n/(q;q)_n = R_q(zy)/(zx;q)inf",
-    build_lhs=_t4gf_lhs,
-    build_rhs=lambda e: rq(e.var("z") * e.var("y"))
-    * e.pochinf_inv([e.var("z") * e.var("x")]),
+    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, e.table)
+                      * e.qfact_inv(n), "z"),
+    build_rhs=_invpoch_rhs("z"),
     window=("z",),
 )
-
-
-def _t4poch_lhs(e):
-    nmax = _rr_bound(e)
-    w = e.inflated(x=nmax, a=nmax)
-    f = w.pochinf([w.var("a") * w.var("x")])
-    return rr_op(f, OperatorContext("x", "y"), w.caps).truncate(e.caps)
-
 
 _ident(
     id="T4-POCH",
     description="R(yD_q){(ax;q)inf} = (ax;q)inf 0phi2(-; ax,0; q, qay)",
-    build_lhs=_t4poch_lhs,
-    build_rhs=lambda e: e.pochinf([e.var("a") * e.var("x")])
-    * phi([], [e.var("a") * e.var("x"), 0],
-          e.qpow(1) * e.var("a") * e.var("y"), e.caps, e.table),
+    build_lhs=_rr_image(lambda w: w.pochinf([w.syms("ax")]), "xa"),
+    build_rhs=_poch_rhs("a"),
 )
-
-
-def _t4altgf_lhs(e):
-    z = e.var("z")
-    total = None
-    zpow = e.one()
-    for n in range(e.order + 1):
-        sign = 1 if n % 2 == 0 else -1
-        term = sign * e.qpow(n * (n - 1) // 2) * sw_star(n, e.caps, e.table) \
-            * zpow * e.qfact_inv(n)
-        total = term if total is None else total + term
-        zpow = zpow * z
-    return total
-
 
 _ident(
     id="T4-ALTGF",
     description="alternating sum of S*_n(x,y) z^n/(q;q)_n via 0phi2",
-    build_lhs=_t4altgf_lhs,
-    build_rhs=lambda e: e.pochinf([e.var("z") * e.var("x")])
-    * phi([], [e.var("z") * e.var("x"), 0],
-          e.qpow(1) * e.var("z") * e.var("y"), e.caps, e.table),
+    build_lhs=_gf_lhs(lambda e, n: (-1) ** n * e.qpow(n * (n - 1) // 2)
+                      * sw_star(n, e.caps, e.table) * e.qfact_inv(n), "z"),
+    build_rhs=_poch_rhs("z"),
     window=("z",),
 )
-
-
-def _t4ratio_lhs(e):
-    nmax = _rr_bound(e)
-    w = e.inflated(z=nmax, a=nmax)
-    f = w.pochinf([w.var("a") * w.var("z")]) / w.pochinf([w.var("z")])
-    return rr_op(f, OperatorContext("z", "y"), w.caps).truncate(e.caps)
-
 
 _ident(
     id="T4-RATIO",
     description="R(yD_q){(az;q)inf/(z;q)inf} via 1phi2",
-    build_lhs=_t4ratio_lhs,
-    build_rhs=lambda e: e.pochinf([e.var("a") * e.var("z")])
-    / e.pochinf([e.var("z")])
-    * phi([e.var("a")], [e.var("a") * e.var("z"), 0],
-          e.qpow(1) * e.var("y"), e.caps, e.table),
+    build_lhs=_rr_image(lambda w: w.pochinf([w.syms("az")])
+                        / w.pochinf([w.var("z")]), "za", x="z"),
+    build_rhs=_ratio_rhs("z", "y"),
 )
-
-
-def _ratio_poch_lhs_op(e):
-    """R(yD_q) applied to (ax;q)inf/(bx;q)inf (y formal, bound later)."""
-    nmax = min(e.caps.vcaps[e.table.slot("y")], math.isqrt(e.caps.qmax))
-    w = e.inflated(x=nmax, a=nmax)
-    f = w.pochinf([w.sym("a") * w.var("x")]) \
-        / w.pochinf([w.sym("b") * w.var("x")])
-    out = rr_op(f, OperatorContext("x", "y"), w.caps)
-    return e.bind_values(out).truncate(e.caps)
-
-
-def _t4by1rq_rhs(e):
-    a, b, x, y = e.var("a"), e.var("b"), e.var("x"), e.var("y")
-    ratio = e.pochinf([a * x]) / e.pochinf([b * x])
-    acc = None
-    kmax = min(e.vcap("y"), e.vcap("a"))
-    for k in range(kmax + 1):
-        if k * (3 * k - 1) // 2 > e.caps.qmax:
-            break
-        term = e.qpow(k * (3 * k - 1) // 2) * e.pochn([b * x], k) \
-            * (-(a * y)) ** k * rq(e.qpow(2 * k) * b * y) \
-            / e.pochn([a * x], k) * e.qfact_inv(k)
-        acc = term if acc is None else acc + term
-    return ratio * acc
-
 
 _ident(
     id="T4-BY1-RQ",
     description="R(yD_q){(ax;q)inf/(bx;q)inf} as an R_q-weighted sum",
-    build_lhs=_ratio_poch_lhs_op,
-    build_rhs=_t4by1rq_rhs,
+    build_lhs=_ratio_image,
+    build_rhs=_by1rq_rhs,
 )
-
-
-def _by1_complete(bindings):
-    _require(bindings, "y")
-    y = bindings["y"]
-    if not isinstance(y, Fraction):
-        raise BindingViolation("y must be a nonzero rational")
-    b = bindings.get("b")
-    if b is None:
-        bindings["b"] = 1 / y
-    elif b * y != 1:
-        raise BindingViolation("constraint by = 1 violated")
-    return bindings
-
-
-def _t4by1_rhs(e):
-    a, b, x, y = e.var("a"), e.sym("b"), e.var("x"), e.sym("y")
-    front = e.pochinf([a * x]) * e.pochinf_inv([b * x])
-    acc = None
-    bx_k = e.one()
-    inv_ax = e.one()
-    sgn_ay_k = e.one()
-    for k in range(e.vcap("a") + 1):
-        if k:
-            bx_k = bx_k * (e.one() - b * x * e.qpow(k - 1))
-            inv_ax = inv_ax * _inv_one_minus(a * x * e.qpow(k - 1), e)
-            sgn_ay_k = sgn_ay_k * -(a * y)
-        br = _garrett_bracket(e, 2 * k, k * (k - 1) // 2)
-        term = bx_k * sgn_ay_k * br * inv_ax * e.qfact_inv(k)
-        acc = term if acc is None else acc + term
-    return front * acc
-
 
 _ident(
     id="T4-BY1",
     description="by=1 Garrett form of R(yD_q){(ax;q)inf/(bx;q)inf}",
-    build_lhs=_ratio_poch_lhs_op,
-    build_rhs=_t4by1_rhs,
-    free=("y",), complete=_by1_complete,
-    rand=lambda rng: {"y": _nonzero_frac(rng)},
-    uses_garrett=True, constraints=("b = 1/y",),
+    build_lhs=_ratio_image,
+    build_rhs=_garrett_ratio_rhs("a", "b"),
+    **_BY1,
 )
-
-
-def _t4sriaga_lhs(e):
-    z = e.var("z")
-    total = None
-    zpow = e.one()
-    for n in range(e.order + 1):
-        term = sw_star(n, e.caps, e.table) * e.pochn([e.var("a")], n) \
-            * zpow * e.qfact_inv(n)
-        total = term if total is None else total + term
-        zpow = zpow * z
-    return total
-
 
 # 1phi2 argument is qzy (each D_q applied to a function of zx carries a
 # factor z); with qy the right side already fails on the z^0 slice
 _ident(
     id="T4-SRIAGA",
     description="Srivastava-Agarwal type representation of S*_n(x,y)",
-    build_lhs=_t4sriaga_lhs,
-    build_rhs=lambda e: e.pochinf([e.var("a") * e.var("z") * e.var("x")])
-    * e.pochinf_inv([e.var("z") * e.var("x")])
-    * phi([e.var("a")], [e.var("a") * e.var("z") * e.var("x"), 0],
-          e.qpow(1) * e.var("z") * e.var("y"), e.caps, e.table),
+    build_lhs=_gf_lhs(_sriaga_coeff, "z"),
+    build_rhs=_ratio_rhs("zx", "zy"),
     window=("z",),
 )
-
-
-def _yz1_complete(bindings):
-    _require(bindings, "z")
-    z = bindings["z"]
-    if not isinstance(z, Fraction):
-        raise BindingViolation("z must be a nonzero rational")
-    y = bindings.get("y")
-    if y is None:
-        bindings["y"] = 1 / z
-    elif y * z != 1:
-        raise BindingViolation("constraint yz = 1 violated")
-    return bindings
-
-
-def _swstar_bound_y(n, e):
-    """S*_n(x, y) with a bound y value, summed without variable-cap traps.
-
-    Returns None when no term survives the caps."""
-    x = e.var("x")
-    yv = e.sym("y")
-    xcap = e.vcap("x")
-    total = None
-    for k in range(n + 1):
-        if n - k > xcap or k * k > e.caps.qmax:
-            continue
-        term = e.qbinom(n, k) * e.qpow(k * k) * x ** (n - k) * yv ** k
-        total = term if total is None else total + term
-    return total
-
-
-def _t4sriaga_yz1_lhs(e):
-    zval = e.sym("z")
-    nmax = e.vcap("x") + math.isqrt(e.caps.qmax)
-    total = None
-    zpow = e.one()
-    for n in range(nmax + 1):
-        sw = _swstar_bound_y(n, e)
-        if sw is not None and not sw.is_zero():
-            term = sw * e.pochn([e.var("a")], n) * zpow * e.qfact_inv(n)
-            total = term if total is None else total + term
-        zpow = zpow * zval
-    return total
-
-
-def _t4sriaga_yz1_rhs(e):
-    a, x = e.var("a"), e.var("x")
-    z, y = e.sym("z"), e.sym("y")
-    front = e.pochinf([a * z * x]) * e.pochinf_inv([z * x])
-    acc = None
-    zx_k = e.one()
-    inv_azx = e.one()
-    sgn_azy_k = e.one()
-    for k in range(e.vcap("a") + 1):
-        if k:
-            zx_k = zx_k * (e.one() - z * x * e.qpow(k - 1))
-            inv_azx = inv_azx * _inv_one_minus(a * z * x * e.qpow(k - 1), e)
-            sgn_azy_k = sgn_azy_k * -(a * z * y)
-        br = _garrett_bracket(e, 2 * k, k * (k - 1) // 2)
-        term = zx_k * sgn_azy_k * br * inv_azx * e.qfact_inv(k)
-        acc = term if acc is None else acc + term
-    return front * acc
-
 
 _ident(
     id="T4-SRIAGA-YZ1",
     description="yz=1 Garrett form of the Srivastava-Agarwal representation",
-    build_lhs=_t4sriaga_yz1_lhs,
-    build_rhs=_t4sriaga_yz1_rhs,
-    free=("z",), complete=_yz1_complete,
+    build_lhs=_gf_lhs(_sriaga_coeff, "z", _bound_z_order),
+    build_rhs=_garrett_ratio_rhs("az", "z"),
+    free=("z",), complete=_inverse_binding("y", "z"),
     rand=lambda rng: {"z": _nonzero_frac(rng)},
     uses_garrett=True, constraints=("y = 1/z",),
 )
 
-
-def _twoprod_lhs_op(e):
-    nmax = min(e.caps.vcaps[e.table.slot("y")], math.isqrt(e.caps.qmax))
-    w = e.inflated(x=nmax, a=nmax, b=nmax)
-    f = w.pochinf_inv([w.sym("a") * w.var("x"), w.sym("b") * w.var("x")])
-    out = rr_op(f, OperatorContext("x", "y"), w.caps)
-    return e.bind_values(out).truncate(e.caps)
-
-
-def _t4twoprodrq_rhs(e):
-    a, b, x, y = e.var("a"), e.var("b"), e.var("x"), e.var("y")
-    front = e.pochinf_inv([a * x, b * x])
-    acc = None
-    imax = min(e.vcap("y"), e.vcap("a"), math.isqrt(e.caps.qmax))
-    for i in range(imax + 1):
-        term = e.qpow(i * i) * e.pochn([b * x], i) * (a * y) ** i \
-            * rq(b * e.qpow(2 * i) * y) * e.qfact_inv(i)
-        acc = term if acc is None else acc + term
-    return front * acc
-
-
 _ident(
     id="T4-2PROD-RQ",
     description="R(yD_q){1/(ax,bx;q)inf} as an R_q-weighted sum",
-    build_lhs=_twoprod_lhs_op,
-    build_rhs=_t4twoprodrq_rhs,
+    build_lhs=_two_inv_image,
+    build_rhs=_rq_sum_rhs("a", "b"),
 )
-
-
-def _t4twoprod_rhs(e):
-    a, x = e.var("a"), e.var("x")
-    b, y = e.sym("b"), e.sym("y")
-    front = e.pochinf_inv([a * x, b * x])
-    acc = None
-    bx_i = e.one()
-    ay_i = e.one()
-    for i in range(e.vcap("a") + 1):
-        if i:
-            bx_i = bx_i * (e.one() - b * x * e.qpow(i - 1))
-            ay_i = ay_i * (a * y)
-        br = _garrett_bracket(e, 2 * i, i * (i - 1))
-        term = bx_i * ay_i * br * e.qfact_inv(i)
-        acc = term if acc is None else acc + term
-    return front * acc
-
 
 _ident(
     id="T4-2PROD",
     description="by=1 Garrett form of R(yD_q){1/(ax,bx;q)inf}",
-    build_lhs=_twoprod_lhs_op,
-    build_rhs=_t4twoprod_rhs,
-    free=("y",), complete=_by1_complete,
-    rand=lambda rng: {"y": _nonzero_frac(rng)},
-    uses_garrett=True, constraints=("b = 1/y",),
+    build_lhs=_two_inv_image,
+    build_rhs=_garrett_prod_rhs("a", "b"),
+    **_BY1,
 )
-
-
-def _t4rsgf_lhs(e):
-    z = e.var("z")
-    total = None
-    zpow = e.one()
-    for n in range(e.order + 1):
-        term = sw_star(n, e.caps, e.table) \
-            * rogers_szego(n, e.caps, e.table) * zpow * e.qfact_inv(n)
-        total = term if total is None else total + term
-        zpow = zpow * z
-    return total
-
-
-def _t4rsgf_rhs(e):
-    a, b, x, y, z = (e.var(v) for v in "abxyz")
-    front = e.pochinf_inv([a * z * x, b * z * x])
-    acc = None
-    imax = min(e.vcap("y"), e.vcap("a"), e.vcap("z"), math.isqrt(e.caps.qmax))
-    for i in range(imax + 1):
-        term = e.qpow(i * i) * e.pochn([b * z * x], i) * (a * z * y) ** i \
-            * rq(b * z * e.qpow(2 * i) * y) * e.qfact_inv(i)
-        acc = term if acc is None else acc + term
-    return front * acc
-
 
 _ident(
     id="T4-RSGF",
     description="mixed generating function with Rogers-Szego polynomials",
-    build_lhs=_t4rsgf_lhs,
-    build_rhs=_t4rsgf_rhs,
+    build_lhs=_gf_lhs(_rsgf_coeff, "z"),
+    build_rhs=_rq_sum_rhs("az", "bz"),
     window=("z",), deg=6, order=6, qmax=20,
 )
-
-
-def _rs_bound_b(n, e):
-    """r_n(a, b) with a bound b value, summed without variable-cap traps."""
-    a = e.var("a")
-    bv = e.sym("b")
-    acap = e.vcap("a")
-    total = None
-    for k in range(n + 1):
-        if n - k > acap:
-            continue
-        term = e.qbinom(n, k) * a ** (n - k) * bv ** k
-        total = term if total is None else total + term
-    return total
-
-
-def _t4rsgf_bzy1_lhs(e):
-    zval = e.sym("z")
-    nmax = e.vcap("x") + math.isqrt(e.caps.qmax)
-    total = None
-    zpow = e.one()
-    for n in range(nmax + 1):
-        sw = _swstar_bound_y(n, e)
-        if sw is not None and not sw.is_zero():
-            rs = _rs_bound_b(n, e)
-            term = sw * rs * zpow * e.qfact_inv(n)
-            total = term if total is None else total + term
-        zpow = zpow * zval
-    return total
-
-
-def _t4rsgf_bzy1_rhs(e):
-    a, x = e.var("a"), e.var("x")
-    b, y, z = e.sym("b"), e.sym("y"), e.sym("z")
-    front = e.pochinf_inv([a * z * x, b * z * x])
-    acc = None
-    bzx_i = e.one()
-    azy_i = e.one()
-    for i in range(e.vcap("a") + 1):
-        if i:
-            bzx_i = bzx_i * (e.one() - b * z * x * e.qpow(i - 1))
-            azy_i = azy_i * (a * z * y)
-        br = _garrett_bracket(e, 2 * i, i * (i - 1))
-        term = bzx_i * azy_i * br * e.qfact_inv(i)
-        acc = term if acc is None else acc + term
-    return front * acc
-
-
-def _bzy1_complete(bindings):
-    _require(bindings, "z", "y")
-    z, y = bindings["z"], bindings["y"]
-    if not isinstance(z, Fraction) or not isinstance(y, Fraction):
-        raise BindingViolation("z and y must be nonzero rationals")
-    b = bindings.get("b")
-    if b is None:
-        bindings["b"] = 1 / (z * y)
-    elif b * z * y != 1:
-        raise BindingViolation("constraint bzy = 1 violated")
-    return bindings
-
 
 _ident(
     id="T4-RSGF-BZY1",
     description="bzy=1 Garrett form of the mixed Rogers-Szego generating "
                 "function",
-    build_lhs=_t4rsgf_bzy1_lhs,
-    build_rhs=_t4rsgf_bzy1_rhs,
-    free=("z", "y"), complete=_bzy1_complete,
+    build_lhs=_gf_lhs(_rsgf_coeff, "z", _bound_z_order),
+    build_rhs=_garrett_prod_rhs("az", "bz"),
+    free=("z", "y"), complete=_inverse_binding("b", "z", "y"),
     rand=lambda rng: {"z": _nonzero_frac(rng), "y": _nonzero_frac(rng)},
     uses_garrett=True, constraints=("b = 1/(zy)",),
 )
@@ -1155,40 +951,28 @@ def _abgf_complete(bindings):
     return bindings
 
 
-def _t4abgf_lhs(e):
-    z = e.var("z")
-    a = e.sym("a")
-    total = None
-    zpow = e.one()
-    for n in range(e.order + 1):
-        term = sw_star(n, e.caps, e.table) * e.pochn([a], n) * zpow \
-            / e.pochn([e.sym("b")], n) * e.qfact_inv(n)
-        total = term if total is None else total + term
-        zpow = zpow * z
-    return total
-
-
 def _t4abgf_rhs(e):
     a, b = e.sym("a"), e.sym("b")
     x, y, z = e.var("x"), e.var("y"), e.var("z")
-    front = e.pochinf([a]) * e.pochinf_inv([z * x, b])
-    acc = None
-    prod = e.one()  # prod_{j<k} (a - b q^j)  ==  a^k (b/a; q)_k
-    k = 0
-    while not prod.is_zero() and k <= e.caps.qmax:
-        term = prod * e.pochn([z * x], k) * rq(e.qpow(k) * z * y) \
-            * e.qfact_inv(k)
-        acc = term if acc is None else acc + term
-        prod = prod * (a - b * e.qpow(k))
-        k += 1
-    return front * acc
+
+    def terms():
+        prod = e.one()  # prod_{j<k} (a - b q^j)  ==  a^k (b/a; q)_k
+        for k in range(e.caps.qmax + 1):
+            if prod.is_zero():
+                return
+            yield prod * e.pochn([z * x], k) * rq(e.qpow(k) * z * y) \
+                * e.qfact_inv(k)
+            prod = prod * (a - b * e.qpow(k))
+    return e.pochinf([a]) * e.pochinf_inv([z * x, b]) * reduce(add, terms())
 
 
 _ident(
     id="T4-ABGF",
     description="(a;q)_n/(b;q)_n-weighted generating function of S*_n "
                 "(q-monomial bindings)",
-    build_lhs=_t4abgf_lhs,
+    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, e.table)
+                      * e.pochn([e.sym("a")], n) / e.pochn([e.sym("b")], n)
+                      * e.qfact_inv(n), "z"),
     build_rhs=_t4abgf_rhs,
     window=("z",),
     free=("a", "b"), complete=_abgf_complete,
@@ -1201,123 +985,69 @@ _ident(
 # -- Mehler formulas (T5) ---------------------------------------------------------------
 
 
-def _mehler_lhs(e):
-    t = e.var("t")
-    total = None
-    tpow = e.one()
-    for n in range(e.order + 1):
-        term = sw_star(n, e.caps, e.table, "x", "y") \
-            * sw_star(n, e.caps, e.table, "w", "z") * tpow * e.qfact_inv(n)
-        total = term if total is None else total + term
-        tpow = tpow * t
-    return total
-
-
 def _mehler_rhs(e):
     t, w_, x, y, z = (e.var(v) for v in "twxyz")
-    front = e.pochinf_inv([t * w_ * x])
-    acc = None
-    kmax = min(e.vcap("t"), e.vcap("y"))
-    for k in range(kmax + 1):
-        if 2 * k * k > e.caps.qmax:
-            break
-        term = e.qpow(2 * k * k) * e.pochn([t * w_ * x], k) \
-            * (t * y * z) ** k * rq(t * z * e.qpow(2 * k) * x) \
-            * rq(t * y * e.qpow(2 * k) * w_) * e.qfact_inv(k)
-        acc = term if acc is None else acc + term
-    return front * acc
+    return e.pochinf_inv([t * w_ * x]) * reduce(add, (
+        p * e.pochn([t * w_ * x], k) * rq(t * z * e.qpow(2 * k) * x)
+        * rq(t * y * e.qpow(2 * k) * w_) * e.qfact_inv(k)
+        for k, p in _powers(e, t * y * z, lambda k: 2 * k * k)))
+
+
+def _opprod_rhs(a_, b_):
+    """R(yD_q){(ax,bx;q)inf} as a 0phi2-weighted sum (T5-OPPROD):
+    (ax,bx;q)inf sum_k q^(3C(k,2)) (-qay)^k
+    0phi2(-; bq^k x, 0; q, q^(2k+1) by) / ((ax;q)_k (bx;q)_k (q;q)_k)."""
+    # sign convention: (-qay)^k with 0phi2 argument +q^(2k+1)by; the
+    # variant with (qay)^k and -q^(2k+1)by is the same series at -y and
+    # does not match the operator image (odd-n sign from the D_q^n image
+    # of (ax;q)inf)
+    def build(e):
+        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.var("y")
+        return e.pochinf([a * x]) * e.pochinf([b * x]) * reduce(add, (
+            p * phi([], [b * e.qpow(k) * x, 0], e.qpow(2 * k + 1) * b * y,
+                    e.caps, e.table)
+            / (e.pochn([a * x], k) * e.pochn([b * x], k)) * e.qfact_inv(k)
+            for k, p in _powers(e, -(e.qpow(1) * a * y),
+                                lambda k: 3 * (k * (k - 1) // 2))))
+    return build
+
+
+def _altmehler_coeff(e, n):
+    """(-1)^n q^C(n,2) S*_n(x, y) S*_n(a, q^(-n) b) / (q;q)_n, assembled at
+    a q-window widened by n^2 for the Laurent second family."""
+    w = e.inflated(dq=n * n)
+    swl = sw_star(n, w.caps, w.table, "a", "b") \
+        .substitute("b", 1, Monomial(-n, ZV_B))
+    return ((-1) ** n * w.qpow(n * (n - 1) // 2)
+            * sw_star(n, w.caps, w.table, "x", "y") * swl * w.qfact_inv(n)) \
+        .truncate(e.caps)
 
 
 _ident(
     id="T5-MEHLER",
     description="Mehler-type bilinear generating function for S*_n",
-    build_lhs=_mehler_lhs,
+    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, e.table, "x", "y")
+                      * sw_star(n, e.caps, e.table, "w", "z")
+                      * e.qfact_inv(n), "t"),
     build_rhs=_mehler_rhs,
     window=("t",), qmax=20, deg=6, order=6,
 )
 
-
-def _opprod_lhs(e):
-    nmax = _rr_bound(e)
-    w = e.inflated(x=nmax, a=nmax, b=nmax)
-    f = w.pochinf([w.var("a") * w.var("x")]) \
-        * w.pochinf([w.var("b") * w.var("x")])
-    return rr_op(f, OperatorContext("x", "y"), w.caps).truncate(e.caps)
-
-
-def _opprod_rhs(e):
-    # sign convention: (-qay)^k with 0phi2 argument +q^(2k+1)by; the
-    # variant with (qay)^k and -q^(2k+1)by is the same series at -y and
-    # does not match the operator image (odd-n sign from the D_q^n image
-    # of (ax;q)inf)
-    a, b, x, y = e.var("a"), e.var("b"), e.var("x"), e.var("y")
-    front = e.pochinf([a * x]) * e.pochinf([b * x])
-    acc = None
-    kmax = min(e.vcap("y"), e.vcap("a"))
-    for k in range(kmax + 1):
-        if 3 * (k * (k - 1) // 2) > e.caps.qmax:
-            break
-        inner = phi([], [b * e.qpow(k) * x, 0],
-                    e.qpow(2 * k + 1) * b * y, e.caps, e.table)
-        term = e.qpow(3 * (k * (k - 1) // 2)) * (-(e.qpow(1) * a * y)) ** k \
-            * inner / (e.pochn([a * x], k) * e.pochn([b * x], k)) \
-            * e.qfact_inv(k)
-        acc = term if acc is None else acc + term
-    return front * acc
-
-
 _ident(
     id="T5-OPPROD",
     description="R(yD_q){(ax,bx;q)inf} as a 0phi2-weighted sum",
-    build_lhs=_opprod_lhs,
-    build_rhs=_opprod_rhs,
+    build_lhs=_rr_image(lambda w: w.pochinf([w.syms("ax")])
+                        * w.pochinf([w.syms("bx")]), "xab"),
+    build_rhs=_opprod_rhs("a", "b"),
     qmax=20, deg=6, order=6,
 )
-
-
-def _altmehler_lhs(e):
-    zv = e.var("z")
-    total = None
-    zpow = e.one()
-    for n in range(e.order + 1):
-        w = e.inflated(dq=n * n)
-        swl = sw_star(n, w.caps, w.table, "a", "b") \
-            .substitute("b", 1, Monomial(-n, ZV_B))
-        sign = 1 if n % 2 == 0 else -1
-        term = sign * w.qpow(n * (n - 1) // 2) \
-            * sw_star(n, w.caps, w.table, "x", "y") * swl * w.qfact_inv(n)
-        term = term.truncate(e.caps) * zpow
-        total = term if total is None else total + term
-        zpow = zpow * zv
-    return total
-
-
-def _altmehler_rhs(e):
-    # the operator image of (azx,bzx;q)inf: same sign convention as
-    # T5-OPPROD, with a -> az and b -> bz carried through everywhere
-    a, b, x, y, z = (e.var(v) for v in "abxyz")
-    front = e.pochinf([a * z * x]) * e.pochinf([b * z * x])
-    acc = None
-    kmax = min(e.vcap("z"), e.vcap("y"))
-    for k in range(kmax + 1):
-        if 3 * (k * (k - 1) // 2) > e.caps.qmax:
-            break
-        inner = phi([], [b * e.qpow(k) * z * x, 0],
-                    e.qpow(2 * k + 1) * b * z * y, e.caps, e.table)
-        term = e.qpow(3 * (k * (k - 1) // 2)) \
-            * (-(e.qpow(1) * a * z * y)) ** k \
-            * inner / (e.pochn([a * z * x], k) * e.pochn([b * z * x], k)) \
-            * e.qfact_inv(k)
-        acc = term if acc is None else acc + term
-    return front * acc
-
 
 _ident(
     id="T5-ALTMEHLER",
     description="alternating Mehler-type formula with q^(-n)-shifted second "
                 "family",
-    build_lhs=_altmehler_lhs,
-    build_rhs=_altmehler_rhs,
+    build_lhs=_gf_lhs(_altmehler_coeff, "z"),
+    build_rhs=_opprod_rhs("az", "bz"),
     window=("z",), qmax=20, deg=6, order=6,
 )
 
@@ -1325,74 +1055,35 @@ _ident(
 # -- Rogers formulas (T6) -----------------------------------------------------------------
 
 
-def _ts_complete(bindings):
-    _require(bindings, "t", "s")
-    t, s = bindings["t"], bindings["s"]
-    if not isinstance(t, Fraction) or not isinstance(s, Fraction):
-        raise BindingViolation("t and s must be nonzero rationals")
-    if t == s:
-        raise BindingViolation("t and s must differ (t/s = 1 degenerates)")
-    return bindings
-
-
-def _rand_ts(rng):
-    t = _nonzero_frac(rng)
-    s = _nonzero_frac(rng)
-    while s == t:
-        s = _nonzero_frac(rng)
-    return {"t": t, "s": s}
-
-
 def _rogers_lhs(alternating):
+    """sum_{n+m <= order} S*_(n+m)(x, y) T_n s^m / ((q;q)_n (q;q)_m), with
+    T_n = t^n, or (-1)^n q^C(n,2) t^n when alternating."""
     def build(e):
         tv, sv = e.sym("t"), e.sym("s")
-        total = None
-        for n in range(e.order + 1):
-            tpow = tv ** n
+
+        def tpow(n):
             if alternating:
-                sign = 1 if n % 2 == 0 else -1
-                tpow = sign * e.qpow(n * (n - 1) // 2) * tpow
-            for m in range(e.order + 1 - n):
-                term = sw_star(n + m, e.caps, e.table) * tpow * sv ** m \
-                    * e.qfact_inv(n) * e.qfact_inv(m)
-                total = term if total is None else total + term
-        return total
+                return (-1) ** n * e.qpow(n * (n - 1) // 2) * tv ** n
+            return tv ** n
+        return reduce(add, (
+            sw_star(n + m, e.caps, e.table) * tpow(n) * sv ** m
+            * e.qfact_inv(n) * e.qfact_inv(m)
+            for n in range(e.order + 1) for m in range(e.order + 1 - n)))
     return build
 
 
-def _rogers_alt_rhs(e):
-    # 1phi2 argument is qsy, not qy: the operator differentiates x while
-    # the operand is a function of sx, so every D_q carries a factor s
-    t, s = e.bindings["t"], e.bindings["s"]
-    x, y = e.var("x"), e.var("y")
-    tv, sv = e.sym("t"), e.sym("s")
-    return e.pochinf([tv * x]) * e.pochinf_inv([sv * x]) \
-        * phi([e.const(t / s)], [tv * x, 0], e.qpow(1) * sv * y,
-              e.caps, e.table)
-
-
-def _rogers_rhs(e):
-    tv, sv = e.sym("t"), e.sym("s")
-    x, y = e.var("x"), e.var("y")
-    front = e.pochinf_inv([tv * x, sv * x])
-    acc = None
-    imax = min(e.vcap("y"), math.isqrt(e.caps.qmax))
-    for i in range(imax + 1):
-        term = e.qpow(i * i) * e.pochn([sv * x], i) * (tv * y) ** i \
-            * rq(sv * e.qpow(2 * i) * y) * e.qfact_inv(i)
-        acc = term if acc is None else acc + term
-    return front * acc
-
-
+# T4-RATIO with a -> t/s, z -> sx, y -> sy.  The 1phi2 argument is qsy,
+# not qy: the operator differentiates x while the operand is a function of
+# sx, so every D_q carries a factor s
 _ident(
     id="T6-ROGERS-ALT",
     description="alternating Rogers-type double generating function via "
                 "1phi2",
     build_lhs=_rogers_lhs(alternating=True),
-    build_rhs=_rogers_alt_rhs,
+    build_rhs=_ratio_rhs(
+        "sx", "sy", a=lambda e: e.const(e.bindings["t"] / e.bindings["s"])),
     window=("x", "y"), qmax=20, deg=6, order=6,
-    free=("t", "s"), complete=_ts_complete, rand=_rand_ts,
-    constraints=("t, s nonzero rationals with t != s",),
+    **_TS,
 )
 
 _ident(
@@ -1400,10 +1091,9 @@ _ident(
     description="Rogers-type double generating function as an R_q-weighted "
                 "sum",
     build_lhs=_rogers_lhs(alternating=False),
-    build_rhs=_rogers_rhs,
+    build_rhs=_rq_sum_rhs("t", "s"),
     window=("x", "y"), qmax=20, deg=6, order=6,
-    free=("t", "s"), complete=_ts_complete, rand=_rand_ts,
-    constraints=("t, s nonzero rationals with t != s",),
+    **_TS,
 )
 
 

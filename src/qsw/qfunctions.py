@@ -6,6 +6,7 @@ q-exponential, all as exact truncated series.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -44,24 +45,28 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
     """
     if base < 1:
         raise ValueError("base must be a positive integer")
-    result = one(table, caps)
-    if count is INFINITY:
-        kmax = caps.qmax // base
-        for a in args:
-            s = _coerce(a, table, caps)
-            if s.qfloor < 0:
-                raise NegativeQOrderInInfiniteProduct(
-                    "infinite product argument has negative q-order")
-            for k in range(kmax + 1):
-                result = result * (one(table, caps) - s * q_power(base * k, table, caps))
-        return result
-    if not isinstance(count, int) or count < 0:
+    infinite = count is INFINITY
+    if infinite:
+        count = caps.qmax // base + 1
+    elif not isinstance(count, int) or count < 0:
         raise ValueError("count must be a non-negative integer or INFINITY")
+    result = one(table, caps)
     for a in args:
         s = _coerce(a, table, caps)
+        if infinite and s.qfloor < 0:
+            raise NegativeQOrderInInfiniteProduct(
+                "infinite product argument has negative q-order")
         for k in range(count):
             result = result * (one(table, caps) - s * q_power(base * k, table, caps))
     return result
+
+
+def _dense(coeffs: Sequence[int], caps: TruncationSpec, table: VarTable,
+           shift: int = 0) -> Series:
+    """The pure q-series sum_i coeffs[i] q^(i + shift)."""
+    zv = table.zero_vexps
+    return make_series([(c, Monomial(i + shift, zv))
+                        for i, c in enumerate(coeffs) if c], caps, table)
 
 
 @lru_cache(maxsize=None)
@@ -101,51 +106,67 @@ def qbinom_coeffs(n: int, k: int) -> tuple[int, ...]:
 def qbinom(n: int, k: int, caps: TruncationSpec,
            table: VarTable = DEFAULT_TABLE) -> Series:
     """Gaussian binomial coefficient as a q-polynomial series."""
-    zv = table.zero_vexps
-    entries = [(c, Monomial(i, zv))
-               for i, c in enumerate(qbinom_coeffs(n, k)) if c]
-    return make_series(entries, caps, table)
+    return _dense(qbinom_coeffs(n, k), caps, table)
 
 
 def qfact(n: int, caps: TruncationSpec,
           table: VarTable = DEFAULT_TABLE) -> Series:
     """(q; q)_n as a series."""
-    zv = table.zero_vexps
-    entries = [(c, Monomial(i, zv))
-               for i, c in enumerate(qfact_coeffs(n)) if c]
-    return make_series(entries, caps, table)
+    return _dense(qfact_coeffs(n), caps, table)
 
 
 @lru_cache(maxsize=None)
 def _qfact_inv_coeffs(n: int, qmax: int, base: int = 1) -> tuple[int, ...]:
     """Dense coefficients of 1/(q^base; q^base)_n modulo q^(qmax+1).
 
-    The inverse of a monic integer product with unit constant term has
-    integer coefficients."""
-    g = [0] * (qmax + 1)
-    for i, c in enumerate(qfact_coeffs(n)):
-        if i * base > qmax:
-            break
-        g[i * base] = c
-    h = [0] * (qmax + 1)
-    h[0] = 1
-    for m in range(1, qmax + 1):
-        acc = 0
-        for j in range(1, m + 1):
-            if g[j]:
-                acc += g[j] * h[m - j]
-        if acc:
-            h[m] = -acc
+    Divides 1 by each factor (1 - q^(base*k)) in place: h[i] += h[i - base*k]
+    sums the geometric series, and the result has integer coefficients."""
+    h = [1] + [0] * qmax
+    for k in range(1, n + 1):
+        step = base * k
+        for i in range(step, qmax + 1):
+            h[i] += h[i - step]
     return tuple(h)
 
 
 def qfact_inv(n: int, caps: TruncationSpec,
               table: VarTable = DEFAULT_TABLE) -> Series:
     """1/(q; q)_n as a series, cached densely."""
-    zv = table.zero_vexps
-    entries = [(c, Monomial(i, zv))
-               for i, c in enumerate(_qfact_inv_coeffs(n, caps.qmax)) if c]
-    return make_series(entries, caps, table)
+    return _dense(_qfact_inv_coeffs(n, caps.qmax, 1), caps, table)
+
+
+def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1) -> Series:
+    """sum_n q^weight(n) z^n / (q^base; q^base)_n modulo caps.
+
+    weight must make weight(n) + n*val(z) eventually increasing, where
+    val(z) is the least q-exponent of z: the sum stops at the first n where
+    that bound exceeds qmax or z^n vanishes, and every later term vanishes
+    too.  A Laurent z widens the working q-window by -val(z) per surviving
+    power, so q^weight(n) z^n is exact before the final truncation.
+    """
+    table = z.table
+    v = z.min_qexp()
+    work = caps
+    if v < 0:
+        nmax = 1
+        while weight(nmax) + nmax * v <= caps.qmax:
+            nmax += 1
+        work = replace(caps, qmax=caps.qmax + (-v) * nmax)
+        z = z.with_caps(replace(z.caps, qmax=work.qmax))
+    total = one(table, work)
+    zpow = total
+    n = 0
+    while True:
+        n += 1
+        w = weight(n)
+        if w + n * v > caps.qmax:
+            break
+        zpow = zpow * z
+        if zpow.is_zero():
+            break
+        total = total + zpow * _dense(
+            _qfact_inv_coeffs(n, work.qmax, base), work, table, w)
+    return total.truncate(caps)
 
 
 def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
@@ -158,32 +179,16 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
     truncated product.
     """
     result = one(table, caps)
-    zv = table.zero_vexps
     for a in args:
         s = _coerce(a, table, caps)
         if s.qfloor < 0:
             raise NegativeQOrderInInfiniteProduct(
                 "infinite product argument has negative q-order")
-        if s.is_zero():
-            continue
         if not _weight_certificate(s):
             result = result * poch([s], INFINITY, caps, table,
                                    base=base).reciprocal()
             continue
-        total = one(table, caps)
-        spow = one(table, caps)
-        m = 0
-        while True:
-            spow = spow * s
-            m += 1
-            if spow.is_zero():
-                break
-            coeffs = _qfact_inv_coeffs(m, caps.qmax, base)
-            inv = make_series([(c, Monomial(i, zv))
-                               for i, c in enumerate(coeffs) if c],
-                              caps, table)
-            total = total + spow * inv
-        result = result * total
+        result = result * _qexp_sum(s, caps, lambda n: 0, base)
     return result
 
 
@@ -207,13 +212,6 @@ def _weight_certificate(z: Series) -> bool:
         if qr + z.qfloor < 1 and not any(ve):
             return False
     return True
-
-
-def _lift_qmax(s: Series, qmax: int) -> Series:
-    """Widen the q-window claim of an exact representative."""
-    if s.caps.qmax >= qmax:
-        return s
-    return s.with_caps(TruncationSpec(qmax, s.caps.vcaps))
 
 
 def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
@@ -251,10 +249,10 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
         margin = m * (m + 1) // 2 + m
         if e < 0:
             margin += (-e) * (m * (m - 1) // 2)
-        work = TruncationSpec(caps.qmax + margin, caps.vcaps)
-        ups = [_lift_qmax(u, work.qmax) for u in ups]
-        lows = [_lift_qmax(l, work.qmax) for l in lows]
-        zs = _lift_qmax(zs, work.qmax)
+        work = replace(caps, qmax=caps.qmax + margin)
+        ups, lows = ([u.with_caps(replace(u.caps, qmax=work.qmax)) for u in us]
+                     for us in (ups, lows))
+        zs = zs.with_caps(replace(zs.caps, qmax=work.qmax))
 
     unit = one(table, work)
     total = unit
@@ -287,39 +285,17 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
 
 def eq_small(z: Series, caps: TruncationSpec = None) -> Series:
     """q-exponential e_q(z) = sum z^n / (q; q)_n."""
-    caps = caps if caps is not None else z.caps
-    table = z.table
     if not _weight_certificate(z) or z.qfloor < 0:
         raise NonTerminatingSeries("e_q needs z with positive weight")
-    total = one(table, caps)
-    zpow = one(table, caps)
-    n = 0
-    while True:
-        zpow = zpow * z
-        n += 1
-        if zpow.is_zero():
-            break
-        total = total + zpow * qfact_inv(n, caps, table)
-    return total
+    return _qexp_sum(z, caps if caps is not None else z.caps, lambda n: 0)
 
 
 def eq_big(z: Series, caps: TruncationSpec = None) -> Series:
     """q-exponential E_q(z) = sum q^C(n,2) z^n / (q; q)_n."""
-    caps = caps if caps is not None else z.caps
-    table = z.table
     if not _weight_certificate(z) or z.qfloor < 0:
         raise NonTerminatingSeries("E_q needs z with positive weight")
-    total = one(table, caps)
-    zpow = one(table, caps)
-    n = 0
-    while True:
-        zpow = zpow * z
-        n += 1
-        if zpow.is_zero():
-            break
-        total = total + q_power(n * (n - 1) // 2, table, caps) * zpow \
-            * qfact_inv(n, caps, table)
-    return total
+    return _qexp_sum(z, caps if caps is not None else z.caps,
+                     lambda n: n * (n - 1) // 2)
 
 
 # -- Ramanujan q-exponential -----------------------------------------------------
@@ -337,32 +313,7 @@ def rq(z: Union[Series, Scalar], caps: TruncationSpec = None,
         caps = caps if caps is not None else z.caps
     elif caps is None:
         raise ValueError("caps required when z is a scalar")
-    zs = _coerce(z, table, caps)
-    if zs.is_zero():
-        return one(table, caps)
-    v = zs.min_qexp()
-    if v < 0:
-        # widen the window so q^(n^2) * z^n is exact before the final truncation
-        nmax = 1
-        while nmax * nmax + nmax * v <= caps.qmax:
-            nmax += 1
-        work = TruncationSpec(caps.qmax + (-v) * nmax, caps.vcaps)
-        zs = _lift_qmax(zs, work.qmax)
-    else:
-        work = caps
-    total = one(table, work)
-    zpow = one(table, work)
-    n = 0
-    while True:
-        n += 1
-        if n * n + n * v > caps.qmax:
-            break
-        zpow = zpow * zs
-        if zpow.is_zero():
-            break
-        total = total + q_power(n * n, table, work) * zpow \
-            * qfact_inv(n, work, table)
-    return total.truncate(caps)
+    return _qexp_sum(_coerce(z, table, caps), caps, lambda n: n * n)
 
 
 def rq_at_power(k: int, caps: TruncationSpec,
@@ -370,17 +321,7 @@ def rq_at_power(k: int, caps: TruncationSpec,
     """Direct summation of sum q^(n^2 + k*n) / (q; q)_n (oracle form)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    zv = table.zero_vexps
-    total = one(table, caps)
-    n = 0
-    while True:
-        n += 1
-        w = n * n + k * n
-        if w > caps.qmax:
-            break
-        total = total + make_series([(1, Monomial(w, zv))], caps, table) \
-            * qfact_inv(n, caps, table)
-    return total
+    return _qexp_sum(q_power(k, table, caps), caps, lambda n: n * n)
 
 
 # -- Garrett coefficient polynomials ----------------------------------------------

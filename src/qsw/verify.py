@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .series import DEFAULT_TABLE, Monomial, Series, equals_mod_caps
+from .series import (
+    DEFAULT_TABLE, Monomial, Series, VariableNotFound, equals_mod_caps,
+)
 
 
 class UnknownIdentity(KeyError):
@@ -20,6 +22,11 @@ class UnknownIdentity(KeyError):
 
 class BindingViolation(ValueError):
     """User bindings are inconsistent with an identity's constraints."""
+
+
+class InvalidRequest(ValueError):
+    """Verification settings that leave nothing valid to check: a negative
+    cap or sum order, an unknown variable, or no cases at all."""
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,17 @@ class VerifyConfig:
     trials: Optional[int] = None
     seed: int = 0
     bindings: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, v in (("qmax", self.qmax), ("deg", self.deg),
+                        ("sum_order", self.sum_order), *self.var_caps.items()):
+            if v is not None and v < 0:
+                raise InvalidRequest(f"{name} must be non-negative, got {v}")
+        for name in (*self.var_caps, *self.bindings):
+            try:
+                DEFAULT_TABLE.slot(name)
+            except VariableNotFound:
+                raise InvalidRequest(f"unknown variable {name!r}") from None
 
 
 @dataclass
@@ -166,6 +184,9 @@ def verify(ident: str, cfg: VerifyConfig = VerifyConfig()) -> Report:
     t0 = time.perf_counter()
     convention = selected_convention() if spec.uses_garrett else None
     envs = spec.cases(cfg, convention)
+    if not envs:
+        # a verdict over zero cases would report PASS having checked nothing
+        raise InvalidRequest(f"{spec.id}: the settings leave no case to check")
     ok = True
     witness = None
     bindings_used: dict = {}

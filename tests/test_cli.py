@@ -1,7 +1,14 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import qsw
 from qsw.cli import main
 from qsw.identities import BY_ID, IdentitySpec
 from qsw.series import caps
@@ -119,3 +126,35 @@ def test_garrett_convention_command(capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["verify"]) == 2
     assert main(["eval", "bogus", "--n", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "I-RR1", "--cap", "nope=3"],
+    ["verify", "I-RR1", "--qmax", "-1"],
+    ["eval", "sw", "--n", "65"],
+])
+def test_usage_error_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("ident", ["T4-BY1", "I-LEIBNIZ"])
+def test_verify_zero_trials_exits_2(ident, capsys):
+    assert main(["verify", ident, "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "no case" in captured.err
+
+
+def test_verify_more_trials_than_bindings_exits_2():
+    # T4-BY1 draws y from 14 distinct rationals; asking for 15 used to hang
+    src = str(Path(qsw.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsw.cli", "verify", "T4-BY1", "--trials", "15"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("binding violation:")
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -11,8 +11,8 @@ import qsw.qfunctions as qfunctions
 from qsw.identities import BY_ID, IdentitySpec, garrett_candidates
 from qsw.series import equals_mod_caps, mono, q_power
 from qsw.verify import (
-    BindingViolation, UnknownIdentity, VerifyConfig, _restrict, registry,
-    reports_json, resolve_garrett_convention, verify,
+    BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, _restrict,
+    registry, reports_json, resolve_garrett_convention, verify,
 )
 
 FAST = VerifyConfig(qmax=10, deg=3, sum_order=3, trials=2)
@@ -57,6 +57,12 @@ def test_constrained_identity_uses_distinct_random_bindings():
     assert len(ys) >= 4  # distinct nonzero rationals, collision unlikely
     for env in envs:
         assert env.bindings["b"] * env.bindings["y"] == 1
+
+
+@pytest.mark.parametrize("ident", ["T4-BY1", "I-LEIBNIZ"])
+def test_verify_refuses_zero_cases(ident):
+    with pytest.raises(InvalidRequest):
+        verify(ident, VerifyConfig(trials=0))
 
 
 def test_user_binding_override_and_violation():

@@ -4,14 +4,17 @@ q-exponentials, the Ramanujan q-exponential, and Garrett polynomials."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsw.series import (
-    caps, constant, equals_mod_caps, mono, one, q_power, variable, zero,
+    caps, constant, equals_mod_caps, make_series, mono, one, q_power,
+    variable, zero,
 )
 from qsw.qfunctions import (
-    INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries, eq_big,
-    eq_small, garrett_a, garrett_b, phi, poch, poch_inf_inv, qbinom,
-    qbinom_coeffs, qfact, qfact_inv, rq, rq_at_power,
+    INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries,
+    _qfact_inv_coeffs, eq_big, eq_small, garrett_a, garrett_b, phi, poch,
+    poch_inf_inv, qbinom, qbinom_coeffs, qfact, qfact_coeffs, qfact_inv, rq,
+    rq_at_power,
 )
 
 C = caps(12)
@@ -85,6 +88,35 @@ def test_poch_inf_inv_matches_reciprocal():
     # rational argument goes through the Newton fallback
     assert_equal(poch_inf_inv([constant(Fraction(1, 2), caps_=C)], C),
                  poch([Fraction(1, 2)], INFINITY, C).reciprocal())
+
+
+# a weighted argument: monomials c q^i x^j with i + j >= 1
+_weighted_arg = st.lists(
+    st.tuples(st.sampled_from([1, -1, 2, Fraction(2, 3), Fraction(-3, 2)]),
+              st.integers(0, 4), st.integers(0, 2))
+    .filter(lambda t: t[1] + t[2] >= 1), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_weighted_arg, min_size=1, max_size=2), st.integers(1, 5))
+def test_poch_inf_inv_matches_reciprocal_property(arg_terms, base):
+    c = caps(12, default=3)
+    args = [make_series([(k, mono(i, {"x": j})) for k, i, j in terms], c)
+            for terms in arg_terms]
+    assert poch_inf_inv(args, c, base=base) \
+        == poch(args, INFINITY, c, base=base).reciprocal()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 15), st.integers(0, 60), st.integers(1, 5))
+def test_qfact_inv_coeffs_match_reciprocal(n, qmax, base):
+    # (q^base; q^base)_n is pure q, so reciprocal takes its dense path
+    c = caps(qmax)
+    qfact_at_base = make_series(
+        [(k, mono(i * base)) for i, k in enumerate(qfact_coeffs(n))], c)
+    inv = qfact_at_base.reciprocal()
+    assert _qfact_inv_coeffs(n, qmax, base) \
+        == tuple(inv.coeff(mono(i)) for i in range(qmax + 1))
 
 
 # -- Gaussian binomials ----------------------------------------------------------
