@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import count
 from operator import add, mul
 from typing import Callable, Optional
 
@@ -30,8 +29,8 @@ from .series import (
     monomial_series, one, q_power, variable,
 )
 from .qfunctions import (
-    INFINITY, eq_big, eq_small, garrett_a, garrett_b, phi, poch,
-    poch_inf_inv, qbinom, qfact_inv, rq, rq_at_power,
+    INFINITY, _poch_ratios, _qexp_sum, eq_big, eq_small, garrett_a, garrett_b,
+    phi, poch, poch_inf_inv, qbinom, qfact_inv, rq, rq_at_power,
 )
 from .operators import OperatorContext, dq_pow, leibniz_rhs, rr_op
 from .polynomials import rogers_szego, sw_classic, sw_star, sw_star_op
@@ -162,7 +161,6 @@ class IdentitySpec:
     rand: Optional[Callable] = None  # rng -> bindings for the free parameters
     trials: int = 5
     uses_garrett: bool = False
-    constraints: tuple = ()
 
     def cases(self, cfg, convention) -> list[Env]:
         qmax = cfg.qmax if cfg.qmax is not None else self.qmax
@@ -194,6 +192,8 @@ class IdentitySpec:
                     seen.add(key)
                     repeats = 0
                     blist.append(self.complete(b))
+        elif cfg.bindings:
+            raise BindingViolation(f"{self.id} has no free parameters to bind")
         else:
             blist = [{}]
         return [Env(cps, order, b, convention, dict(sw))
@@ -249,17 +249,13 @@ def _rr_image(operand, widen, x="x"):
     return build
 
 
-def _powers(e: Env, u: Series, weight):
-    """(k, q^weight(k) u^k) for k = 0, 1, ... up to the first power that
-    vanishes modulo e.caps; weight is nondecreasing and u has no negative
-    q-exponent, so every later power vanishes too."""
-    upow = e.one()
-    for k in count():
-        p = e.qpow(weight(k)) * upow
-        if p.is_zero():
-            return
-        yield k, p
-        upow = upow * u
+def _poch_sum(e: Env, u: Series, weight, kernel, up=(), down=()) -> Series:
+    """sum_k q^weight(k) u^k (up; q)_k / (down; q)_k kernel(k) / (q;q)_k at
+    e.caps, by the weighted sum of qfunctions: kernel(k) is built only for
+    the k that sum reaches before its certified stop."""
+    ratios = _poch_ratios(up, down, e.caps, e.table)
+    return _qexp_sum(u, e.caps, weight,
+                     factors=(r * kernel(k) for k, r in enumerate(ratios)))
 
 
 def _garrett_form(e: Env, k: int, s: int, first, second) -> Series:
@@ -284,10 +280,18 @@ def _garrett_rq(e: Env, k: int) -> Series:
                          lambda w: rq(w.qpow(1)))
 
 
-def _garrett_bracket(e: Env, k: int, shift: int) -> Series:
-    """q^(-shift) * (a_k(q)/(q,q^4;q^5)inf - b_k(q)/(q^2,q^3;q^5)inf)."""
+def _rq_kernel(e: Env, m: int, v: Series) -> Series:
+    """R_q(q^m v) by its direct sum."""
+    return rq(e.qpow(m) * v)
+
+
+def _garrett_kernel(e: Env, m: int, v: Series) -> Series:
+    """R_q(q^m v) at v = 1, which the bindings of the Garrett forms impose,
+    for even m by Garrett's expansion over the Rogers-Ramanujan products:
+    q^(-C(m,2)) (a_m(q)/(q,q^4;q^5)inf - b_m(q)/(q^2,q^3;q^5)inf).  Even m
+    makes the measured sign convention immaterial."""
     return _garrett_form(
-        e, k, shift,
+        e, m, m * (m - 1) // 2,
         lambda w: w.pochinf_inv([w.qpow(1), w.qpow(4)], base=5),
         lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5))
 
@@ -729,63 +733,27 @@ def _ratio_rhs(u, v, a=lambda e: e.var("a")):
     return build
 
 
-def _by1rq_rhs(e):
-    """(ax;q)inf/(bx;q)inf sum_k q^(k(3k-1)/2) (bx;q)_k (-ay)^k
-    R_q(q^(2k)by) / ((ax;q)_k (q;q)_k)."""
-    a, b, x, y = (e.var(v) for v in "abxy")
-    return e.pochinf([a * x]) / e.pochinf([b * x]) * reduce(add, (
-        p * e.pochn([b * x], k) * rq(e.qpow(2 * k) * b * y)
-        / e.pochn([a * x], k) * e.qfact_inv(k)
-        for k, p in _powers(e, -(a * y), lambda k: k * (3 * k - 1) // 2)))
-
-
-def _garrett_ratio_rhs(a_, b_):
-    """by = 1 Garrett form of R(yD_q){(ax;q)inf/(bx;q)inf} (T4-BY1):
-    (ax;q)inf/(bx;q)inf sum_k (bx;q)_k (-ay)^k G_k / ((ax;q)_k (q;q)_k),
-    G_k the Garrett bracket at 2k shifted by C(k,2)."""
+def _ratio_rq_rhs(a_, b_, kernel=_rq_kernel):
+    """R(yD_q){(ax;q)inf/(bx;q)inf} as an R_q-weighted sum (T4-BY1-RQ):
+    (ax;q)inf/(bx;q)inf sum_k q^(k(3k-1)/2) (bx;q)_k (-ay)^k
+    R_q(q^(2k)by) / ((ax;q)_k (q;q)_k), with R_q(q^m by) = kernel(e, m, by)."""
     def build(e):
         a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.sym("y")
-
-        def terms():
-            bx_k = inv_ax_k = e.one()
-            for k, p in _powers(e, -(a * y), lambda k: 0):
-                if k:
-                    bx_k = bx_k * (e.one() - b * x * e.qpow(k - 1))
-                    inv_ax_k = inv_ax_k / (e.one() - a * x * e.qpow(k - 1))
-                yield bx_k * p * _garrett_bracket(e, 2 * k, k * (k - 1) // 2) \
-                    * inv_ax_k * e.qfact_inv(k)
-        return e.pochinf([a * x]) * e.pochinf_inv([b * x]) \
-            * reduce(add, terms())
+        return e.pochinf([a * x]) * e.pochinf_inv([b * x]) * _poch_sum(
+            e, -(a * y), lambda k: k * (3 * k - 1) // 2,
+            lambda k: kernel(e, 2 * k, b * y), [b * x], [a * x])
     return build
 
 
-def _rq_sum_rhs(a_, b_):
+def _rq_sum_rhs(a_, b_, kernel=_rq_kernel):
     """R(yD_q){1/(ax,bx;q)inf} as an R_q-weighted sum (T4-2PROD-RQ):
-    1/(ax,bx;q)inf sum_i q^(i^2) (bx;q)_i (ay)^i R_q(bq^(2i)y) / (q;q)_i."""
-    def build(e):
-        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.var("y")
-        return e.pochinf_inv([a * x, b * x]) * reduce(add, (
-            p * e.pochn([b * x], i) * rq(b * e.qpow(2 * i) * y)
-            * e.qfact_inv(i)
-            for i, p in _powers(e, a * y, lambda i: i * i)))
-    return build
-
-
-def _garrett_prod_rhs(a_, b_):
-    """by = 1 Garrett form of R(yD_q){1/(ax,bx;q)inf} (T4-2PROD):
-    1/(ax,bx;q)inf sum_i (bx;q)_i (ay)^i G_i / (q;q)_i, G_i the Garrett
-    bracket at 2i shifted by i(i-1)."""
+    1/(ax,bx;q)inf sum_i q^(i^2) (bx;q)_i (ay)^i R_q(q^(2i)by) / (q;q)_i,
+    with R_q(q^m by) = kernel(e, m, by)."""
     def build(e):
         a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.sym("y")
-
-        def terms():
-            bx_i = e.one()
-            for i, p in _powers(e, a * y, lambda i: 0):
-                if i:
-                    bx_i = bx_i * (e.one() - b * x * e.qpow(i - 1))
-                yield bx_i * p * _garrett_bracket(e, 2 * i, i * (i - 1)) \
-                    * e.qfact_inv(i)
-        return e.pochinf_inv([a * x, b * x]) * reduce(add, terms())
+        return e.pochinf_inv([a * x, b * x]) * _poch_sum(
+            e, a * y, lambda i: i * i, lambda i: kernel(e, 2 * i, b * y),
+            [b * x])
     return build
 
 
@@ -812,10 +780,8 @@ _two_inv_image = _rr_image(
     lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]), "xab")
 # case generation of the by = 1 Garrett forms and of the Rogers formulas
 _BY1 = dict(free=("y",), complete=_inverse_binding("b", "y"),
-            rand=lambda rng: {"y": _nonzero_frac(rng)},
-            uses_garrett=True, constraints=("b = 1/y",))
-_TS = dict(free=("t", "s"), complete=_ts_complete, rand=_rand_ts,
-           constraints=("t, s nonzero rationals with t != s",))
+            rand=lambda rng: {"y": _nonzero_frac(rng)}, uses_garrett=True)
+_TS = dict(free=("t", "s"), complete=_ts_complete, rand=_rand_ts)
 
 _ident(
     id="T4-XN",
@@ -870,14 +836,14 @@ _ident(
     id="T4-BY1-RQ",
     description="R(yD_q){(ax;q)inf/(bx;q)inf} as an R_q-weighted sum",
     build_lhs=_ratio_image,
-    build_rhs=_by1rq_rhs,
+    build_rhs=_ratio_rq_rhs("a", "b"),
 )
 
 _ident(
     id="T4-BY1",
     description="by=1 Garrett form of R(yD_q){(ax;q)inf/(bx;q)inf}",
     build_lhs=_ratio_image,
-    build_rhs=_garrett_ratio_rhs("a", "b"),
+    build_rhs=_ratio_rq_rhs("a", "b", _garrett_kernel),
     **_BY1,
 )
 
@@ -895,10 +861,9 @@ _ident(
     id="T4-SRIAGA-YZ1",
     description="yz=1 Garrett form of the Srivastava-Agarwal representation",
     build_lhs=_gf_lhs(_sriaga_coeff, "z", _bound_z_order),
-    build_rhs=_garrett_ratio_rhs("az", "z"),
+    build_rhs=_ratio_rq_rhs("az", "z", _garrett_kernel),
     free=("z",), complete=_inverse_binding("y", "z"),
-    rand=lambda rng: {"z": _nonzero_frac(rng)},
-    uses_garrett=True, constraints=("y = 1/z",),
+    rand=lambda rng: {"z": _nonzero_frac(rng)}, uses_garrett=True,
 )
 
 _ident(
@@ -912,7 +877,7 @@ _ident(
     id="T4-2PROD",
     description="by=1 Garrett form of R(yD_q){1/(ax,bx;q)inf}",
     build_lhs=_two_inv_image,
-    build_rhs=_garrett_prod_rhs("a", "b"),
+    build_rhs=_rq_sum_rhs("a", "b", _garrett_kernel),
     **_BY1,
 )
 
@@ -929,10 +894,10 @@ _ident(
     description="bzy=1 Garrett form of the mixed Rogers-Szego generating "
                 "function",
     build_lhs=_gf_lhs(_rsgf_coeff, "z", _bound_z_order),
-    build_rhs=_garrett_prod_rhs("az", "bz"),
+    build_rhs=_rq_sum_rhs("az", "bz", _garrett_kernel),
     free=("z", "y"), complete=_inverse_binding("b", "z", "y"),
     rand=lambda rng: {"z": _nonzero_frac(rng), "y": _nonzero_frac(rng)},
-    uses_garrett=True, constraints=("b = 1/(zy)",),
+    uses_garrett=True,
 )
 
 
@@ -978,7 +943,6 @@ _ident(
     free=("a", "b"), complete=_abgf_complete,
     rand=lambda rng: {"a": (_nonzero_frac(rng), rng.randint(1, 3)),
                       "b": (_nonzero_frac(rng), rng.randint(1, 3))},
-    constraints=("a, b bound to c*q^d monomials with d >= 1",),
 )
 
 
@@ -987,10 +951,11 @@ _ident(
 
 def _mehler_rhs(e):
     t, w_, x, y, z = (e.var(v) for v in "twxyz")
-    return e.pochinf_inv([t * w_ * x]) * reduce(add, (
-        p * e.pochn([t * w_ * x], k) * rq(t * z * e.qpow(2 * k) * x)
-        * rq(t * y * e.qpow(2 * k) * w_) * e.qfact_inv(k)
-        for k, p in _powers(e, t * y * z, lambda k: 2 * k * k)))
+    return e.pochinf_inv([t * w_ * x]) * _poch_sum(
+        e, t * y * z, lambda k: 2 * k * k,
+        lambda k: rq(t * z * e.qpow(2 * k) * x)
+        * rq(t * y * e.qpow(2 * k) * w_),
+        [t * w_ * x])
 
 
 def _opprod_rhs(a_, b_):
@@ -1003,12 +968,11 @@ def _opprod_rhs(a_, b_):
     # of (ax;q)inf)
     def build(e):
         a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.var("y")
-        return e.pochinf([a * x]) * e.pochinf([b * x]) * reduce(add, (
-            p * phi([], [b * e.qpow(k) * x, 0], e.qpow(2 * k + 1) * b * y,
-                    e.caps, e.table)
-            / (e.pochn([a * x], k) * e.pochn([b * x], k)) * e.qfact_inv(k)
-            for k, p in _powers(e, -(e.qpow(1) * a * y),
-                                lambda k: 3 * (k * (k - 1) // 2))))
+        return e.pochinf([a * x]) * e.pochinf([b * x]) * _poch_sum(
+            e, -(e.qpow(1) * a * y), lambda k: 3 * (k * (k - 1) // 2),
+            lambda k: phi([], [b * e.qpow(k) * x, 0],
+                          e.qpow(2 * k + 1) * b * y, e.caps, e.table),
+            down=[a * x, b * x])
     return build
 
 

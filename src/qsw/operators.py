@@ -9,11 +9,10 @@ building inputs with enough headroom in the differentiation variable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .series import Monomial, Series, TruncationSpec, one, q_power, variable
-from .qfunctions import qbinom, qfact_inv
+from .series import Monomial, Series, TruncationSpec, q_power, variable
+from .qfunctions import _qexp_sum, qbinom
 
 
 @dataclass(frozen=True)
@@ -102,20 +101,12 @@ def rr_op(f: Series, ctx: OperatorContext,
     which D_q^n f vanishes, the y-cap, and isqrt(qmax) (the q^(n^2) weight
     alone kills later terms).
     """
-    caps = caps if caps is not None else f.caps
-    table = f.table
-    table.slot(ctx.x)
-    ycap = caps.vcaps[table.slot(ctx.y)]
-    nmax = min(ycap, math.isqrt(caps.qmax))
-    total = f.truncate(caps)
-    deriv = f
-    yvar = variable(ctx.y, table, caps)
-    ypow = one(table, caps)
-    for n in range(1, nmax + 1):
-        deriv = dq(deriv, ctx.x)
-        if deriv.is_zero():
-            break
-        ypow = ypow * yvar
-        total = total + q_power(n * n, table, caps) * ypow \
-            * qfact_inv(n, caps, table) * deriv.truncate(caps)
-    return total
+    caps = f.caps if caps is None else f.caps.meet(caps)
+    f.table.slot(ctx.x)
+
+    def derivatives(d):
+        while not d.is_zero():
+            yield d
+            d = dq(d, ctx.x)
+    return _qexp_sum(variable(ctx.y, f.table, caps), caps, lambda n: n * n,
+                     factors=derivatives(f))

@@ -34,22 +34,28 @@ def sw_classic(n: int, caps: TruncationSpec,
         * qfact_inv(n, caps, table)
 
 
+def _gauss_form(n: int, caps: TruncationSpec, table: VarTable, u: str,
+                v: str, weight) -> Series:
+    """sum_k [n k]_q q^weight(k) u^(n-k) v^k, homogeneous of degree n."""
+    _check_order(n)
+    ui, vi = table.slot(u), table.slot(v)
+    entries = []
+    for k in range(n + 1):
+        ve = [0] * table.nvars
+        ve[ui] += n - k
+        ve[vi] += k
+        ve = tuple(ve)
+        w = weight(k)
+        entries.extend((c, Monomial(w + d, ve))
+                       for d, c in enumerate(qbinom_coeffs(n, k)) if c)
+    return make_series(entries, caps, table)
+
+
 def sw_star(n: int, caps: TruncationSpec, table: VarTable = DEFAULT_TABLE,
             x: str = "x", y: str = "y") -> Series:
     """Bivariate Stieltjes-Wigert polynomial
     sum_k [n k]_q q^(k^2) x^(n-k) y^k (homogeneous of degree n)."""
-    _check_order(n)
-    xi, yi = table.slot(x), table.slot(y)
-    entries = []
-    for k in range(n + 1):
-        ve = [0] * table.nvars
-        ve[xi] += n - k
-        ve[yi] += k
-        ve = tuple(ve)
-        for d, c in enumerate(qbinom_coeffs(n, k)):
-            if c:
-                entries.append((c, Monomial(k * k + d, ve)))
-    return make_series(entries, caps, table)
+    return _gauss_form(n, caps, table, x, y, lambda k: k * k)
 
 
 def sw_star_op(n: int, caps: TruncationSpec, table: VarTable = DEFAULT_TABLE,
@@ -73,15 +79,4 @@ def rogers_szego(n: int, caps: TruncationSpec,
                  table: VarTable = DEFAULT_TABLE,
                  a: str = "a", b: str = "b") -> Series:
     """Generalized Rogers-Szego polynomial sum_k [n k]_q a^(n-k) b^k."""
-    _check_order(n)
-    ai, bi = table.slot(a), table.slot(b)
-    entries = []
-    for k in range(n + 1):
-        ve = [0] * table.nvars
-        ve[ai] += n - k
-        ve[bi] += k
-        ve = tuple(ve)
-        for d, c in enumerate(qbinom_coeffs(n, k)):
-            if c:
-                entries.append((c, Monomial(d, ve)))
-    return make_series(entries, caps, table)
+    return _gauss_form(n, caps, table, a, b, lambda k: 0)

@@ -8,7 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import count
+from operator import mul
 from typing import Sequence, Union
 
 from .series import (
@@ -135,14 +137,18 @@ def qfact_inv(n: int, caps: TruncationSpec,
     return _dense(_qfact_inv_coeffs(n, caps.qmax, 1), caps, table)
 
 
-def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1) -> Series:
-    """sum_n q^weight(n) z^n / (q^base; q^base)_n modulo caps.
+def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
+              factors=None) -> Series:
+    """sum_n q^weight(n) z^n f_n / (q^base; q^base)_n modulo caps, where f_n
+    is the n-th item of the iterator factors (f_n = 1 when it is None).
 
     weight must make weight(n) + n*val(z) eventually increasing, where
     val(z) is the least q-exponent of z: the sum stops at the first n where
-    that bound exceeds qmax or z^n vanishes, and every later term vanishes
-    too.  A Laurent z widens the working q-window by -val(z) per surviving
-    power, so q^weight(n) z^n is exact before the final truncation.
+    that bound exceeds qmax, z^n vanishes or factors runs out (a stream that
+    ends means every later f_n is zero), and every later term vanishes too.
+    The f_n must be ordinary series, and so must z when factors are given.
+    A Laurent z widens the working q-window by -val(z) per surviving power,
+    so q^weight(n) z^n is exact before the final truncation.
     """
     table = z.table
     v = z.min_qexp()
@@ -153,20 +159,38 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1) -> Series:
             nmax += 1
         work = replace(caps, qmax=caps.qmax + (-v) * nmax)
         z = z.with_caps(replace(z.caps, qmax=work.qmax))
-    total = one(table, work)
-    zpow = total
-    n = 0
-    while True:
-        n += 1
+    total = zero(table, work)
+    zpow = one(table, work)
+    for n in count():
         w = weight(n)
         if w + n * v > caps.qmax:
             break
-        zpow = zpow * z
-        if zpow.is_zero():
-            break
-        total = total + zpow * _dense(
-            _qfact_inv_coeffs(n, work.qmax, base), work, table, w)
+        if n:
+            zpow = zpow * z
+            if zpow.is_zero():
+                break
+        if factors is not None:
+            f = next(factors, None)
+            if f is None:
+                break
+        term = zpow * _dense(_qfact_inv_coeffs(n, work.qmax, base), work,
+                             table, w)
+        total = total + (term if factors is None else term * f)
     return total.truncate(caps)
+
+
+def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
+                 caps: TruncationSpec, table: VarTable):
+    """(u1, ..., ur; q)_n / (l1, ..., ls; q)_n for n = 0, 1, ..., one factor
+    step at a time."""
+    unit = one(table, caps)
+    ratio = unit
+    for n in count():
+        yield ratio
+        step = q_power(n, table, caps)
+        ratio = reduce(mul, (unit - u * step for u in ups), ratio)
+        if lows:
+            ratio = ratio / reduce(mul, (unit - l * step for l in lows))
 
 
 def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
@@ -221,8 +245,9 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
     The n-th term carries [(-1)^n q^C(n,2)]^(1+s-r).  A termination
     certificate is required: either some upper parameter is exactly a
     monomial q^(-m) (the sum terminates at n = m), or every monomial of the
-    ordinary series z has positive q-exponent or nonzero variable degree.
-    Arguments are treated as exact representatives.
+    ordinary series z has positive q-exponent or nonzero variable degree
+    and every parameter is ordinary.  Arguments are treated as exact
+    representatives.
     """
     if isinstance(z, Series):
         table = z.table
@@ -237,33 +262,31 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
         if m is not None:
             terminate_at = m if terminate_at is None else min(terminate_at, m)
     if terminate_at is None:
-        if e < 0 or zs.qfloor < 0 or not _weight_certificate(zs):
+        if e < 0 or not _weight_certificate(zs) \
+                or any(s.qfloor < 0 for s in (zs, *ups, *lows)):
             raise NonTerminatingSeries(
-                "no terminating upper parameter and z does not increase weight")
-        work = caps
-    else:
-        # (q^-m; q)_n factors give Laurent intermediate terms even though the
-        # finite sum is exact; widen the working q-window so nothing inside
-        # the requested ideal is clipped before the terms recombine.
-        m = terminate_at
-        margin = m * (m + 1) // 2 + m
-        if e < 0:
-            margin += (-e) * (m * (m - 1) // 2)
-        work = replace(caps, qmax=caps.qmax + margin)
-        ups, lows = ([u.with_caps(replace(u.caps, qmax=work.qmax)) for u in us]
-                     for us in (ups, lows))
-        zs = zs.with_caps(replace(zs.caps, qmax=work.qmax))
+                "no terminating upper parameter, and z does not increase "
+                "weight or a parameter is Laurent")
+        return _qexp_sum(-zs if e % 2 else zs, caps,
+                         lambda n: e * (n * (n - 1) // 2),
+                         factors=_poch_ratios(ups, lows, caps, table))
+
+    # (q^-m; q)_n factors give Laurent intermediate terms even though the
+    # finite sum is exact; widen the working q-window so nothing inside
+    # the requested ideal is clipped before the terms recombine.
+    m = terminate_at
+    margin = m * (m + 1) // 2 + m
+    if e < 0:
+        margin += (-e) * (m * (m - 1) // 2)
+    work = replace(caps, qmax=caps.qmax + margin)
+    ups, lows = ([u.with_caps(replace(u.caps, qmax=work.qmax)) for u in us]
+                 for us in (ups, lows))
+    zs = zs.with_caps(replace(zs.caps, qmax=work.qmax))
 
     unit = one(table, work)
     total = unit
     term = unit
-    n = 0
-    limit = work.qmax + sum(work.vcaps) + 2
-    while True:
-        if terminate_at is not None and n > terminate_at:
-            break
-        if n >= limit:
-            break
+    for n in range(m):
         # ratio term_{n+1} / term_n
         factor = zs
         for u in ups:
@@ -279,7 +302,6 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
         if term.is_zero():
             break
         total = total + term
-        n += 1
     return total.truncate(caps)
 
 

@@ -120,10 +120,6 @@ def caps(qmax: int, table: VarTable = DEFAULT_TABLE, default: int = 8,
     return TruncationSpec(qmax, tuple(vcaps))
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 def _as_coeff(c: Scalar):
     # plain ints are kept unwrapped: integer arithmetic is far cheaper than
     # Fraction and both expose numerator/denominator for rendering
@@ -146,15 +142,14 @@ class Series:
     series has qfloor == 0 or some term at qrel == 0.
     """
 
-    __slots__ = ("table", "qfloor", "terms", "caps", "pure_q")
+    __slots__ = ("table", "qfloor", "terms", "caps")
 
-    def __init__(self, table, qfloor, terms, caps_, pure_q):
+    def __init__(self, table, qfloor, terms, caps_):
         # internal: use make_series / helpers, not this constructor
         self.table = table
         self.qfloor = qfloor
         self.terms = terms
         self.caps = caps_
-        self.pure_q = pure_q
 
     # -- construction ------------------------------------------------------
 
@@ -171,16 +166,17 @@ class Series:
             if c and qr >= 0 and caps_.admits(qr, ve):
                 terms[(qr, ve)] = c
         if not terms:
-            return Series(table, 0, {}, caps_, True)
+            return Series(table, 0, {}, caps_)
         if qfloor < 0:
             m = min(qr for qr, _ in terms)
             if m > 0:
+                # the window's top stays at qfloor + qmax: lifting the floor
+                # lowers qmax by as much
                 lift = min(m, -qfloor)
                 terms = {(qr - lift, ve): c for (qr, ve), c in terms.items()}
                 qfloor += lift
-        zero_ve = table.zero_vexps
-        pure_q = all(ve == zero_ve for _, ve in terms)
-        return Series(table, qfloor, terms, caps_, pure_q)
+                caps_ = TruncationSpec(caps_.qmax - lift, caps_.vcaps)
+        return Series(table, qfloor, terms, caps_)
 
     def _same_table(self, other: "Series"):
         if self.table is not other.table and self.table != other.table:
@@ -249,8 +245,7 @@ class Series:
 
     def __neg__(self) -> "Series":
         terms = {k: -c for k, c in self.terms.items()}
-        s = Series(self.table, self.qfloor, terms, self.caps, self.pure_q)
-        return s
+        return Series(self.table, self.qfloor, terms, self.caps)
 
     def __sub__(self, other) -> "Series":
         g = self._coerce(other)
@@ -326,8 +321,7 @@ class Series:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
-            if base_needed:
+            if n > 1:
                 base = base * base
             n >>= 1
         return result
@@ -339,7 +333,7 @@ class Series:
             raise DivisionByNonUnit("constant term is zero")
         table, cps = self.table, self.caps
         zv = table.zero_vexps
-        if self.pure_q:
+        if all(ve == zv for _, ve in self.terms):
             # dense univariate recurrence
             qmax = cps.qmax
             g = [0] * (qmax + 1)
@@ -359,7 +353,7 @@ class Series:
             raw = {(i, zv): c for i, c in enumerate(h) if c}
             return Series._build(table, cps, -self.qfloor, raw)
         # Newton iteration on the floor-stripped ordinary part
-        g = Series(table, 0, self.terms, cps, self.pure_q)
+        g = Series(table, 0, self.terms, cps)
         x = constant(_invert_scalar(c0), table, cps)
         unit = one(table, cps)
         limit = cps.qmax + sum(cps.vcaps) + 2
@@ -543,7 +537,7 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
 def zero(table: VarTable = DEFAULT_TABLE,
          caps_: TruncationSpec = None) -> Series:
     caps_ = caps_ if caps_ is not None else caps(25, table)
-    return Series(table, 0, {}, caps_, True)
+    return Series(table, 0, {}, caps_)
 
 
 def one(table: VarTable = DEFAULT_TABLE,
@@ -557,7 +551,7 @@ def constant(c: Scalar, table: VarTable = DEFAULT_TABLE,
     c = _as_coeff(c)
     if not c:
         return zero(table, caps_)
-    return Series(table, 0, {(0, table.zero_vexps): c}, caps_, True)
+    return Series(table, 0, {(0, table.zero_vexps): c}, caps_)
 
 
 def variable(name: str, table: VarTable = DEFAULT_TABLE,

@@ -132,6 +132,7 @@ def test_usage_error_exits_2(capsys):
     ["verify", "I-RR1", "--cap", "nope=3"],
     ["verify", "I-RR1", "--qmax", "-1"],
     ["eval", "sw", "--n", "65"],
+    ["verify", "I-RR1", "--bind", "y=2/3"],
 ])
 def test_usage_error_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2

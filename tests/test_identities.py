@@ -8,8 +8,9 @@ import pytest
 
 import qsw.identities as identities
 import qsw.qfunctions as qfunctions
-from qsw.identities import BY_ID, IdentitySpec, garrett_candidates
-from qsw.series import equals_mod_caps, mono, q_power
+from qsw.identities import BY_ID, Env, IdentitySpec, garrett_candidates
+from qsw.qfunctions import rq_at_power
+from qsw.series import caps, equals_mod_caps, mono, q_power
 from qsw.verify import (
     BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, _restrict,
     registry, reports_json, resolve_garrett_convention, verify,
@@ -119,6 +120,15 @@ def test_independence_perturbing_one_side(monkeypatch):
     lhs2, rhs2 = spec.build_lhs(env), spec.build_rhs(env)
     assert lhs2 == lhs0
     assert rhs2 != rhs0
+
+
+@pytest.mark.parametrize("m", [0, 2, 4, 6, 8])
+def test_garrett_kernel_matches_direct_sum(m):
+    # the R_q(q^m) kernel of the four Garrett forms, apart from their verdicts
+    env = Env(caps(25), 0, {}, None)
+    got = identities._garrett_kernel(env, m, env.one())
+    want = rq_at_power(m, env.caps)
+    assert got == want and got.caps == want.caps
 
 
 def test_garrett_convention_resolution():

@@ -12,9 +12,9 @@ from qsw.series import (
 )
 from qsw.qfunctions import (
     INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries,
-    _qfact_inv_coeffs, eq_big, eq_small, garrett_a, garrett_b, phi, poch,
-    poch_inf_inv, qbinom, qbinom_coeffs, qfact, qfact_coeffs, qfact_inv, rq,
-    rq_at_power,
+    _qexp_sum, _qfact_inv_coeffs, eq_big, eq_small, garrett_a, garrett_b,
+    phi, poch, poch_inf_inv, qbinom, qbinom_coeffs, qfact, qfact_coeffs,
+    qfact_inv, rq, rq_at_power,
 )
 
 C = caps(12)
@@ -119,6 +119,32 @@ def test_qfact_inv_coeffs_match_reciprocal(n, qmax, base):
         == tuple(inv.coeff(mono(i)) for i in range(qmax + 1))
 
 
+# an ordinary series: monomials c q^i x^j, possibly none
+_ordinary = st.lists(
+    st.tuples(st.sampled_from([1, -1, 2, Fraction(2, 3)]),
+              st.integers(0, 3), st.integers(0, 2)), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ordinary, st.lists(_ordinary, max_size=8), st.integers(0, 2),
+       st.integers(0, 10))
+def test_qexp_sum_factor_stream_matches_explicit_sum(z_terms, f_terms, wi,
+                                                     qmax):
+    # the explicit sum runs over the whole stream; the primitive must stop
+    # only where every later term vanishes
+    c = caps(qmax, default=3)
+
+    def series(terms):
+        return make_series([(k, mono(i, {"x": j})) for k, i, j in terms], c)
+    z, fs = series(z_terms), [series(t) for t in f_terms]
+    weight = (lambda n: 0, lambda n: n * (n - 1) // 2, lambda n: n * n)[wi]
+    explicit = zero(caps_=c)
+    for n, f in enumerate(fs):
+        explicit = explicit + q_power(weight(n), caps_=c) * z ** n * f \
+            * qfact_inv(n, c)
+    assert _qexp_sum(z, c, weight, factors=iter(fs)) == explicit
+
+
 # -- Gaussian binomials ----------------------------------------------------------
 
 
@@ -194,6 +220,9 @@ def test_phi_zero_argument():
 def test_phi_requires_certificate():
     with pytest.raises(NonTerminatingSeries):
         phi([var("a")], [], constant(Fraction(1, 3), caps_=C), C)
+    # a Laurent parameter voids the stop certificate of a weighted z
+    with pytest.raises(NonTerminatingSeries):
+        phi([qp(-1) * var("x")], [], qp(1) * var("y"), C)
 
 
 def test_phi_nonunit_lower_parameter():

@@ -113,6 +113,16 @@ def test_mul_floors_add():
     assert (f * g).qfloor == -3
 
 
+def test_lifted_floor_keeps_the_window_top():
+    # q^-5 at caps(10) is known through q^5, so its product with
+    # q^5 + ... + q^10 claims nothing above q^5
+    c = caps(10)
+    s = q_power(-5, caps_=c) \
+        * make_series([(1, mono(i)) for i in range(5, 11)], c)
+    assert (s.qfloor, s.caps.qmax) == (0, 5)
+    assert s.text() == "1 + q + q^2 + q^3 + q^4 + q^5"
+
+
 # -- div -------------------------------------------------------------------------
 
 
