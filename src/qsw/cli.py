@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .series import DEFAULT_TABLE, caps
 from .qfunctions import garrett_a, garrett_b, rq_at_power
-from .polynomials import rogers_szego, sw_classic, sw_star
+from .polynomials import MAX_ORDER, rogers_szego, sw_classic, sw_star
 from .verify import (
     BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, registry,
     report_lines, reports_json, resolve_garrett_convention, verify_all,
@@ -115,7 +115,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # every family rejects an out-of-range --n or --qmax with ValueError
+    # a_n and b_n recurse to depth n in qbinom_coeffs, so their --n is
+    # bounded here as the polynomial families bound theirs; every family
+    # rejects a negative --n or --qmax with ValueError
+    if args.family in ("garrett-a", "garrett-b") \
+            and not 0 <= args.n <= MAX_ORDER:
+        print(f"invalid request: order must be in 0..{MAX_ORDER}",
+              file=sys.stderr)
+        return 2
     try:
         s = EVAL_FAMILIES[args.family](
             args.n, caps(args.qmax, DEFAULT_TABLE), DEFAULT_TABLE)

@@ -7,8 +7,13 @@ a valuation floor: a Series represents q^qfloor * F where F is an ordinary
 series stored with exponents relative to the floor.  No other variable may
 carry negative exponents.
 
-Coefficients are fractions.Fraction (always in lowest terms, positive
-denominator), so every result is exact modulo its own stated ideal.
+Coefficients are exact rationals: a plain int for an integer value, else a
+fractions.Fraction in lowest terms with positive denominator, so every
+result is exact modulo its own stated ideal.  Multiplication convolves
+integers: each operand's coefficients are scaled to integer numerators over
+that operand's common denominator (the lcm of its coefficient denominators),
+and each output coefficient is reduced once, by one division by the product
+of the two denominators.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
 
@@ -136,8 +142,10 @@ def _invert_scalar(c):
 class Series:
     """Immutable truncated series; all operations are pure functions.
 
-    terms maps (qrel, vexps) -> Fraction with 0 <= qrel <= caps.qmax and
-    the absolute q-exponent equal to qfloor + qrel.  Invariants: no zero
+    terms maps (qrel, vexps) -> int | Fraction with 0 <= qrel <= caps.qmax
+    and the absolute q-exponent equal to qfloor + qrel.  Multiplication
+    convolves integer numerators over each operand's common denominator and
+    reduces once per output coefficient.  Invariants: no zero
     coefficient is stored; the zero series has qfloor == 0; a nonzero
     series has qfloor == 0 or some term at qrel == 0.
     """
@@ -165,6 +173,15 @@ class Series:
         for (qr, ve), c in raw.items():
             if c and qr >= 0 and caps_.admits(qr, ve):
                 terms[(qr, ve)] = c
+        return Series._lift_floor(table, caps_, qfloor, terms)
+
+    @staticmethod
+    def _lift_floor(table: VarTable, caps_: TruncationSpec, qfloor: int,
+                    terms: dict) -> "Series":
+        """Series of nonzero terms inside caps_ at a floor <= 0.
+
+        Lifts a negative floor to the least stored q-exponent.
+        """
         if not terms:
             return Series(table, 0, {}, caps_)
         if qfloor < 0:
@@ -256,17 +273,27 @@ class Series:
     def __rsub__(self, other) -> "Series":
         return (-self) + other
 
-    def _by_vexps(self, qmax: int) -> dict:
-        """Group terms by variable part: vexps -> [(qrel, coeff), ...]."""
+    def _by_vexps(self, qmax: int) -> tuple[dict, int]:
+        """Integer numerators over a common denominator, by variable part.
+
+        Returns (vexps -> [(qrel, numerator), ...], d) where d is the lcm
+        of the coefficient denominators (1 when every coefficient is an int).
+        """
+        terms = self.terms
+        d = 1
+        if Fraction in set(map(type, terms.values())):
+            d = lcm(*{c.denominator for c in terms.values()})
+            terms = {k: c.numerator * (d // c.denominator)
+                     for k, c in terms.items()}
         groups: dict = {}
-        for (qr, ve), c in self.terms.items():
+        for (qr, ve), n in terms.items():
             if qr <= qmax:
                 lst = groups.get(ve)
                 if lst is None:
-                    groups[ve] = [(qr, c)]
+                    groups[ve] = [(qr, n)]
                 else:
-                    lst.append((qr, c))
-        return groups
+                    lst.append((qr, n))
+        return groups, d
 
     def __mul__(self, other) -> "Series":
         g = self._coerce(other)
@@ -277,9 +304,11 @@ class Series:
         floor = self.qfloor + g.qfloor
         qmax = mcaps.qmax
         vcaps = mcaps.vcaps
-        # convolve per pair of variable parts with a dense q-inner loop
-        ga = self._by_vexps(qmax)
-        gb = g._by_vexps(qmax)
+        # convolve integer numerators per pair of variable parts with a
+        # dense q-inner loop; divide by the denominators once per output
+        ga, da = self._by_vexps(qmax)
+        gb, db = g._by_vexps(qmax)
+        den = da * db
         if len(ga) > len(gb):
             ga, gb = gb, ga
         acc: dict = {}
@@ -304,12 +333,17 @@ class Series:
                     for qb, cb in lb:
                         if qb <= lim:
                             dense[qa + qb] += ca * cb
-        raw = {}
+        # every key is inside mcaps and floor <= 0: no caps filter needed
+        terms = {}
         for ve, dense in acc.items():
-            for qr, c in enumerate(dense):
-                if c:
-                    raw[(qr, ve)] = c
-        return Series._build(self.table, mcaps, floor, raw)
+            for qr, n in enumerate(dense):
+                if n:
+                    if den != 1:
+                        n = Fraction(n, den)
+                        if n.denominator == 1:
+                            n = n.numerator
+                    terms[(qr, ve)] = n
+        return Series._lift_floor(self.table, mcaps, floor, terms)
 
     __rmul__ = __mul__
 

@@ -6,10 +6,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qsw.series import (
-    DEFAULT_TABLE, DivisionByNonUnit, TruncationSpec, VarTable,
+    DEFAULT_TABLE, DivisionByNonUnit, Series, TruncationSpec, VarTable,
     VarTableMismatch, VariableNotFound, caps, constant, equals_mod_caps,
     make_series, mono, one, q_power, variable, zero,
 )
@@ -358,3 +358,59 @@ def test_truncation_coherence_div(f, g):
 @given(series_st())
 def test_substitute_identity(f):
     assert f.substitute("x", 1, mono(0, {"x": 1})) == f
+
+
+# -- integer-numerator mul against the per-pair Fraction product ---------------------
+
+
+def _schoolbook_mul(f, g):
+    """Reference product: Fraction arithmetic once per pair of terms."""
+    raw: dict = {}
+    for (qa, va), ca in f.terms.items():
+        for (qb, vb), cb in g.terms.items():
+            k = (qa + qb, tuple(a + b for a, b in zip(va, vb)))
+            raw[k] = raw.get(k, 0) + Fraction(ca) * Fraction(cb)
+    return Series._build(f.table, f.caps.meet(g.caps), f.qfloor + g.qfloor,
+                         raw)
+
+
+# denominators that share factors, so an operand's lcm is not their product
+rationals = st.builds(Fraction, st.integers(-6, 6),
+                      st.sampled_from([1, 2, 3, 4, 6, 12]))
+scalars = st.one_of(st.integers(-6, 6), rationals)
+
+
+@st.composite
+def laurent_series_st(draw):
+    """Laurent floors, caps drawn per operand, int / mixed coefficients."""
+    pcaps = caps(draw(st.integers(2, 6)), default=0,
+                 x=draw(st.integers(0, 3)), y=draw(st.integers(0, 3)))
+    coeff = st.integers(-6, 6) if draw(st.booleans()) else scalars
+    entries = draw(st.lists(
+        st.tuples(coeff, st.integers(-3, 5), st.integers(0, 3),
+                  st.integers(0, 3)), max_size=6))
+    return make_series(
+        [(c, mono(qe, {"x": xe, "y": ye})) for c, qe, xe, ye in entries],
+        pcaps)
+
+
+def _assert_same_product(got, want):
+    assert got == want
+    assert got.json_text() == want.json_text()
+    assert all(type(c) is int or c.denominator > 1
+               for c in got.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@example(zero(caps_=C), make_series([(Q(1, 2), mono(-1)), (3, mono(2))], C))
+@given(laurent_series_st(), laurent_series_st())
+def test_mul_matches_schoolbook_fraction_product(f, g):
+    _assert_same_product(f * g, _schoolbook_mul(f, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_series_st(), scalars)
+def test_scalar_mul_matches_schoolbook_fraction_product(f, c):
+    want = _schoolbook_mul(f, constant(c, caps_=f.caps))
+    _assert_same_product(c * f, want)
+    _assert_same_product(f * c, want)
