@@ -9,8 +9,9 @@ Each right-hand formula is written once, as a builder over one-letter
 parameter names; registry entries that are specialisations of a formula
 (a -> az, b -> bz, ...) call the same builder with other names.
 
-Laurent-weighted sums (Garrett forms, D_q closed forms with q^(k(k-n))
-factors) are assembled at a widened q-window and truncated back to the
+Laurent-weighted sums (Garrett forms, and the finite Gaussian sums of the
+D_q closed forms, whose window qfunctions._qbinom_sum derives from their
+weights) are assembled at a widened q-window and truncated back to the
 requested caps, so every reported result is exact modulo its stated ideal.
 """
 
@@ -29,16 +30,17 @@ from .series import (
     monomial_series, one, q_power, variable,
 )
 from .qfunctions import (
-    INFINITY, _poch_ratios, _qexp_sum, eq_big, eq_small, garrett_a, garrett_b,
-    phi, poch, poch_inf_inv, qbinom, qfact_inv, rq, rq_at_power,
+    INFINITY, _poch_ratios, _qbinom_sum, _qexp_sum, eq_big, eq_small,
+    garrett_a, garrett_b, phi, poch, poch_inf_inv, qfact_inv, rq, rq_at_power,
 )
 from .operators import OperatorContext, dq_pow, leibniz_rhs, rr_op
-from .polynomials import rogers_szego, sw_classic, sw_star, sw_star_op
+from .polynomials import (
+    _gauss_form, rogers_szego, sw_classic, sw_star, sw_star_op,
+)
 from .verify import BindingViolation, _stable_seed
 
 TABLE = DEFAULT_TABLE
 ZV = TABLE.zero_vexps
-ZV_B = tuple(1 if TABLE.names[j + 1] == "b" else 0 for j in range(TABLE.nvars))
 
 # Repeated draws in a row after which the random bindings of an identity are
 # taken to be exhausted.  One free rational has 14 values, each drawn with
@@ -96,9 +98,6 @@ class Env:
 
     def qfact_inv(self, n):
         return qfact_inv(n, self.caps, self.table)
-
-    def qbinom(self, n, k):
-        return qbinom(n, k, self.caps, self.table)
 
     def inflated(self, dq: int = 0, **dvars: int) -> "Env":
         """Copy of this env with widened caps (working precision)."""
@@ -367,58 +366,35 @@ def _rand_ts(rng):
 # -- Pochhammer identities (I-POCH-*) --------------------------------------------
 
 
-def _poch1_lhs(e):
-    return e.pochn([e.var("a")], e.ints["n"])
-
-
-def _poch1_rhs(e):
-    a = e.var("a")
-    n = e.ints["n"]
-    return e.pochinf([a]) / e.pochinf([a * e.qpow(n)])
+def _poch_split(n, k):
+    """(a;q)_n (aq^n;q)_k, with n and k the named sweep integers."""
+    def build(e):
+        a, n_, k_ = e.var("a"), e.ints[n], e.ints[k]
+        return e.pochn([a], n_) * e.pochn([a * e.qpow(n_)], k_)
+    return build
 
 
 _ident(
     id="I-POCH-1",
     description="finite q-shifted factorial as ratio of infinite products",
-    build_lhs=_poch1_lhs, build_rhs=_poch1_rhs,
+    build_lhs=lambda e: e.pochn([e.var("a")], e.ints["n"]),
+    build_rhs=lambda e: e.pochinf([e.var("a")])
+    / e.pochinf([e.var("a") * e.qpow(e.ints["n"])]),
     sweep=_range_sweep("n", 8),
 )
-
-
-def _poch2_lhs(e):
-    return e.pochn([e.var("a")], e.ints["n"] + e.ints["k"])
-
-
-def _poch2_rhs(e):
-    a = e.var("a")
-    n, k = e.ints["n"], e.ints["k"]
-    return e.pochn([a], n) * e.pochn([a * e.qpow(n)], k)
-
 
 _ident(
     id="I-POCH-2",
     description="index splitting rule for q-shifted factorials",
-    build_lhs=_poch2_lhs, build_rhs=_poch2_rhs,
+    build_lhs=lambda e: e.pochn([e.var("a")], e.ints["n"] + e.ints["k"]),
+    build_rhs=_poch_split("n", "k"),
     sweep=_pair_sweep(8),
 )
-
-
-def _poch3_lhs(e):
-    a = e.var("a")
-    n, k = e.ints["n"], e.ints["k"]
-    return e.pochn([a * e.qpow(n)], k) * e.pochn([a], n)
-
-
-def _poch3_rhs(e):
-    a = e.var("a")
-    n, k = e.ints["n"], e.ints["k"]
-    return e.pochn([a], k) * e.pochn([a * e.qpow(k)], n)
-
 
 _ident(
     id="I-POCH-3",
     description="shift exchange rule for q-shifted factorials",
-    build_lhs=_poch3_lhs, build_rhs=_poch3_rhs,
+    build_lhs=_poch_split("n", "k"), build_rhs=_poch_split("k", "n"),
     sweep=_pair_sweep(8),
 )
 
@@ -572,18 +548,29 @@ _ident(
 )
 
 
+def _dq_sum(e, weight, sign=1, up=(), down=()) -> Series:
+    """sum_k [n k]_q q^weight(k) (sign a)^k b^(n-k) (up; q)_k / (down; q)_k
+    at e.caps, n = ints["n"]; up and down name products such as "bx"."""
+    n = e.ints["n"]
+
+    def factors(work):
+        w = replace(e, caps=work)
+        a, b = sign * w.var("a"), w.var("b")
+        ratios = _poch_ratios([w.syms(s) for s in up],
+                              [w.syms(s) for s in down], work, w.table)
+        return (a ** k * b ** (n - k) * r for k, r in enumerate(ratios))
+    return _qbinom_sum(n, weight, factors, e.caps, e.table)
+
+
 def _dq7_rhs(e):
     # the closed form needs a (-1)^n factor in front (the printed one fails
-    # for odd n; cross-checked against dq_pow directly)
+    # for odd n; cross-checked against dq_pow directly); its q^C(n,2) stays
+    # inside the weight, so every term is ordinary and exact at e.caps
     n = e.ints["n"]
-    w = e.inflated(dq=(n * n) // 4 + 1)
-    a, b, x = w.var("a"), w.var("b"), w.var("x")
-    acc = reduce(add, (w.qbinom(n, k) * w.qpow(k * (k - n)) * a ** k
-                       * b ** (n - k) / w.pochn([a * x], k)
-                       for k in range(n + 1)))
-    rhs = (-1) ** n * w.qpow(n * (n - 1) // 2) * w.pochinf([a * x]) \
-        * w.pochinf([b * w.qpow(n) * x]) * acc
-    return rhs.truncate(e.caps)
+    a, b, x = e.var("a"), e.var("b"), e.var("x")
+    acc = _dq_sum(e, lambda k: n * (n - 1) // 2 + k * (k - n), down=["ax"])
+    return (-1) ** n * e.pochinf([a * x]) * e.pochinf([b * e.qpow(n) * x]) \
+        * acc
 
 
 _ident(
@@ -597,12 +584,9 @@ _ident(
 
 
 def _dq8_rhs(e):
-    n = e.ints["n"]
     a, b, x = e.var("a"), e.var("b"), e.var("x")
-    acc = reduce(add, (e.qbinom(n, k) * e.qpow(k * (k - 1) // 2) * (-1) ** k
-                       * a ** k * b ** (n - k) * e.pochn([b * x], k)
-                       / e.pochn([a * x], k) for k in range(n + 1)))
-    return e.pochinf([a * x]) / e.pochinf([b * x]) * acc
+    return e.pochinf([a * x]) / e.pochinf([b * x]) \
+        * _dq_sum(e, lambda k: k * (k - 1) // 2, -1, ["bx"], ["ax"])
 
 
 _ident(
@@ -616,11 +600,8 @@ _ident(
 
 
 def _dq9_rhs(e):
-    n = e.ints["n"]
     a, b, x = e.var("a"), e.var("b"), e.var("x")
-    acc = reduce(add, (e.qbinom(n, k) * a ** k * b ** (n - k)
-                       * e.pochn([b * x], k) for k in range(n + 1)))
-    return e.pochinf_inv([a * x, b * x]) * acc
+    return e.pochinf_inv([a * x, b * x]) * _dq_sum(e, lambda k: 0, up=["bx"])
 
 
 _ident(
@@ -977,14 +958,13 @@ def _opprod_rhs(a_, b_):
 
 
 def _altmehler_coeff(e, n):
-    """(-1)^n q^C(n,2) S*_n(x, y) S*_n(a, q^(-n) b) / (q;q)_n, assembled at
-    a q-window widened by n^2 for the Laurent second family."""
-    w = e.inflated(dq=n * n)
-    swl = sw_star(n, w.caps, w.table, "a", "b") \
-        .substitute("b", 1, Monomial(-n, ZV_B))
-    return ((-1) ** n * w.qpow(n * (n - 1) // 2)
-            * sw_star(n, w.caps, w.table, "x", "y") * swl * w.qfact_inv(n)) \
-        .truncate(e.caps)
+    """(-1)^n q^C(n,2) S*_n(x, y) S*_n(a, q^(-n) b) / (q;q)_n.  The second
+    family is sum_k [n k]_q q^(k(k-n)) a^(n-k) b^k; with q^C(n,2) in its
+    weight every power of q is non-negative, so nothing is widened."""
+    swl = _gauss_form(n, e.caps, e.table, "a", "b",
+                      lambda k: n * (n - 1) // 2 + k * (k - n))
+    return (-1) ** n * sw_star(n, e.caps, e.table, "x", "y") * swl \
+        * e.qfact_inv(n)
 
 
 _ident(

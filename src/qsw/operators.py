@@ -9,10 +9,10 @@ building inputs with enough headroom in the differentiation variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .series import Monomial, Series, TruncationSpec, q_power, variable
-from .qfunctions import _qexp_sum, qbinom
+from .series import Monomial, Series, TruncationSpec, variable
+from .qfunctions import _qbinom_sum, _qexp_sum
 
 
 @dataclass(frozen=True)
@@ -66,31 +66,22 @@ def leibniz_rhs(f: Series, g: Series, x: str, n: int) -> Series:
 
     D_q^(n-k) acts on the dilated function x -> g(q^k x); the chain-rule
     factor q^(k(n-k)) it produces is what the q^(k(k-n)) weight cancels.
-    The weights are Laurent, so the computation runs at a widened q-window
-    and the ordinary assembled sum is exact modulo meet(f.caps, g.caps).
+    A _qbinom_sum with weight k(k-n); f and g are exact representatives,
+    so the result is exact modulo meet(f.caps, g.caps).
     """
     f._same_table(g)
-    caps = f.caps.meet(g.caps)
-    table = f.table
-    xslot = table.slot(x)
-    xdeg = max(f.max_exp(x), g.max_exp(x))
-    margin = caps.qmax + n * xdeg + (n * n) // 4 + 1
-    work = TruncationSpec(caps.qmax + margin, caps.vcaps)
-    fw = f.with_caps(TruncationSpec(work.qmax, f.caps.vcaps))
-    gw = g.with_caps(TruncationSpec(work.qmax, g.caps.vcaps))
-    xunit = [0] * table.nvars
-    xunit[xslot] = 1
+    xunit = [0] * f.table.nvars
+    xunit[f.table.slot(x)] = 1
     xunit = tuple(xunit)
-    total = None
-    for k in range(n + 1):
-        dfk = dq_pow(fw, x, k)
-        dgk = dq_pow(gw.substitute(x, 1, Monomial(k, xunit)), x, n - k)
-        term = qbinom(n, k, work, table) * dfk * dgk
-        w = k * (k - n)
-        if w:
-            term = term * q_power(w, table, work)
-        total = term if total is None else total + term
-    return total.truncate(caps)
+
+    def factors(work):
+        fw = f.with_caps(replace(f.caps, qmax=work.qmax))
+        gw = g.with_caps(replace(g.caps, qmax=work.qmax))
+        for k in range(n + 1):
+            yield dq_pow(fw, x, k) \
+                * dq_pow(gw.substitute(x, 1, Monomial(k, xunit)), x, n - k)
+    return _qbinom_sum(n, lambda k: k * (k - n), factors,
+                       f.caps.meet(g.caps), f.table)
 
 
 def rr_op(f: Series, ctx: OperatorContext,

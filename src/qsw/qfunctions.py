@@ -179,18 +179,61 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
     return total.truncate(caps)
 
 
+def _stripped(s: Series, qmax: int) -> Series:
+    """q^(-s.qfloor) s, an exact representative, read as ordinary to qmax."""
+    return Series._build(s.table, replace(s.caps, qmax=qmax), 0, dict(s.terms))
+
+
 def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
                  caps: TruncationSpec, table: VarTable):
-    """(u1, ..., ur; q)_n / (l1, ..., ls; q)_n for n = 0, 1, ..., one factor
-    step at a time."""
-    unit = one(table, caps)
-    ratio = unit
+    """(u1, ..., ur; q)_n / (l1, ..., ls; q)_n at caps for n = 0, 1, ...,
+    one factor step at a time; zero parameters are skipped ((0; q)_n = 1).
+
+    A Laurent parameter u = q^p u0 (p = u.qfloor < 0) enters step j as
+    q^min(0, p+j) (q^max(0, -p-j) - u0 q^max(0, p+j)); only the ordinary
+    second factor goes into the ratio, and _poch_shift is the q-exponent
+    left out.  Parameters are exact representatives, read at caps.qmax.
+    """
+    ups, lows = ([(s.qfloor, _stripped(s, caps.qmax)) for s in ps
+                  if not s.is_zero()] for ps in (ups, lows))
+
+    def step(params, j):
+        return reduce(mul, (q_power(max(0, -p - j), table, caps)
+                            - s * q_power(max(0, p + j), table, caps)
+                            for p, s in params))
+    ratio = one(table, caps)
     for n in count():
         yield ratio
-        step = q_power(n, table, caps)
-        ratio = reduce(mul, (unit - u * step for u in ups), ratio)
+        if ups:
+            ratio = ratio * step(ups, n)
         if lows:
-            ratio = ratio / reduce(mul, (unit - l * step for l in lows))
+            ratio = ratio / step(lows, n)
+
+
+def _poch_shift(ups: Sequence[Series], lows: Sequence[Series], n: int) -> int:
+    """The q-exponent that _poch_ratios leaves out of its n-th ratio."""
+    def shift(ps):
+        return sum(min(0, s.qfloor + j) for s in ps if not s.is_zero()
+                   for j in range(n))
+    return shift(ups) - shift(lows)
+
+
+def _qbinom_sum(n: int, weight, factors, caps: TruncationSpec,
+                table: VarTable) -> Series:
+    """sum_{k=0..n} [n k]_q q^weight(k) f_k modulo caps, the finite
+    counterpart of _qexp_sum.  factors(work) yields ordinary f_0, f_1, ...
+    at work, caps widened by max(0, -min_k weight(k)) so that every
+    q^weight(k) f_k is exact to q^qmax; callers keep every power of q in
+    the weight.  A stream that ends means every later f_k is zero.  The
+    terms are summed shifted up by the widening, so all stay ordinary."""
+    ws = [weight(k) for k in range(n + 1)]
+    lift = max(0, -min(ws))
+    work = replace(caps, qmax=caps.qmax + lift)
+    total = zero(table, work)
+    for k, f in zip(range(n + 1), factors(work)):
+        total = total + _dense(qbinom_coeffs(n, k), work, table,
+                               ws[k] + lift) * f
+    return (q_power(-lift, table, work) * total).truncate(caps)
 
 
 def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
@@ -248,6 +291,11 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
     ordinary series z has positive q-exponent or nonzero variable degree
     and every parameter is ordinary.  Arguments are treated as exact
     representatives.
+
+    A terminating sum is a _qbinom_sum, by (q^-m; q)_k / (q; q)_k =
+    (-1)^k q^(C(k,2) - mk) [m k]_q: for z = q^v z0 (v = z.qfloor) the weight
+    is (e+1) C(k,2) - (m-v) k + _poch_shift of the other parameters, and
+    f_k is ((-1)^(e+1) z0)^k times their Pochhammer ratio.
     """
     if isinstance(z, Series):
         table = z.table
@@ -256,12 +304,8 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
     zs = _coerce(z, table, caps)
     e = 1 + len(lows) - len(ups)
 
-    terminate_at = None
-    for u in ups:
-        m = _as_neg_q_power(u)
-        if m is not None:
-            terminate_at = m if terminate_at is None else min(terminate_at, m)
-    if terminate_at is None:
+    ends = [_as_neg_q_power(u) for u in ups]
+    if all(t is None for t in ends):
         if e < 0 or not _weight_certificate(zs) \
                 or any(s.qfloor < 0 for s in (zs, *ups, *lows)):
             raise NonTerminatingSeries(
@@ -271,38 +315,21 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
                          lambda n: e * (n * (n - 1) // 2),
                          factors=_poch_ratios(ups, lows, caps, table))
 
-    # (q^-m; q)_n factors give Laurent intermediate terms even though the
-    # finite sum is exact; widen the working q-window so nothing inside
-    # the requested ideal is clipped before the terms recombine.
-    m = terminate_at
-    margin = m * (m + 1) // 2 + m
-    if e < 0:
-        margin += (-e) * (m * (m - 1) // 2)
-    work = replace(caps, qmax=caps.qmax + margin)
-    ups, lows = ([u.with_caps(replace(u.caps, qmax=work.qmax)) for u in us]
-                 for us in (ups, lows))
-    zs = zs.with_caps(replace(zs.caps, qmax=work.qmax))
+    m = min(t for t in ends if t is not None)
+    del ups[ends.index(m)]
+    v = zs.qfloor
 
-    unit = one(table, work)
-    total = unit
-    term = unit
-    for n in range(m):
-        # ratio term_{n+1} / term_n
-        factor = zs
-        for u in ups:
-            factor = factor * (unit - u * q_power(n, table, work))
-        if e:
-            factor = factor * q_power(e * n, table, work)
-            if e % 2:
-                factor = -factor
-        den = unit - q_power(n + 1, table, work)
-        for l in lows:
-            den = den * (unit - l * q_power(n, table, work))
-        term = term * factor / den
-        if term.is_zero():
-            break
-        total = total + term
-    return total.truncate(caps)
+    def factors(work):
+        z0 = _stripped(zs if e % 2 else -zs, work.qmax)
+        zpow = one(table, work)
+        for ratio in _poch_ratios(ups, lows, work, table):
+            yield zpow * ratio
+            zpow = zpow * z0
+            if zpow.is_zero():
+                return
+    return _qbinom_sum(
+        m, lambda k: (e + 1) * (k * (k - 1) // 2) - (m - v) * k
+        + _poch_shift(ups, lows, k), factors, caps, table)
 
 
 def eq_small(z: Series, caps: TruncationSpec = None) -> Series:

@@ -228,11 +228,6 @@ class Series:
             return 0
         return self.qfloor + min(qr for qr, _ in self.terms)
 
-    def max_exp(self, var: str) -> int:
-        """Largest stored exponent of a non-q variable."""
-        i = self.table.slot(var)
-        return max((ve[i] for _, ve in self.terms), default=0)
-
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other) -> Optional["Series"]:

@@ -87,13 +87,14 @@ def _frac_text(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _mono_text(m: Monomial, table=DEFAULT_TABLE) -> str:
+def _mono_text(m: Monomial) -> str:
+    # every registered side is built over identities.TABLE, the default
     parts = []
     if m.qexp:
         parts.append("q" if m.qexp == 1 else f"q^{m.qexp}")
     for j, e in enumerate(m.vexps):
         if e:
-            nm = table.names[j + 1]
+            nm = DEFAULT_TABLE.names[j + 1]
             parts.append(nm if e == 1 else f"{nm}^{e}")
     return "*".join(parts) if parts else "1"
 

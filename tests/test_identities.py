@@ -179,6 +179,20 @@ def test_window_truncation_stability(ident):
     assert ok, f"{ident}: {w}"
 
 
+def test_sides_claim_the_whole_case_window():
+    # a side that widens too little for its Laurent terms comes back with a
+    # smaller q-window; the verdict would still PASS, over fewer
+    # coefficients, so every side must claim exactly the case's caps
+    cfg = VerifyConfig(seed=3, qmax=12)
+    conv = resolve_garrett_convention().convention
+    for spec in registry():
+        envs = spec.cases(cfg, conv if spec.uses_garrett else None)
+        for i, env in enumerate(envs):
+            for side, build in (("lhs", spec.build_lhs),
+                                ("rhs", spec.build_rhs)):
+                assert build(env).caps == env.caps, f"{spec.id} case {i} {side}"
+
+
 def test_verify_deterministic_across_runs_and_threads():
     import concurrent.futures
 

@@ -12,7 +12,7 @@ from qsw.series import (
 )
 from qsw.qfunctions import (
     INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries,
-    _qexp_sum, _qfact_inv_coeffs, eq_big, eq_small, garrett_a, garrett_b,
+    _qbinom_sum, _qexp_sum, _qfact_inv_coeffs, eq_big, eq_small, garrett_a, garrett_b,
     phi, poch, poch_inf_inv, qbinom, qbinom_coeffs, qfact, qfact_coeffs,
     qfact_inv, rq, rq_at_power,
 )
@@ -143,6 +143,79 @@ def test_qexp_sum_factor_stream_matches_explicit_sum(z_terms, f_terms, wi,
         explicit = explicit + q_power(weight(n), caps_=c) * z ** n * f \
             * qfact_inv(n, c)
     assert _qexp_sum(z, c, weight, factors=iter(fs)) == explicit
+
+
+# a monomial c q^i x^j with a possibly negative q-exponent
+_laurent_mono = st.tuples(st.sampled_from([1, -1, 2, Fraction(2, 3)]),
+                          st.integers(-3, 3), st.integers(0, 2))
+
+
+def _covers(oracle, r):
+    """The exact oracle claims at least the window of r, so comparing on
+    the meet of the two windows checks all of r."""
+    return oracle.qfloor + oracle.caps.qmax >= r.qfloor + r.caps.qmax
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.lists(_ordinary, max_size=7),
+       st.integers(0, 2), st.integers(0, 10))
+def test_qbinom_sum_matches_explicit_sum(n, f_terms, wi, qmax):
+    # an explicit Laurent sum at a far wider window is the oracle; the
+    # primitive must agree on the whole of caps and claim all of it
+    c = caps(qmax, default=3)
+    wide = caps(qmax + 20, default=3)
+
+    def series(terms, at):
+        return make_series([(k, mono(i, {"x": j})) for k, i, j in terms], at)
+    weight = (lambda k: 0, lambda k: k * (k - n), lambda k: k * k - 3 * k)[wi]
+    explicit = zero(caps_=wide)
+    for k, t in zip(range(n + 1), f_terms):
+        explicit = explicit + qbinom(n, k, wide) \
+            * q_power(weight(k), caps_=wide) * series(t, wide)
+    r = _qbinom_sum(n, weight, lambda work: (series(t, work) for t in f_terms),
+                    c, explicit.table)
+    assert r.caps == c
+    assert _covers(explicit, r)
+    assert_equal(r, explicit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.lists(_laurent_mono, min_size=1, max_size=2),
+       st.integers(0, 12))
+def test_phi_terminating_finite_q_binomial_theorem(m, z_terms, qmax):
+    # 1phi0(q^-m; -; q, z) = (z q^-m; q)_m, a Laurent polynomial in q even
+    # for ordinary z; z itself may be Laurent, e.g. q^-3 x.  The oracle
+    # takes the same representative of z as phi does, at a wider window.
+    c = caps(qmax, default=3)
+    wide = caps(qmax + 60, default=3)
+    z = make_series([(k, mono(i, {"x": j})) for k, i, j in z_terms], c)
+    r = phi([qp(-m, c)], [], z, c)
+    oracle = poch([z.with_caps(wide) * qp(-m, wide)], m, wide)
+    assert r.caps == c
+    assert _covers(oracle, r)
+    assert_equal(r, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.lists(_laurent_mono, min_size=1, max_size=2),
+       st.sampled_from([1, -1, Fraction(1, 2)]), st.integers(0, 2),
+       st.integers(1, 12))
+def test_phi_terminating_q_chu_vandermonde(m, a_terms, tc, ti, qmax):
+    # 2phi1(q^-m, a; t; q, q) = prod_{j<m} (a - t q^j) / (t; q)_m, with a
+    # possibly Laurent and t = tc q^ti t
+    c = caps(qmax, default=3)
+    wide = caps(qmax + 40, default=3)
+    a = make_series([(k, mono(i, {"a": j})) for k, i, j in a_terms], c)
+    t = make_series([(tc, mono(ti, {"t": 1}))], c)
+    r = phi([qp(-m, c), a], [t], qp(1, c), c)
+    aw, tw = a.with_caps(wide), t.with_caps(wide)
+    num = one(caps_=wide)
+    for j in range(m):
+        num = num * (aw - tw * qp(j, wide))
+    oracle = num / poch([tw], m, wide)
+    assert r.caps == c
+    assert _covers(oracle, r)
+    assert_equal(r, oracle)
 
 
 # -- Gaussian binomials ----------------------------------------------------------
