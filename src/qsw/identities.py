@@ -268,7 +268,7 @@ def _garrett_form(e: Env, k: int, s: int, first, second) -> Series:
     w = e.inflated(dq=s)
     body = garrett_a(k, w.caps, w.table) * first(w) \
         - garrett_b(k, w.caps, w.table) * second(w)
-    return (w.qpow(-s) * body).truncate(e.caps)
+    return e.qpow(-s) * body
 
 
 def _garrett_rq(e: Env, k: int) -> Series:

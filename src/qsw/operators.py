@@ -31,7 +31,6 @@ def dq(f: Series, x: str) -> Series:
     """q-derivative of f with respect to x."""
     i = f.table.slot(x)
     raw: dict = {}
-    qmax = f.caps.qmax
     for (qr, ve), c in f.terms.items():
         k = ve[i]
         if k == 0:
@@ -42,11 +41,9 @@ def dq(f: Series, x: str) -> Series:
         key = (qr, nv)
         prev = raw.get(key)
         raw[key] = c if prev is None else prev + c
-        qhi = qr + k
-        if qhi <= qmax:
-            key = (qhi, nv)
-            prev = raw.get(key)
-            raw[key] = -c if prev is None else prev - c
+        key = (qr + k, nv)
+        prev = raw.get(key)
+        raw[key] = -c if prev is None else prev - c
     return Series._build(f.table, f.caps, f.qfloor, raw)
 
 

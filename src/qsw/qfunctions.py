@@ -224,16 +224,13 @@ def _qbinom_sum(n: int, weight, factors, caps: TruncationSpec,
     counterpart of _qexp_sum.  factors(work) yields ordinary f_0, f_1, ...
     at work, caps widened by max(0, -min_k weight(k)) so that every
     q^weight(k) f_k is exact to q^qmax; callers keep every power of q in
-    the weight.  A stream that ends means every later f_k is zero.  The
-    terms are summed shifted up by the widening, so all stay ordinary."""
+    the weight.  A stream that ends means every later f_k is zero."""
     ws = [weight(k) for k in range(n + 1)]
-    lift = max(0, -min(ws))
-    work = replace(caps, qmax=caps.qmax + lift)
-    total = zero(table, work)
+    work = replace(caps, qmax=caps.qmax + max(0, -min(ws)))
+    total = zero(table, caps)
     for k, f in zip(range(n + 1), factors(work)):
-        total = total + _dense(qbinom_coeffs(n, k), work, table,
-                               ws[k] + lift) * f
-    return (q_power(-lift, table, work) * total).truncate(caps)
+        total = total + _dense(qbinom_coeffs(n, k), caps, table, ws[k]) * f
+    return total
 
 
 def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
@@ -242,8 +239,8 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
 
     Arguments with positive weight are expanded by the q-exponential sum
     1/(c; q^base)_inf = sum c^m / (q^base; q^base)_m, which is far cheaper
-    than a Newton inversion; anything else falls back to inverting the
-    truncated product.
+    than the graded recurrence of Series.reciprocal; anything else falls
+    back to inverting the truncated product with it.
     """
     result = one(table, caps)
     for a in args:

@@ -5,7 +5,9 @@ ideal generated by q^(qmax+1) and v^(cap_v+1) for every non-q variable v.
 The distinguished variable q additionally admits Laurent behaviour through
 a valuation floor: a Series represents q^qfloor * F where F is an ordinary
 series stored with exponents relative to the floor.  No other variable may
-carry negative exponents.
+carry negative exponents.  The q-window is absolute: caps.qmax is the top
+exponent through which the series is known, whatever its floor, and may be
+negative.
 
 Coefficients are exact rationals: a plain int for an integer value, else a
 fractions.Fraction in lowest terms with positive denominator, so every
@@ -91,14 +93,14 @@ class Monomial(NamedTuple):
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Caps defining the truncation ideal (q^(qmax+1), v^(cap+1), ...)."""
+    """Caps of the ideal (q^(qmax+1), v^(cap+1), ...); qmax is absolute."""
 
     qmax: int
     vcaps: tuple[int, ...]
 
     def __post_init__(self):
-        if self.qmax < 0 or any(c < 0 for c in self.vcaps):
-            raise ValueError("caps must be non-negative")
+        if any(c < 0 for c in self.vcaps):
+            raise ValueError("variable caps must be non-negative")
 
     def meet(self, other: "TruncationSpec") -> "TruncationSpec":
         if len(self.vcaps) != len(other.vcaps):
@@ -108,9 +110,8 @@ class TruncationSpec:
             tuple(min(a, b) for a, b in zip(self.vcaps, other.vcaps)),
         )
 
-    def admits(self, qrel: int, vexps: tuple[int, ...]) -> bool:
-        if qrel > self.qmax:
-            return False
+    def admits(self, vexps: tuple[int, ...]) -> bool:
+        """True iff the variable part vexps is within every variable cap."""
         for e, c in zip(vexps, self.vcaps):
             if e > c:
                 return False
@@ -120,6 +121,8 @@ class TruncationSpec:
 def caps(qmax: int, table: VarTable = DEFAULT_TABLE, default: int = 8,
          **per_var: int) -> TruncationSpec:
     """Convenience TruncationSpec builder with per-variable overrides."""
+    if qmax < 0:
+        raise ValueError("caps must be non-negative")
     vcaps = [default] * table.nvars
     for name, cap in per_var.items():
         vcaps[table.slot(name)] = cap
@@ -142,11 +145,11 @@ def _invert_scalar(c):
 class Series:
     """Immutable truncated series; all operations are pure functions.
 
-    terms maps (qrel, vexps) -> int | Fraction with 0 <= qrel <= caps.qmax
-    and the absolute q-exponent equal to qfloor + qrel.  Multiplication
-    convolves integer numerators over each operand's common denominator and
-    reduces once per output coefficient.  Invariants: no zero
-    coefficient is stored; the zero series has qfloor == 0; a nonzero
+    terms maps (qrel, vexps) -> int | Fraction with qrel >= 0 and
+    qfloor + qrel <= caps.qmax, the absolute q-exponent being qfloor + qrel.
+    Multiplication convolves integer numerators over each operand's common
+    denominator and reduces once per output coefficient.  Invariants: no
+    zero coefficient is stored; the zero series has qfloor == 0; a nonzero
     series has qfloor == 0 or some term at qrel == 0.
     """
 
@@ -169,9 +172,11 @@ class Series:
             # fold a positive valuation into the exponents (floor stays <= 0)
             raw = {(qr + qfloor, ve): c for (qr, ve), c in raw.items()}
             qfloor = 0
+        top = caps_.qmax - qfloor
+        admits = caps_.admits
         terms = {}
         for (qr, ve), c in raw.items():
-            if c and qr >= 0 and caps_.admits(qr, ve):
+            if c and 0 <= qr <= top and admits(ve):
                 terms[(qr, ve)] = c
         return Series._lift_floor(table, caps_, qfloor, terms)
 
@@ -180,19 +185,15 @@ class Series:
                     terms: dict) -> "Series":
         """Series of nonzero terms inside caps_ at a floor <= 0.
 
-        Lifts a negative floor to the least stored q-exponent.
+        Lifts a negative floor to the least stored q-exponent; the top stays.
         """
         if not terms:
             return Series(table, 0, {}, caps_)
         if qfloor < 0:
-            m = min(qr for qr, _ in terms)
-            if m > 0:
-                # the window's top stays at qfloor + qmax: lifting the floor
-                # lowers qmax by as much
-                lift = min(m, -qfloor)
+            lift = min(-qfloor, min(qr for qr, _ in terms))
+            if lift:
                 terms = {(qr - lift, ve): c for (qr, ve), c in terms.items()}
                 qfloor += lift
-                caps_ = TruncationSpec(caps_.qmax - lift, caps_.vcaps)
         return Series(table, qfloor, terms, caps_)
 
     def _same_table(self, other: "Series"):
@@ -208,7 +209,8 @@ class Series:
     def coeff(self, m: Monomial):
         """Coefficient of a monomial (absolute q-exponent); 0 outside caps."""
         qrel = m.qexp - self.qfloor
-        if qrel < 0 or not self.caps.admits(qrel, m.vexps):
+        if qrel < 0 or m.qexp > self.caps.qmax \
+                or not self.caps.admits(m.vexps):
             return Fraction(0)
         return self.terms.get((qrel, m.vexps), Fraction(0))
 
@@ -243,15 +245,17 @@ class Series:
             return NotImplemented
         self._same_table(g)
         mcaps = self.caps.meet(g.caps)
-        floor = min(self.qfloor, g.qfloor)
+        # only an operand with a wider window has terms outside the meet
+        f, g = (s if s.caps == mcaps else s.truncate(mcaps) for s in (self, g))
+        floor = min(f.qfloor, g.qfloor)
         raw: dict = {}
-        for src in (self, g):
+        for src in (f, g):
             shift = src.qfloor - floor
             for (qr, ve), c in src.terms.items():
                 k = (qr + shift, ve)
-                nc = raw.get(k)
-                raw[k] = c if nc is None else nc + c
-        return Series._build(self.table, mcaps, floor, raw)
+                raw[k] = raw.get(k, 0) + c
+        return Series._lift_floor(self.table, mcaps, floor,
+                                  {k: c for k, c in raw.items() if c})
 
     __radd__ = __add__
 
@@ -295,9 +299,10 @@ class Series:
         if g is None:
             return NotImplemented
         self._same_table(g)
-        mcaps = self.caps.meet(g.caps)
         floor = self.qfloor + g.qfloor
-        qmax = mcaps.qmax
+        # the product is known through the narrower window above its floor
+        qmax = min(self.caps.qmax - self.qfloor, g.caps.qmax - g.qfloor)
+        mcaps = TruncationSpec(floor + qmax, self.caps.meet(g.caps).vcaps)
         vcaps = mcaps.vcaps
         # convolve integer numerators per pair of variable parts with a
         # dense q-inner loop; divide by the denominators once per output
@@ -356,45 +361,48 @@ class Series:
         return result
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse modulo the truncation ideal."""
+        """Multiplicative inverse modulo the truncation ideal.
+
+        With the floor-stripped divisor G/d (G_u[j] the integer numerator
+        at q^j v^u), solves G_0[0] h_v[m] = d [v = 0 = m] - (the sum of
+        G_u[j] h_(v-u)[m-j] over every other term) for the reachable v in
+        order of total degree, m = 0..width in each; a pure-q divisor is
+        the one row v = 0, the dense recurrence in q.
+        """
         c0 = self.constant_term()
         if not c0:
             raise DivisionByNonUnit("constant term is zero")
         table, cps = self.table, self.caps
         zv = table.zero_vexps
-        if all(ve == zv for _, ve in self.terms):
-            # dense univariate recurrence
-            qmax = cps.qmax
-            g = [0] * (qmax + 1)
-            for (qr, _), c in self.terms.items():
-                if qr <= qmax:
-                    g[qr] = c
-            inv0 = _invert_scalar(c0)
-            h = [0] * (qmax + 1)
-            h[0] = inv0
-            for m in range(1, qmax + 1):
-                acc = 0
-                for j in range(1, m + 1):
-                    if g[j]:
-                        acc += g[j] * h[m - j]
-                if acc:
-                    h[m] = -acc * inv0
-            raw = {(i, zv): c for i, c in enumerate(h) if c}
-            return Series._build(table, cps, -self.qfloor, raw)
-        # Newton iteration on the floor-stripped ordinary part
-        g = Series(table, 0, self.terms, cps)
-        x = constant(_invert_scalar(c0), table, cps)
-        unit = one(table, cps)
-        limit = cps.qmax + sum(cps.vcaps) + 2
-        for _ in range(limit):
-            err = unit - g * x
-            if err.is_zero():
-                break
-            x = x + x * err
-        else:
-            raise AssertionError("reciprocal failed to converge")
-        return Series._build(table, cps, -self.qfloor,
-                             {(qr, ve): c for (qr, ve), c in x.terms.items()})
+        width = cps.qmax - self.qfloor  # the window above the floor
+        rows, d = self._by_vexps(width)
+        others = sorted((j, u, c) for u, row in rows.items() for j, c in row
+                        if j or u != zv)
+        order, seen = [zv], {zv}
+        for v in order:
+            for _, u, _ in others:
+                w = tuple(a + b for a, b in zip(v, u))
+                if w not in seen and cps.admits(w):
+                    seen.add(w)
+                    order.append(w)
+        order.sort(key=sum)
+        inv0 = _invert_scalar(c0 * d)
+        h: dict = {}
+        for v in order:
+            hv = h[v] = [0] * (width + 1)
+            src = [(j, c, hw) for j, u, c in others if (hw := h.get(
+                tuple(a - b for a, b in zip(v, u)))) is not None]
+            for m in range(width + 1):
+                acc = d if m == 0 and v == zv else 0
+                for j, c, hw in src:
+                    if j > m:
+                        break
+                    acc -= c * hw[m - j]
+                hv[m] = acc * inv0
+        raw = {(i, v): c for v, hv in h.items() for i, c in enumerate(hv) if c}
+        # 1/g is known through the window of g above its floor, -qfloor
+        cps = TruncationSpec(width - self.qfloor, cps.vcaps)
+        return Series._build(table, cps, -self.qfloor, raw)
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -417,8 +425,8 @@ class Series:
 
     def truncate(self, new_caps: TruncationSpec) -> "Series":
         """Reduce into the (smaller) ideal given by meet(caps, new_caps)."""
-        mcaps = self.caps.meet(new_caps)
-        return Series._build(self.table, mcaps, self.qfloor, dict(self.terms))
+        return Series._build(self.table, self.caps.meet(new_caps),
+                             self.qfloor, self.terms)
 
     def with_caps(self, new_caps: TruncationSpec) -> "Series":
         """Reinterpret this exact representative at different caps.
@@ -426,13 +434,13 @@ class Series:
         Widening the caps is a claim of knowledge the caller must justify
         (e.g. the series is an exact polynomial).
         """
-        return Series._build(self.table, new_caps, self.qfloor, dict(self.terms))
+        return Series._build(self.table, new_caps, self.qfloor, self.terms)
 
     def substitute(self, var: str, r: Scalar, m: Monomial) -> "Series":
         """Replace every occurrence of var**e by r**e * m**e, then reduce.
 
         The replacement monomial may carry a negative q-exponent; the
-        result's floor is adjusted accordingly.
+        result's floor and window top move down by as much as the lowest key.
         """
         i = self.table.slot(var)
         r = _as_coeff(r)
@@ -454,12 +462,11 @@ class Series:
             k = (nq, tuple(nv))
             prev = raw.get(k)
             raw[k] = nc if prev is None else prev + nc
-        # negative replacement exponents push keys below the floor
-        low = min((qr for qr, _ in raw), default=0)
-        if low < 0:
-            raw = {(qr - low, ve): c for (qr, ve), c in raw.items()}
-            return Series._build(self.table, self.caps, self.qfloor + low, raw)
-        return Series._build(self.table, self.caps, self.qfloor, raw)
+        # negative replacement exponents lower the keys, the floor and the top
+        low = min(0, min((qr for qr, _ in raw), default=0))
+        raw = {(qr - low, ve): c for (qr, ve), c in raw.items()}
+        cps = TruncationSpec(self.caps.qmax + low, self.caps.vcaps)
+        return Series._build(self.table, cps, self.qfloor + low, raw)
 
     # -- comparison ----------------------------------------------------------
 
@@ -512,7 +519,8 @@ class Series:
         return out
 
     def to_json_dict(self) -> dict:
-        """JSON rendering with fields {qFloor, caps, terms}."""
+        """JSON rendering with fields {qFloor, caps, terms}; qMax is the
+        window's width above qFloor."""
         names = self.table.names
         terms = []
         for qa, ve, c in self._sorted_monomials():
@@ -524,7 +532,7 @@ class Series:
                           "mono": mono})
         return {
             "qFloor": self.qfloor,
-            "caps": {"qMax": self.caps.qmax,
+            "caps": {"qMax": self.caps.qmax - self.qfloor,
                      "varCaps": {names[j + 1]: c
                                  for j, c in enumerate(self.caps.vcaps)}},
             "terms": terms,
@@ -578,7 +586,7 @@ def constant(c: Scalar, table: VarTable = DEFAULT_TABLE,
              caps_: TruncationSpec = None) -> Series:
     caps_ = caps_ if caps_ is not None else caps(25, table)
     c = _as_coeff(c)
-    if not c:
+    if not c or caps_.qmax < 0:
         return zero(table, caps_)
     return Series(table, 0, {(0, table.zero_vexps): c}, caps_)
 
@@ -630,13 +638,11 @@ def equals_mod_caps(f: Series, g: Series):
     """
     f._same_table(g)
     mcaps = f.caps.meet(g.caps)
-    q_upper = min(f.qfloor + f.caps.qmax, g.qfloor + g.caps.qmax)
-    vcaps = mcaps.vcaps
     seen = set()
     for s in (f, g):
-        for (qr, ve), _ in s.terms.items():
+        for qr, ve in s.terms:
             qa = qr + s.qfloor
-            if qa <= q_upper and all(e <= c for e, c in zip(ve, vcaps)):
+            if qa <= mcaps.qmax and mcaps.admits(ve):
                 seen.add((qa, ve))
     bad = []
     for qa, ve in seen:

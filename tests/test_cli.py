@@ -135,6 +135,8 @@ def test_usage_error_exits_2(capsys):
     ["verify", "I-RR1", "--bind", "y=2/3"],
     ["eval", "garrett-a", "--n", "1500", "--qmax", "5"],
     ["eval", "garrett-b", "--n", "1500", "--qmax", "5"],
+    ["eval", "sw", "--n", "2", "--qmax", "-1"],
+    ["garrett-convention", "--qmax", "-1"],
 ])
 def test_usage_error_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qsw.qfunctions import phi
 from qsw.series import (
     DEFAULT_TABLE, DivisionByNonUnit, Series, TruncationSpec, VarTable,
     VarTableMismatch, VariableNotFound, caps, constant, equals_mod_caps,
@@ -121,6 +122,14 @@ def test_lifted_floor_keeps_the_window_top():
         * make_series([(1, mono(i)) for i in range(5, 11)], c)
     assert (s.qfloor, s.caps.qmax) == (0, 5)
     assert s.text() == "1 + q + q^2 + q^3 + q^4 + q^5"
+
+
+def test_empty_product_keeps_a_negative_top():
+    # q^-3 known through q^0 times 0 known through q^0 is known through
+    # q^-3 only, so even the constant 1 lies outside its window
+    s = q_power(-3, caps_=caps(0)) * zero(caps_=caps(0))
+    assert s.caps.qmax == -3
+    assert (s + 1).is_zero()
 
 
 # -- div -------------------------------------------------------------------------
@@ -364,14 +373,18 @@ def test_substitute_identity(f):
 
 
 def _schoolbook_mul(f, g):
-    """Reference product: Fraction arithmetic once per pair of terms."""
+    """Reference product: Fraction arithmetic once per pair of terms, known
+    through its floor plus the narrower of the windows above the floors."""
     raw: dict = {}
     for (qa, va), ca in f.terms.items():
         for (qb, vb), cb in g.terms.items():
             k = (qa + qb, tuple(a + b for a, b in zip(va, vb)))
             raw[k] = raw.get(k, 0) + Fraction(ca) * Fraction(cb)
-    return Series._build(f.table, f.caps.meet(g.caps), f.qfloor + g.qfloor,
-                         raw)
+    floor = f.qfloor + g.qfloor
+    top = floor + min(f.caps.qmax - f.qfloor, g.caps.qmax - g.qfloor)
+    return Series._build(f.table,
+                         TruncationSpec(top, f.caps.meet(g.caps).vcaps),
+                         floor, raw)
 
 
 # denominators that share factors, so an operand's lcm is not their product
@@ -414,3 +427,118 @@ def test_scalar_mul_matches_schoolbook_fraction_product(f, c):
     want = _schoolbook_mul(f, constant(c, caps_=f.caps))
     _assert_same_product(c * f, want)
     _assert_same_product(f * c, want)
+
+
+# -- the absolute q-window against the same entries at a wider one ------------------
+
+WIDEN = 30
+
+_window_entries = st.lists(
+    st.tuples(scalars, st.integers(-4, 8), st.integers(0, 3)), max_size=4)
+
+
+def _at(entries, qmax):
+    return make_series([(c, mono(qe, {"x": xe})) for c, qe, xe in entries],
+                       caps(qmax))
+
+
+def _floor_top(s):
+    """(floor, top) of the claimed window, read from the JSON rendering:
+    the series is known from q^floor through q^top."""
+    d = s.to_json_dict()
+    return d["qFloor"], d["qFloor"] + d["caps"]["qMax"]
+
+
+def _window_op(op, fe, ge, fq, gq, widen):
+    """op on the entries fe (at qmax fq) and ge (at qmax gq), every window
+    widened by widen; returns (result, the top derived from its inputs)."""
+    f, g = _at(fe, fq + widen), _at(ge, gq + widen)
+    (ff, ft), (gf, gt) = _floor_top(f), _floor_top(g)
+    if op == "add":
+        return f + g, min(ft, gt)
+    if op == "mul":
+        return f * g, ff + gf + min(ft - ff, gt - gf)
+    if op == "truncate":
+        return f.truncate(caps(gq + widen)), min(ft, gq + widen)
+    if op == "reciprocal":
+        # a unit: a constant term at its floor, at or below every entry
+        low = min([qe for c, qe, _ in fe if c] + [0])
+        u = _at([t for t in fe if t[1:] != (low, 0)] + [(3, low, 0)],
+                fq + widen)
+        uf, ut = _floor_top(u)
+        return u.reciprocal(), ut - 2 * uf
+    # terminating phi: (z q^-m; q)_m, z exact inside the window
+    c = caps(fq + widen)
+    z = _at([t for t in fe if t[1] <= fq], fq + widen)
+    return phi([q_power(-(gq % 6), caps_=c)], [], z, c), fq + widen
+
+
+@settings(max_examples=200, deadline=None)
+@example("add", [(1, -3, 0)], [(1, -1, 0)], 12, 8)
+@example("phi", [(1, 0, 1)], [], 12, 4)
+@example("mul", [(1, 6, 0)], [(1, -1, 0)], 5, 5)
+@given(st.sampled_from(["add", "mul", "truncate", "reciprocal", "phi"]),
+       _window_entries, _window_entries, st.integers(0, 12),
+       st.integers(0, 12))
+def test_window_is_sound(op, fe, ge, fq, gq):
+    # the result at caps C must agree with the result at C widened by
+    # WIDEN on the whole window it claims, and claim at least the top
+    # derived from its inputs: q^-3 (to q^12) + q^-1 (to q^8) is known to
+    # q^8, (q^-4 x; q)_4 at caps(12) to q^12, and 0 (q^6 at caps(5)) times
+    # q^-1 only to q^4, since the true product is q^5
+    r, derived = _window_op(op, fe, ge, fq, gq, 0)
+    wide, _ = _window_op(op, fe, ge, fq, gq, WIDEN)
+    assert _floor_top(r)[1] >= derived
+    assert _floor_top(wide)[1] >= _floor_top(r)[1]
+    ok, witness = equals_mod_caps(r, wide)
+    assert ok, witness
+
+
+# -- the graded reciprocal against Newton's iteration --------------------------------
+
+
+def _newton_reciprocal(f):
+    """Reference inverse: Newton's iteration x <- x + x (1 - g x) on the
+    floor-stripped ordinary part g of f, at its whole window every step."""
+    width = f.caps.qmax - f.qfloor
+    gcaps = TruncationSpec(width, f.caps.vcaps)
+    g = Series(f.table, 0, f.terms, gcaps)
+    x = constant(Fraction(1) / f.constant_term(), f.table, gcaps)
+    unit = one(f.table, gcaps)
+    for _ in range(width + sum(gcaps.vcaps) + 2):
+        err = unit - g * x
+        if err.is_zero():
+            break
+        x = x + x * err
+    else:
+        raise AssertionError("Newton's iteration failed to converge")
+    # 1/f = q^(-floor) / g is known through width powers of q above -floor
+    return Series._build(f.table, TruncationSpec(width - f.qfloor, gcaps.vcaps),
+                         -f.qfloor, x.terms)
+
+
+@st.composite
+def laurent_unit_st(draw):
+    """A multivariate Laurent unit c0 q^p + (terms above it): caps per
+    variable, int or mixed coefficients, c0 not +-1."""
+    pcaps = caps(draw(st.integers(0, 8)), default=0,
+                 x=draw(st.integers(1, 3)), y=draw(st.integers(1, 3)),
+                 z=draw(st.integers(0, 2)))
+    p = draw(st.integers(-3, 0))
+    coeff = st.integers(-6, 6) if draw(st.booleans()) else scalars
+    c0 = draw(coeff.filter(lambda c: c not in (0, 1, -1)))
+    rest = draw(st.lists(
+        st.tuples(coeff, st.integers(0, 6), st.integers(0, 2),
+                  st.integers(0, 2), st.integers(0, 1))
+        .filter(lambda t: any(t[1:])), max_size=6))
+    return make_series(
+        [(c0, mono(p))] + [(c, mono(p + i, {"x": a, "y": b, "z": d}))
+                           for c, i, a, b, d in rest], pcaps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_unit_st())
+def test_reciprocal_matches_newton(u):
+    got, want = u.reciprocal(), _newton_reciprocal(u)
+    assert got == want
+    assert got.json_text() == want.json_text()
