@@ -3,7 +3,10 @@
 Every entry pairs an independently-built left and right side: operator-image
 sides go through dq / rr_op machinery, closed-form sides through Pochhammer
 products, hypergeometric sums, and the Garrett polynomials.  Sides never
-share intermediate series values.
+share intermediate series values.  Within one side, verify() lets the
+cases of one call reuse a case-independent value (Env.reuse, e.g. the
+R_q(q^m) kernel of the Garrett forms); that memo belongs to one side of
+one call.
 
 Each right-hand formula is written once, as a builder over one-letter
 parameter names; registry entries that are specialisations of a formula
@@ -59,6 +62,19 @@ class Env:
     convention: Optional[str]
     ints: dict = field(default_factory=dict)
     table: VarTable = TABLE
+    # values one side reuses across its cases (see reuse); verify() gives
+    # each side its own dict, so the two sides still share nothing
+    memo: Optional[dict] = field(default=None, repr=False, compare=False)
+
+    def reuse(self, key, build):
+        """build(), or the value an earlier call with the same key stored in
+        memo; key must name everything the value depends on.  Without a
+        memo (an Env built directly) every call builds."""
+        if self.memo is None:
+            return build()
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     # series shorthands, all at self.caps
     def one(self):
@@ -237,14 +253,18 @@ def _dq_image(operand, widen="xa"):
 
 
 def _rr_image(operand, widen, x="x"):
-    """Left side R(yD_q){operand(w)} in x: the operand gets headroom in each
-    variable of widen for the operator's certified order
-    min(y-cap, isqrt(qmax)); the image is bound and truncated to e.caps."""
+    """Left side R(yD_q){operand(w)} in x, with y replaced by its value when
+    the case binds it: the operand gets headroom in each variable of widen
+    for the operator's certified order, isqrt(qmax) for a bound y and
+    min(y-cap, isqrt(qmax)) for a formal one; the image is truncated to
+    e.caps."""
     def build(e):
-        nmax = min(e.vcap("y"), math.isqrt(e.caps.qmax))
+        nmax = math.isqrt(e.caps.qmax)
+        if "y" not in e.bindings:
+            nmax = min(e.vcap("y"), nmax)
         w = e.inflated(**dict.fromkeys(widen, nmax))
-        out = rr_op(operand(w), OperatorContext(x, "y"), w.caps)
-        return e.bind_values(out).truncate(e.caps)
+        out = rr_op(operand(w), OperatorContext(x, "y"), w.caps, w.sym("y"))
+        return out.truncate(e.caps)
     return build
 
 
@@ -288,11 +308,12 @@ def _garrett_kernel(e: Env, m: int, v: Series) -> Series:
     """R_q(q^m v) at v = 1, which the bindings of the Garrett forms impose,
     for even m by Garrett's expansion over the Rogers-Ramanujan products:
     q^(-C(m,2)) (a_m(q)/(q,q^4;q^5)inf - b_m(q)/(q^2,q^3;q^5)inf).  Even m
-    makes the measured sign convention immaterial."""
-    return _garrett_form(
+    makes the measured sign convention immaterial.  The value depends on
+    m and e.caps only, so a side builds it once per m (Env.reuse)."""
+    return e.reuse(("garrett", m, e.caps), lambda: _garrett_form(
         e, m, m * (m - 1) // 2,
         lambda w: w.pochinf_inv([w.qpow(1), w.qpow(4)], base=5),
-        lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5))
+        lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5)))
 
 
 def _nonzero_frac(rng) -> Fraction:
@@ -485,15 +506,24 @@ def _spec_poly(e, key):
                         for c, i, j in e.ints[key]))
 
 
-# Both sides are built at e.caps: D_q and x -> q^k x never lower q-degrees,
-# and leibniz_rhs widens its own window for its Laurent weights.
+def _leibniz_lhs(e):
+    """The Leibniz expansion of D_q^n{f g}, its operands built with n of
+    x-headroom (each term lowers the x-degree by n) and truncated to e.caps."""
+    n = e.ints["n"]
+    w = e.inflated(x=n)
+    return leibniz_rhs(_spec_poly(w, "fspec"), _spec_poly(w, "gspec"), "x",
+                       n).truncate(e.caps)
+
+
+# Both sides get n of x-headroom and no q-headroom: D_q and x -> q^k x never
+# lower q-degrees, and leibniz_rhs widens its own window for its Laurent
+# weights.
 _ident(
     id="I-LEIBNIZ",
     description="Leibniz rule for the q-derivative on randomized pairs",
-    build_lhs=lambda e: leibniz_rhs(_spec_poly(e, "fspec"),
-                                    _spec_poly(e, "gspec"), "x", e.ints["n"]),
+    build_lhs=_leibniz_lhs,
     build_rhs=_dq_image(lambda w: _spec_poly(w, "fspec")
-                        * _spec_poly(w, "gspec"), widen=""),
+                        * _spec_poly(w, "gspec"), widen="x"),
     sweep=_leibniz_sweep,
 )
 
@@ -511,7 +541,7 @@ _ident(
     id="I-DQ-4",
     description="closed form for D_q^n x^k",
     build_lhs=_dq_image(lambda w: monomial_series(
-        1, 0, {"x": w.ints["k"]}, w.table, w.caps), widen=""),
+        1, 0, {"x": w.ints["k"]}, w.table, w.caps), widen="x"),
     build_rhs=_dq4_rhs,
     sweep=lambda cfg, rng: [{"n": n, "k": k}
                             for k in range(9) for n in range(k + 1)],

@@ -81,20 +81,22 @@ def leibniz_rhs(f: Series, g: Series, x: str, n: int) -> Series:
                        f.caps.meet(g.caps), f.table)
 
 
-def rr_op(f: Series, ctx: OperatorContext,
-          caps: TruncationSpec = None) -> Series:
+def rr_op(f: Series, ctx: OperatorContext, caps: TruncationSpec = None,
+          weight: Series = None) -> Series:
     """Apply R(y D_q) = sum q^(n^2) y^n D_q^n / (q; q)_n to f.
 
-    The sum truncates at the least of three certified bounds: the order at
-    which D_q^n f vanishes, the y-cap, and isqrt(qmax) (the q^(n^2) weight
-    alone kills later terms).
+    y is the variable ctx.y, or the given weight series (an ordinary series,
+    e.g. a bound constant y), which takes its place in the same sum.  The
+    sum truncates at the least of the certified bounds: the order at which
+    D_q^n f vanishes, isqrt(qmax) (the q^(n^2) weight alone kills later
+    terms) and, for the formal y only, the y-cap.
     """
     caps = f.caps if caps is None else f.caps.meet(caps)
     f.table.slot(ctx.x)
+    z = variable(ctx.y, f.table, caps) if weight is None else weight
 
     def derivatives(d):
         while not d.is_zero():
             yield d
             d = dq(d, ctx.x)
-    return _qexp_sum(variable(ctx.y, f.table, caps), caps, lambda n: n * n,
-                     factors=derivatives(f))
+    return _qexp_sum(z, caps, lambda n: n * n, factors=derivatives(f))

@@ -8,6 +8,8 @@ independent cross-check path.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .series import DEFAULT_TABLE, Monomial, Series, TruncationSpec, VarTable, \
     make_series, monomial_series, q_power
 from .qfunctions import phi, qbinom_coeffs, qfact_inv
@@ -26,10 +28,13 @@ def sw_classic(n: int, caps: TruncationSpec,
     """Classical Stieltjes-Wigert polynomial S_n(x; q).
 
     Built as 1/(q;q)_n times the terminating 1-phi-1 with upper parameter
-    q^(-n) and argument -q^(n+1) x.
+    q^(-n) and argument -q^(n+1) x.  The argument is built with its window
+    top at least n + 1, so it survives until phi's weight lowers its
+    q-exponent again.
     """
     _check_order(n)
-    z = monomial_series(-1, n + 1, {x: 1}, table, caps)
+    z = monomial_series(-1, n + 1, {x: 1}, table,
+                        replace(caps, qmax=max(caps.qmax, n + 1)))
     return phi([q_power(-n, table, caps)], [0], z, caps, table) \
         * qfact_inv(n, caps, table)
 

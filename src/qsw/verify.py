@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -180,7 +180,8 @@ def selected_convention() -> str:
 
 def verify(ident: str, cfg: VerifyConfig = VerifyConfig()) -> Report:
     """Build both sides of an identity independently for every case and
-    compare them modulo the truncation ideal."""
+    compare them modulo the truncation ideal.  Each side keeps one memo
+    (Env.memo) over all cases of this call; the sides never share one."""
     spec = get_identity(ident)
     t0 = time.perf_counter()
     convention = selected_convention() if spec.uses_garrett else None
@@ -192,9 +193,11 @@ def verify(ident: str, cfg: VerifyConfig = VerifyConfig()) -> Report:
     witness = None
     bindings_used: dict = {}
     caps_used: dict = {}
+    lhs_memo: dict = {}
+    rhs_memo: dict = {}
     for env in envs:
-        lhs = spec.build_lhs(env)
-        rhs = spec.build_rhs(env)
+        lhs = spec.build_lhs(replace(env, memo=lhs_memo))
+        rhs = spec.build_rhs(replace(env, memo=rhs_memo))
         if spec.window is not None:
             slots = tuple(env.table.slot(v) for v in spec.window)
             lhs = _restrict(lhs, slots, env.order)

@@ -2,6 +2,7 @@
 failure/independence paths."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from qsw.qfunctions import rq_at_power
 from qsw.series import caps, equals_mod_caps, mono, q_power
 from qsw.verify import (
     BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, _restrict,
-    registry, reports_json, resolve_garrett_convention, verify,
+    registry, reports_json, resolve_garrett_convention, selected_convention,
+    verify,
 )
 
 FAST = VerifyConfig(qmax=10, deg=3, sum_order=3, trials=2)
@@ -129,6 +131,46 @@ def test_garrett_kernel_matches_direct_sum(m):
     got = identities._garrett_kernel(env, m, env.one())
     want = rq_at_power(m, env.caps)
     assert got == want and got.caps == want.caps
+
+
+@pytest.mark.parametrize("ycap", [0, 2])
+@pytest.mark.parametrize("ident", ["T4-BY1", "T4-2PROD"])
+def test_garrett_forms_pass_below_the_operator_order(ident, ycap):
+    # the left side applies R(yD_q) at the bound y, so no y^n term of the
+    # image is dropped by the y-cap before y becomes a constant
+    assert verify(ident, VerifyConfig(var_caps={"y": ycap})).ok
+
+
+@pytest.mark.parametrize("xcap", [0, 1, 3])
+@pytest.mark.parametrize("ident", ["I-DQ-4", "I-LEIBNIZ"])
+def test_dq_images_have_x_headroom(ident, xcap):
+    # D_q^n lowers the x-degree by n, so its operand needs n more x
+    assert verify(ident, VerifyConfig(var_caps={"x": xcap})).ok
+
+
+def test_garrett_kernel_built_once_per_side_and_call(monkeypatch):
+    selected_convention()  # its own Garrett expansions are not counted here
+    built = Counter()
+    real = qfunctions.garrett_a
+
+    def counting(k, *a, **kw):
+        built[k] += 1
+        return real(k, *a, **kw)
+    monkeypatch.setattr(identities, "garrett_a", counting)
+    cfg = VerifyConfig(qmax=16, deg=5)
+    assert verify("T4-BY1", cfg).ok
+    ms = set(built)
+    assert ms and all(m % 2 == 0 for m in ms)
+    assert built == Counter(dict.fromkeys(ms, 1))
+    assert verify("T4-BY1", cfg).ok  # a new call reuses nothing
+    assert built == Counter(dict.fromkeys(ms, 2))
+
+    built.clear()
+    spec = BY_ID["T4-BY1"]
+    env = spec.cases(cfg, selected_convention())[0]
+    spec.build_rhs(env)
+    spec.build_rhs(env)  # direct builds share no memo either
+    assert built == Counter(dict.fromkeys(built, 2)) and set(built) <= ms
 
 
 def test_garrett_convention_resolution():

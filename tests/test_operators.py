@@ -163,6 +163,19 @@ def test_rr_op_inverse_poch():
     assert_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(-2, 3), Fraction(5, 2)])
+def test_rr_op_bound_weight_is_the_substituted_image(r):
+    # the y-cap (8) is at least isqrt(qmax), so the formal image drops no
+    # term that the bound weight keeps
+    rng = random.Random(11)
+    a, x = var("a"), var("x")
+    for f in (poch_inf_inv([a * x], C), rand_poly(rng), rand_poly(rng)):
+        ctx = OperatorContext("x", "y")
+        got = rr_op(f, ctx, C, constant(r, caps_=C))
+        want = rr_op(f, ctx, C).substitute("y", r, mono())
+        assert got == want and got.caps == want.caps
+
+
 def test_rq_derivative_closed_form():
     # D_q^n R_q(ax) = a^n q^(n^2) R_q(a q^(2n) x)
     for n in range(4):

@@ -31,6 +31,16 @@ def test_sw_classic_constant_coefficient():
             assert f.coeff(mono(e)) == g.coeff(mono(e))
 
 
+def test_sw_classic_window_below_its_degree():
+    # the argument -q^(n+1) x must survive a window top below n + 1
+    for n in range(4):
+        wide = sw_classic(n, caps(12))
+        for top in range(5):
+            got = sw_classic(n, caps(top))
+            assert got == wide.truncate(caps(top)), (n, top)
+            assert got.caps == caps(top)
+
+
 def test_sw_star_small():
     x, y = variable("x", caps_=C), variable("y", caps_=C)
     q = q_power(1, caps_=C)
