@@ -12,10 +12,10 @@ Each right-hand formula is written once, as a builder over one-letter
 parameter names; registry entries that are specialisations of a formula
 (a -> az, b -> bz, ...) call the same builder with other names.
 
-Laurent-weighted sums (Garrett forms, and the finite Gaussian sums of the
-D_q closed forms, whose window qfunctions._qbinom_sum derives from their
-weights) are assembled at a widened q-window and truncated back to the
-requested caps, so every reported result is exact modulo its stated ideal.
+Every working window is derived: an operator image widens only the
+differentiated variable, by the operator's order; Laurent-weighted sums
+(Garrett forms, and the finite Gaussian sums whose window _qbinom_sum derives
+from their weights) widen q; a bound value enters S*_n and r_n as a base.
 """
 
 from __future__ import annotations
@@ -30,20 +30,17 @@ from typing import Callable, Optional
 
 from .series import (
     DEFAULT_TABLE, Monomial, Series, TruncationSpec, VarTable, caps, constant,
-    monomial_series, one, q_power, variable,
+    make_series, mono, monomial_series, one, q_power, variable,
 )
 from .qfunctions import (
     INFINITY, _poch_ratios, _qbinom_sum, _qexp_sum, eq_big, eq_small,
     garrett_a, garrett_b, phi, poch, poch_inf_inv, qfact_inv, rq, rq_at_power,
 )
 from .operators import OperatorContext, dq_pow, leibniz_rhs, rr_op
-from .polynomials import (
-    _gauss_form, rogers_szego, sw_classic, sw_star, sw_star_op,
-)
+from .polynomials import _gauss_form, sw_classic, sw_star, sw_star_op
 from .verify import BindingViolation, _stable_seed
 
 TABLE = DEFAULT_TABLE
-ZV = TABLE.zero_vexps
 
 # Repeated draws in a row after which the random bindings of an identity are
 # taken to be exhausted.  One free rational has 14 values, each drawn with
@@ -80,24 +77,24 @@ class Env:
     def one(self):
         return one(self.table, self.caps)
 
-    def const(self, c):
-        return constant(c, self.table, self.caps)
-
     def qpow(self, e):
         return q_power(e, self.table, self.caps)
 
     def var(self, name):
         return variable(name, self.table, self.caps)
 
-    def sym(self, name):
-        """Variable, or its bound value when the case binds it."""
+    def base(self, name):
+        """One-term value (c, Monomial) of name: the variable, or its bound
+        value c*q^d."""
         bv = self.bindings.get(name)
         if bv is None:
-            return self.var(name)
-        if isinstance(bv, tuple):
-            c, d = bv
-            return monomial_series(c, d, {}, self.table, self.caps)
-        return self.const(bv)
+            return 1, mono(0, {name: 1}, self.table)
+        c, d = bv if isinstance(bv, tuple) else (bv, 0)
+        return c, Monomial(d, self.table.zero_vexps)
+
+    def sym(self, name):
+        """Variable, or its bound value when the case binds it."""
+        return make_series([self.base(name)], self.caps, self.table)
 
     def syms(self, names: str):
         """Product of the one-letter symbols in names, e.g. "az" -> a*z."""
@@ -122,16 +119,6 @@ class Env:
             vc[self.table.slot(name)] += d
         return replace(self, caps=TruncationSpec(self.caps.qmax + dq, tuple(vc)))
 
-    def bind_values(self, s: Series) -> Series:
-        """Substitute every bound parameter that still appears formally."""
-        for name, bv in self.bindings.items():
-            if isinstance(bv, tuple):
-                c, d = bv
-                s = s.substitute(name, c, Monomial(d, ZV))
-            else:
-                s = s.substitute(name, bv, Monomial(0, ZV))
-        return s
-
     def vcap(self, name) -> int:
         return self.caps.vcaps[self.table.slot(name)]
 
@@ -144,10 +131,7 @@ class Env:
         }
 
     def bindings_dict(self) -> dict:
-        out = {}
-        for k, v in self.ints.items():
-            if isinstance(v, int):
-                out[k] = v
+        out = {k: v for k, v in self.ints.items() if isinstance(v, int)}
         for name, bv in sorted(self.bindings.items()):
             if isinstance(bv, tuple):
                 c, d = bv
@@ -234,35 +218,29 @@ def _gf_lhs(coeff, z, nmax=lambda e: e.order):
     return build
 
 
-def _bound(e: Env, poly, n: int) -> Series:
-    """poly(n, caps, table) with the case's bound values substituted; built
-    with n of headroom in each bound variable so its powers survive the cap
-    until they become constants."""
-    w = e.inflated(**dict.fromkeys(e.bindings, n))
-    return e.bind_values(poly(n, w.caps, w.table))
-
-
-def _dq_image(operand, widen="xa"):
-    """Left side D_q^n{operand(w)} in x, n = ints["n"], with n of headroom in
-    each variable of widen (D_q^n lowers the x-degree by n)."""
+def _dq_image(operand):
+    """Left side D_q^n{operand(w)} in x, n = ints["n"]: D_q^n lowers the
+    x-degree by n, so w is e with n more x and nothing else widened (D_q
+    maps the cap ideal of every other variable into itself); the image is
+    truncated to e.caps."""
     def build(e):
         n = e.ints["n"]
-        w = e.inflated(**dict.fromkeys(widen, n))
-        return dq_pow(operand(w), "x", n).truncate(e.caps)
+        return dq_pow(operand(e.inflated(x=n)), "x", n).truncate(e.caps)
     return build
 
 
-def _rr_image(operand, widen, x="x"):
+def _rr_image(operand, x="x"):
     """Left side R(yD_q){operand(w)} in x, with y replaced by its value when
-    the case binds it: the operand gets headroom in each variable of widen
-    for the operator's certified order, isqrt(qmax) for a bound y and
-    min(y-cap, isqrt(qmax)) for a formal one; the image is truncated to
-    e.caps."""
+    the case binds it.  w is e with headroom in x alone, by the operator's
+    certified order: isqrt(qmax) for a bound y, min(y-cap, isqrt(qmax))
+    for a formal one.  D_q and the factor y^n (formal or bound) map the cap
+    ideal of every other variable into itself, so no other cap is widened;
+    the image is truncated to e.caps."""
     def build(e):
         nmax = math.isqrt(e.caps.qmax)
         if "y" not in e.bindings:
             nmax = min(e.vcap("y"), nmax)
-        w = e.inflated(**dict.fromkeys(widen, nmax))
+        w = e.inflated(**{x: nmax})
         out = rr_op(operand(w), OperatorContext(x, "y"), w.caps, w.sym("y"))
         return out.truncate(e.caps)
     return build
@@ -277,14 +255,15 @@ def _poch_sum(e: Env, u: Series, weight, kernel, up=(), down=()) -> Series:
                      factors=(r * kernel(k) for k, r in enumerate(ratios)))
 
 
-def _garrett_form(e: Env, k: int, s: int, first, second) -> Series:
-    """q^(-s) * (a_k(q) first(w) - b_k(q) second(w)) at e.caps.
+def _garrett_form(e: Env, k: int, first, second) -> Series:
+    """q^(-s) * (a_k(q) first(w) - b_k(q) second(w)) at e.caps, s = C(k, 2).
 
     first and second build pure q-series at w, a copy of e whose q-window
     is widened by s so the ordinary combination is exact at e.caps.  The
     per-term negative powers cancel only in this combination, never in the
     a- and b-sums separately.
     """
+    s = k * (k - 1) // 2
     w = e.inflated(dq=s)
     body = garrett_a(k, w.caps, w.table) * first(w) \
         - garrett_b(k, w.caps, w.table) * second(w)
@@ -294,8 +273,7 @@ def _garrett_form(e: Env, k: int, s: int, first, second) -> Series:
 def _garrett_rq(e: Env, k: int) -> Series:
     """Garrett's expansion of sum q^(n^2+kn)/(q;q)_n with its printed sign:
     q^(-C(k,2)) (a_k(q) R_q(1) - b_k(q) R_q(q))."""
-    return _garrett_form(e, k, k * (k - 1) // 2,
-                         lambda w: rq(1, w.caps, w.table),
+    return _garrett_form(e, k, lambda w: rq(1, w.caps, w.table),
                          lambda w: rq(w.qpow(1)))
 
 
@@ -311,8 +289,7 @@ def _garrett_kernel(e: Env, m: int, v: Series) -> Series:
     makes the measured sign convention immaterial.  The value depends on
     m and e.caps only, so a side builds it once per m (Env.reuse)."""
     return e.reuse(("garrett", m, e.caps), lambda: _garrett_form(
-        e, m, m * (m - 1) // 2,
-        lambda w: w.pochinf_inv([w.qpow(1), w.qpow(4)], base=5),
+        e, m, lambda w: w.pochinf_inv([w.qpow(1), w.qpow(4)], base=5),
         lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5)))
 
 
@@ -323,15 +300,12 @@ def _nonzero_frac(rng) -> Fraction:
 
 
 def _range_sweep(name, hi):
-    def gen(cfg, rng):
-        return [{name: n} for n in range(hi + 1)]
-    return gen
+    return lambda cfg, rng: [{name: n} for n in range(hi + 1)]
 
 
 def _pair_sweep(hi):
-    def gen(cfg, rng):
-        return [{"n": n, "k": k} for n in range(hi + 1) for k in range(hi + 1)]
-    return gen
+    return lambda cfg, rng: [{"n": n, "k": k} for n in range(hi + 1)
+                             for k in range(hi + 1)]
 
 
 def _require(bindings, *names):
@@ -523,7 +497,7 @@ _ident(
     description="Leibniz rule for the q-derivative on randomized pairs",
     build_lhs=_leibniz_lhs,
     build_rhs=_dq_image(lambda w: _spec_poly(w, "fspec")
-                        * _spec_poly(w, "gspec"), widen="x"),
+                        * _spec_poly(w, "gspec")),
     sweep=_leibniz_sweep,
 )
 
@@ -541,7 +515,7 @@ _ident(
     id="I-DQ-4",
     description="closed form for D_q^n x^k",
     build_lhs=_dq_image(lambda w: monomial_series(
-        1, 0, {"x": w.ints["k"]}, w.table, w.caps), widen="x"),
+        1, 0, {"x": w.ints["k"]}, w.table, w.caps)),
     build_rhs=_dq4_rhs,
     sweep=lambda cfg, rng: [{"n": n, "k": k}
                             for k in range(9) for n in range(k + 1)],
@@ -607,7 +581,7 @@ _ident(
     id="I-DQ-7",
     description="D_q^n of (ax,bx;q)inf",
     build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])
-                        * w.pochinf([w.syms("bx")]), widen="xab"),
+                        * w.pochinf([w.syms("bx")])),
     build_rhs=_dq7_rhs,
     sweep=_range_sweep("n", 4),
 )
@@ -623,7 +597,7 @@ _ident(
     id="I-DQ-8",
     description="D_q^n of (ax;q)inf/(bx;q)inf",
     build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])
-                        / w.pochinf([w.syms("bx")]), widen="xab"),
+                        / w.pochinf([w.syms("bx")])),
     build_rhs=_dq8_rhs,
     sweep=_range_sweep("n", 4),
 )
@@ -637,8 +611,7 @@ def _dq9_rhs(e):
 _ident(
     id="I-DQ-9",
     description="D_q^n of 1/(ax,bx;q)inf",
-    build_lhs=_dq_image(lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]),
-                        widen="xab"),
+    build_lhs=_dq_image(lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")])),
     build_rhs=_dq9_rhs,
     sweep=_range_sweep("n", 4),
 )
@@ -768,14 +741,22 @@ def _rq_sum_rhs(a_, b_, kernel=_rq_kernel):
     return build
 
 
+def _case_sw_star(e, n):
+    """S*_n(x, y) at the case's values of x and y."""
+    return _gauss_form(n, e.caps, e.table, e.base("x"), e.base("y"),
+                       lambda k: k * k)
+
+
 def _sriaga_coeff(e, n):
-    """S*_n(x, y) (a;q)_n / (q;q)_n, with bound y substituted."""
-    return _bound(e, sw_star, n) * e.pochn([e.var("a")], n) * e.qfact_inv(n)
+    """S*_n(x, y) (a;q)_n / (q;q)_n, at the case's value of y."""
+    return _case_sw_star(e, n) * e.pochn([e.var("a")], n) * e.qfact_inv(n)
 
 
 def _rsgf_coeff(e, n):
-    """S*_n(x, y) r_n(a, b) / (q;q)_n, with bound y and b substituted."""
-    return _bound(e, sw_star, n) * _bound(e, rogers_szego, n) * e.qfact_inv(n)
+    """S*_n(x, y) r_n(a, b) / (q;q)_n, at the case's values of y and b."""
+    return _case_sw_star(e, n) * _gauss_form(n, e.caps, e.table, e.base("a"),
+                                     e.base("b"), lambda k: 0) \
+        * e.qfact_inv(n)
 
 
 def _bound_z_order(e):
@@ -786,9 +767,9 @@ def _bound_z_order(e):
 
 # R(yD_q) images shared by an R_q-weighted form and its Garrett form
 _ratio_image = _rr_image(
-    lambda w: w.pochinf([w.syms("ax")]) / w.pochinf([w.syms("bx")]), "xa")
+    lambda w: w.pochinf([w.syms("ax")]) / w.pochinf([w.syms("bx")]))
 _two_inv_image = _rr_image(
-    lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]), "xab")
+    lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]))
 # case generation of the by = 1 Garrett forms and of the Rogers formulas
 _BY1 = dict(free=("y",), complete=_inverse_binding("b", "y"),
             rand=lambda rng: {"y": _nonzero_frac(rng)}, uses_garrett=True)
@@ -806,7 +787,7 @@ _ident(
 _ident(
     id="T4-INVPOCH",
     description="R(yD_q){1/(ax;q)inf} = R_q(ay)/(ax;q)inf",
-    build_lhs=_rr_image(lambda w: w.pochinf_inv([w.syms("ax")]), "xa"),
+    build_lhs=_rr_image(lambda w: w.pochinf_inv([w.syms("ax")])),
     build_rhs=_invpoch_rhs("a"),
 )
 
@@ -822,7 +803,7 @@ _ident(
 _ident(
     id="T4-POCH",
     description="R(yD_q){(ax;q)inf} = (ax;q)inf 0phi2(-; ax,0; q, qay)",
-    build_lhs=_rr_image(lambda w: w.pochinf([w.syms("ax")]), "xa"),
+    build_lhs=_rr_image(lambda w: w.pochinf([w.syms("ax")])),
     build_rhs=_poch_rhs("a"),
 )
 
@@ -839,7 +820,7 @@ _ident(
     id="T4-RATIO",
     description="R(yD_q){(az;q)inf/(z;q)inf} via 1phi2",
     build_lhs=_rr_image(lambda w: w.pochinf([w.syms("az")])
-                        / w.pochinf([w.var("z")]), "za", x="z"),
+                        / w.pochinf([w.var("z")]), x="z"),
     build_rhs=_ratio_rhs("z", "y"),
 )
 
@@ -991,7 +972,7 @@ def _altmehler_coeff(e, n):
     """(-1)^n q^C(n,2) S*_n(x, y) S*_n(a, q^(-n) b) / (q;q)_n.  The second
     family is sum_k [n k]_q q^(k(k-n)) a^(n-k) b^k; with q^C(n,2) in its
     weight every power of q is non-negative, so nothing is widened."""
-    swl = _gauss_form(n, e.caps, e.table, "a", "b",
+    swl = _gauss_form(n, e.caps, e.table, e.base("a"), e.base("b"),
                       lambda k: n * (n - 1) // 2 + k * (k - n))
     return (-1) ** n * sw_star(n, e.caps, e.table, "x", "y") * swl \
         * e.qfact_inv(n)
@@ -1011,7 +992,7 @@ _ident(
     id="T5-OPPROD",
     description="R(yD_q){(ax,bx;q)inf} as a 0phi2-weighted sum",
     build_lhs=_rr_image(lambda w: w.pochinf([w.syms("ax")])
-                        * w.pochinf([w.syms("bx")]), "xab"),
+                        * w.pochinf([w.syms("bx")])),
     build_rhs=_opprod_rhs("a", "b"),
     qmax=20, deg=6, order=6,
 )
@@ -1054,8 +1035,8 @@ _ident(
     description="alternating Rogers-type double generating function via "
                 "1phi2",
     build_lhs=_rogers_lhs(alternating=True),
-    build_rhs=_ratio_rhs(
-        "sx", "sy", a=lambda e: e.const(e.bindings["t"] / e.bindings["s"])),
+    build_rhs=_ratio_rhs("sx", "sy", a=lambda e: constant(
+        e.bindings["t"] / e.bindings["s"], e.table, e.caps)),
     window=("x", "y"), qmax=20, deg=6, order=6,
     **_TS,
 )

@@ -11,16 +11,20 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .series import DEFAULT_TABLE, Monomial, Series, TruncationSpec, VarTable, \
-    make_series, monomial_series, q_power
+    make_series, mono, monomial_series, q_power
 from .qfunctions import phi, qbinom_coeffs, qfact_inv
 from .operators import OperatorContext, rr_op
 
 MAX_ORDER = 64
 
 
+class OrderOutOfRange(ValueError):
+    """A polynomial order outside 0..MAX_ORDER was requested."""
+
+
 def _check_order(n: int):
     if not 0 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_ORDER}")
+        raise OrderOutOfRange(f"order must be in 0..{MAX_ORDER}")
 
 
 def sw_classic(n: int, caps: TruncationSpec,
@@ -39,20 +43,22 @@ def sw_classic(n: int, caps: TruncationSpec,
         * qfact_inv(n, caps, table)
 
 
-def _gauss_form(n: int, caps: TruncationSpec, table: VarTable, u: str,
-                v: str, weight) -> Series:
-    """sum_k [n k]_q q^weight(k) u^(n-k) v^k, homogeneous of degree n."""
+def _gauss_form(n: int, caps: TruncationSpec, table: VarTable, u, v,
+                weight) -> Series:
+    """sum_k [n k]_q q^weight(k) u^(n-k) v^k at caps, for one-term bases
+    u, v = (c, Monomial): (1, x) for a variable x, (c, q^d) for a bound
+    value.  Builds only the k the caps admit, each only up to the top."""
     _check_order(n)
-    ui, vi = table.slot(u), table.slot(v)
+    (cu, mu), (cv, mv) = u, v
     entries = []
     for k in range(n + 1):
-        ve = [0] * table.nvars
-        ve[ui] += n - k
-        ve[vi] += k
-        ve = tuple(ve)
-        w = weight(k)
-        entries.extend((c, Monomial(w + d, ve))
-                       for d, c in enumerate(qbinom_coeffs(n, k)) if c)
+        ve = tuple((n - k) * a + k * b for a, b in zip(mu.vexps, mv.vexps))
+        low = weight(k) + (n - k) * mu.qexp + k * mv.qexp
+        if low > caps.qmax or not caps.admits(ve):
+            continue
+        c = cu ** (n - k) * cv ** k
+        entries.extend((c * b, Monomial(low + d, ve)) for d, b in
+                       enumerate(qbinom_coeffs(n, k)[:caps.qmax - low + 1]))
     return make_series(entries, caps, table)
 
 
@@ -60,7 +66,8 @@ def sw_star(n: int, caps: TruncationSpec, table: VarTable = DEFAULT_TABLE,
             x: str = "x", y: str = "y") -> Series:
     """Bivariate Stieltjes-Wigert polynomial
     sum_k [n k]_q q^(k^2) x^(n-k) y^k (homogeneous of degree n)."""
-    return _gauss_form(n, caps, table, x, y, lambda k: k * k)
+    return _gauss_form(n, caps, table, (1, mono(0, {x: 1}, table)),
+                       (1, mono(0, {y: 1}, table)), lambda k: k * k)
 
 
 def sw_star_op(n: int, caps: TruncationSpec, table: VarTable = DEFAULT_TABLE,
@@ -84,4 +91,5 @@ def rogers_szego(n: int, caps: TruncationSpec,
                  table: VarTable = DEFAULT_TABLE,
                  a: str = "a", b: str = "b") -> Series:
     """Generalized Rogers-Szego polynomial sum_k [n k]_q a^(n-k) b^k."""
-    return _gauss_form(n, caps, table, a, b, lambda k: 0)
+    return _gauss_form(n, caps, table, (1, mono(0, {a: 1}, table)),
+                       (1, mono(0, {b: 1}, table)), lambda k: 0)

@@ -439,8 +439,9 @@ class Series:
     def substitute(self, var: str, r: Scalar, m: Monomial) -> "Series":
         """Replace every occurrence of var**e by r**e * m**e, then reduce.
 
-        The replacement monomial may carry a negative q-exponent; the
-        result's floor and window top move down by as much as the lowest key.
+        The replacement monomial may carry a negative q-exponent p: an
+        unknown q^a var^e (a above the top, e <= var's cap) lands at a + e*p,
+        so the top moves down by cap*|p| and the floor by the lowest key.
         """
         i = self.table.slot(var)
         r = _as_coeff(r)
@@ -465,7 +466,8 @@ class Series:
         # negative replacement exponents lower the keys, the floor and the top
         low = min(0, min((qr for qr, _ in raw), default=0))
         raw = {(qr - low, ve): c for (qr, ve), c in raw.items()}
-        cps = TruncationSpec(self.caps.qmax + low, self.caps.vcaps)
+        top = self.caps.qmax + min(0, m.qexp) * self.caps.vcaps[i]
+        cps = TruncationSpec(top, self.caps.vcaps)
         return Series._build(self.table, cps, self.qfloor + low, raw)
 
     # -- comparison ----------------------------------------------------------

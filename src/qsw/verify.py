@@ -14,6 +14,7 @@ from typing import Optional
 from .series import (
     DEFAULT_TABLE, Monomial, Series, VariableNotFound, equals_mod_caps,
 )
+from .polynomials import OrderOutOfRange
 
 
 class UnknownIdentity(KeyError):
@@ -26,7 +27,8 @@ class BindingViolation(ValueError):
 
 class InvalidRequest(ValueError):
     """Verification settings that leave nothing valid to check: a negative
-    cap or sum order, an unknown variable, or no cases at all."""
+    cap or sum order, an unknown variable, a polynomial order above
+    polynomials.MAX_ORDER, or no cases at all."""
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,11 @@ def verify(ident: str, cfg: VerifyConfig = VerifyConfig()) -> Report:
     lhs_memo: dict = {}
     rhs_memo: dict = {}
     for env in envs:
-        lhs = spec.build_lhs(replace(env, memo=lhs_memo))
-        rhs = spec.build_rhs(replace(env, memo=rhs_memo))
+        try:
+            lhs = spec.build_lhs(replace(env, memo=lhs_memo))
+            rhs = spec.build_rhs(replace(env, memo=rhs_memo))
+        except OrderOutOfRange as exc:  # a setting, not a failed identity
+            raise InvalidRequest(f"{spec.id}: {exc}") from None
         if spec.window is not None:
             slots = tuple(env.table.slot(v) for v in spec.window)
             lhs = _restrict(lhs, slots, env.order)

@@ -137,6 +137,8 @@ def test_usage_error_exits_2(capsys):
     ["eval", "garrett-b", "--n", "1500", "--qmax", "5"],
     ["eval", "sw", "--n", "2", "--qmax", "-1"],
     ["garrett-convention", "--qmax", "-1"],
+    ["verify", "T4-GF", "--sum-order", "70"],
+    ["verify", "T4-SRIAGA-YZ1", "--cap", "x=70", "--trials", "1"],
 ])
 def test_usage_error_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2

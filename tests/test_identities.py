@@ -11,7 +11,7 @@ import qsw.identities as identities
 import qsw.qfunctions as qfunctions
 from qsw.identities import BY_ID, Env, IdentitySpec, garrett_candidates
 from qsw.qfunctions import rq_at_power
-from qsw.series import caps, equals_mod_caps, mono, q_power
+from qsw.series import TruncationSpec, caps, equals_mod_caps, mono, q_power
 from qsw.verify import (
     BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, _restrict,
     registry, reports_json, resolve_garrett_convention, selected_convention,
@@ -146,6 +146,44 @@ def test_garrett_forms_pass_below_the_operator_order(ident, ycap):
 def test_dq_images_have_x_headroom(ident, xcap):
     # D_q^n lowers the x-degree by n, so its operand needs n more x
     assert verify(ident, VerifyConfig(var_caps={"x": xcap})).ok
+
+
+def _operand_caps(image, env):
+    """The caps each operand of an image combinator is built at."""
+    seen = []
+
+    def operand(w):
+        seen.append(w.caps)
+        return w.one()
+    image(operand)(env)
+    return seen
+
+
+def _widened(c, **more):
+    vc = list(c.vcaps)
+    for name, d in more.items():
+        vc[identities.TABLE.slot(name)] += d
+    return TruncationSpec(c.qmax, tuple(vc))
+
+
+@pytest.mark.parametrize("x", ["x", "z"])
+@pytest.mark.parametrize("bindings, order", [({}, 2),
+                                             ({"y": Fraction(1, 2)}, 3)])
+def test_rr_image_widens_only_the_differentiated_variable(x, bindings,
+                                                          order):
+    # the order is min(y-cap, isqrt(qmax)) for a formal y, isqrt(qmax) for
+    # a bound one; D_q and y^n leave the cap ideal of every other variable
+    c = caps(9, y=2, a=3, b=1)
+    env = Env(c, 0, bindings, None)
+    image = lambda op: identities._rr_image(op, x=x)  # noqa: E731
+    assert _operand_caps(image, env) == [_widened(c, **{x: order})]
+
+
+@pytest.mark.parametrize("n", [0, 2, 5])
+def test_dq_image_widens_only_x(n):
+    c = caps(9, a=3, b=1)
+    env = Env(c, 0, {}, None, {"n": n})
+    assert _operand_caps(identities._dq_image, env) == [_widened(c, x=n)]
 
 
 def test_garrett_kernel_built_once_per_side_and_call(monkeypatch):

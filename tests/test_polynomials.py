@@ -2,9 +2,15 @@
 
 from fractions import Fraction
 
-from qsw.series import caps, equals_mod_caps, mono, one, q_power, variable
+from hypothesis import given, settings, strategies as st
+
+from qsw.series import (
+    DEFAULT_TABLE, caps, equals_mod_caps, mono, one, q_power, variable,
+)
 from qsw.qfunctions import poch_inf_inv, qfact_inv
-from qsw.polynomials import rogers_szego, sw_classic, sw_star, sw_star_op
+from qsw.polynomials import (
+    _gauss_form, rogers_szego, sw_classic, sw_star, sw_star_op,
+)
 
 C = caps(20)
 
@@ -67,6 +73,56 @@ def test_sw_star_specializations():
         atx0 = f.substitute("x", 0, mono(0))
         assert atx0 == q_power(n * n, caps_=caps(40)) \
             * variable("y", caps_=caps(40)) ** n
+
+
+def test_sw_star_cut_to_the_caps():
+    # only the rows x^(n-k) y^k the caps admit, and of each only the powers
+    # of q up to the top, are built: the result is the wide one truncated
+    wc = caps(100, default=10)
+    for n in range(11):
+        wide = sw_star(n, wc)
+        for top in range(7):
+            for cx in range(4):
+                for cy in range(4):
+                    c = caps(top, x=cx, y=cy)
+                    got = sw_star(n, c)
+                    assert got.json_text() == wide.truncate(c).json_text(), \
+                        (n, top, cx, cy)
+
+
+_bound_value = st.one_of(st.none(), st.tuples(
+    st.sampled_from([Fraction(-3), Fraction(-1, 2), Fraction(2, 3),
+                     Fraction(1), Fraction(5, 2)]),
+    st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(sw_star, "x", "y", lambda k: k * k),
+                        (rogers_szego, "a", "b", lambda k: 0)]),
+       st.integers(0, 8), _bound_value, _bound_value, st.integers(0, 12),
+       st.integers(0, 4), st.integers(0, 4))
+def test_gauss_form_bound_bases_match_substitution(family, n, ub, vb, top,
+                                                   cu, cv):
+    # a bound value c*q^d enters as the one-term base (c, q^d); the oracle
+    # builds the formal polynomial with n more of each bound variable,
+    # substitutes the values and truncates back to the caps
+    poly, u, v, weight = family
+    cap = {u: cu, v: cv}
+    c = caps(top, **cap)
+    bound = {name: b for name, b in ((u, ub), (v, vb)) if b is not None}
+    want = poly(n, caps(top, **{name: cap[name] + n * (name in bound)
+                                for name in cap}))
+    for name, (cb, d) in bound.items():
+        want = want.substitute(name, cb, mono(d))
+    want = want.truncate(c)
+
+    def base(name):
+        if name in bound:
+            cb, d = bound[name]
+            return cb, mono(d)
+        return 1, mono(0, {name: 1})
+    got = _gauss_form(n, c, DEFAULT_TABLE, base(u), base(v), weight)
+    assert got.json_text() == want.json_text()
 
 
 def test_sw_star_custom_variables():

@@ -184,8 +184,10 @@ def test_substitute_scale_by_q():
 
 
 def test_substitute_negative_power():
-    x, y = var("x"), var("y")
-    s = (x + qp(1) * y).substitute("y", 1, mono(-1, {"y": 1}))
+    # y -> q^-1 y lowers the top by the y-cap: at y-cap 2, q^3 is known
+    c = caps(5, y=2)
+    x, y = var("x", c), var("y", c)
+    s = (x + qp(1, c) * y).substitute("y", 1, mono(-1, {"y": 1}))
     assert s == x + y
 
 
@@ -196,7 +198,7 @@ def test_substitute_rational_binding():
 
 
 def test_substitute_laurent_result():
-    y = var("y")
+    y = var("y", caps(5, y=2))
     s = (y ** 2).substitute("y", 1, mono(-1, {"y": 1}))
     assert s.qfloor == -2
     assert s.coeff(mono(-2, {"y": 2})) == 1
@@ -460,6 +462,11 @@ def _window_op(op, fe, ge, fq, gq, widen):
         return f * g, ff + gf + min(ft - ff, gt - gf)
     if op == "truncate":
         return f.truncate(caps(gq + widen)), min(ft, gq + widen)
+    if op == "substitute":
+        # x -> q^-p x: an unknown q^a x^e lands at a - e p, e <= the x-cap
+        p = gq % 4
+        return (f.substitute("x", 1, mono(-p, {"x": 1})),
+                ft - p * f.caps.vcaps[f.table.slot("x")])
     if op == "reciprocal":
         # a unit: a constant term at its floor, at or below every entry
         low = min([qe for c, qe, _ in fe if c] + [0])
@@ -477,15 +484,18 @@ def _window_op(op, fe, ge, fq, gq, widen):
 @example("add", [(1, -3, 0)], [(1, -1, 0)], 12, 8)
 @example("phi", [(1, 0, 1)], [], 12, 4)
 @example("mul", [(1, 6, 0)], [(1, -1, 0)], 5, 5)
-@given(st.sampled_from(["add", "mul", "truncate", "reciprocal", "phi"]),
+@example("substitute", [(1, 0, 1), (1, 6, 3)], [], 5, 3)
+@given(st.sampled_from(["add", "mul", "truncate", "reciprocal", "phi",
+                        "substitute"]),
        _window_entries, _window_entries, st.integers(0, 12),
        st.integers(0, 12))
 def test_window_is_sound(op, fe, ge, fq, gq):
     # the result at caps C must agree with the result at C widened by
     # WIDEN on the whole window it claims, and claim at least the top
     # derived from its inputs: q^-3 (to q^12) + q^-1 (to q^8) is known to
-    # q^8, (q^-4 x; q)_4 at caps(12) to q^12, and 0 (q^6 at caps(5)) times
-    # q^-1 only to q^4, since the true product is q^5
+    # q^8, (q^-4 x; q)_4 at caps(12) to q^12, 0 (q^6 at caps(5)) times
+    # q^-1 only to q^4, since the true product is q^5, and x + q^6 x^3 at
+    # caps(5) under x -> q^-3 x not to q^2, since q^-3 x^3 is in the window
     r, derived = _window_op(op, fe, ge, fq, gq, 0)
     wide, _ = _window_op(op, fe, ge, fq, gq, WIDEN)
     assert _floor_top(r)[1] >= derived
