@@ -16,6 +16,16 @@ integers: each operand's coefficients are scaled to integer numerators over
 that operand's common denominator (the lcm of its coefficient denominators),
 and each output coefficient is reduced once, by one division by the product
 of the two denominators.
+
+Small operands take short paths with the same results.  A product with a
+one-term operand shifts each key of the other operand, multiplies each
+coefficient once and checks the variable caps once per variable part.
+The caps filter of a normalising pass runs once per variable part, not
+once per term.  Two series with the same floor and caps are compared by
+equality of their term dicts, since every stored term is nonzero and
+inside the shared window; otherwise each side's terms inside the meet of
+the windows are compared, and the least differing monomial is sought only
+after a mismatch.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, gt
 from typing import Iterable, NamedTuple, Optional, Union
 
 
@@ -103,6 +114,8 @@ class TruncationSpec:
             raise ValueError("variable caps must be non-negative")
 
     def meet(self, other: "TruncationSpec") -> "TruncationSpec":
+        if self == other:
+            return self
         if len(self.vcaps) != len(other.vcaps):
             raise VarTableMismatch("caps over different variable tables")
         return TruncationSpec(
@@ -130,11 +143,21 @@ def caps(qmax: int, table: VarTable = DEFAULT_TABLE, default: int = 8,
 
 
 def _as_coeff(c: Scalar):
-    # plain ints are kept unwrapped: integer arithmetic is far cheaper than
-    # Fraction and both expose numerator/denominator for rendering
+    # integer values are stored as plain ints: integer arithmetic is far
+    # cheaper than Fraction and both expose numerator/denominator
     if isinstance(c, (int, Fraction)):
-        return c
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficients must be int or Fraction, got {type(c)!r}")
+
+
+def _integral(terms: dict) -> dict:
+    """Store each Fraction of denominator 1 in terms as a plain int, in
+    place; returns terms."""
+    if Fraction in set(map(type, terms.values())):
+        for k, c in terms.items():
+            if c.__class__ is Fraction and c.denominator == 1:
+                terms[k] = c.numerator
+    return terms
 
 
 def _invert_scalar(c):
@@ -174,10 +197,15 @@ class Series:
             qfloor = 0
         top = caps_.qmax - qfloor
         admits = caps_.admits
+        rows: dict = {}  # vexps -> within the variable caps
         terms = {}
         for (qr, ve), c in raw.items():
-            if c and 0 <= qr <= top and admits(ve):
-                terms[(qr, ve)] = c
+            if c and 0 <= qr <= top:
+                ok = rows.get(ve)
+                if ok is None:
+                    ok = rows[ve] = admits(ve)
+                if ok:
+                    terms[(qr, ve)] = c
         return Series._lift_floor(table, caps_, qfloor, terms)
 
     @staticmethod
@@ -254,8 +282,8 @@ class Series:
             for (qr, ve), c in src.terms.items():
                 k = (qr + shift, ve)
                 raw[k] = raw.get(k, 0) + c
-        return Series._lift_floor(self.table, mcaps, floor,
-                                  {k: c for k, c in raw.items() if c})
+        raw = _integral({k: c for k, c in raw.items() if c})
+        return Series._lift_floor(self.table, mcaps, floor, raw)
 
     __radd__ = __add__
 
@@ -302,7 +330,13 @@ class Series:
         floor = self.qfloor + g.qfloor
         # the product is known through the narrower window above its floor
         qmax = min(self.caps.qmax - self.qfloor, g.caps.qmax - g.qfloor)
-        mcaps = TruncationSpec(floor + qmax, self.caps.meet(g.caps).vcaps)
+        mcaps = self.caps.meet(g.caps)
+        if mcaps.qmax != floor + qmax:
+            mcaps = TruncationSpec(floor + qmax, mcaps.vcaps)
+        if len(g.terms) == 1:
+            return self._times_term(g, floor, qmax, mcaps)
+        if len(self.terms) == 1:
+            return g._times_term(self, floor, qmax, mcaps)
         vcaps = mcaps.vcaps
         # convolve integer numerators per pair of variable parts with a
         # dense q-inner loop; divide by the denominators once per output
@@ -346,6 +380,39 @@ class Series:
         return Series._lift_floor(self.table, mcaps, floor, terms)
 
     __rmul__ = __mul__
+
+    def _times_term(self, t: "Series", floor: int, qmax: int,
+                    mcaps: TruncationSpec) -> "Series":
+        """self times the one-term series t, as __mul__ has set it up.
+
+        Shifts each key by t's, multiplies each coefficient once and drops
+        what leaves the relative window qmax or a variable cap of mcaps.
+        """
+        ((qt, vt), c), = t.terms.items()
+        sign = 1 if c == 1 else -1 if c == -1 else 0
+        lim = qmax - qt
+        vcaps = mcaps.vcaps
+        rows: dict = {}  # vexps -> shifted vexps, False outside the caps
+        terms = {}
+        for (qr, ve), cb in self.terms.items():
+            if qr > lim:
+                continue
+            nv = rows.get(ve)
+            if nv is None:
+                nv = tuple(map(add, ve, vt))
+                if any(map(gt, nv, vcaps)):
+                    nv = False
+                rows[ve] = nv
+            if nv is False:
+                continue
+            if sign:
+                n = cb if sign == 1 else -cb
+            else:
+                n = c * cb
+                if n.__class__ is Fraction and n.denominator == 1:
+                    n = n.numerator
+            terms[(qr + qt, nv)] = n
+        return Series._lift_floor(self.table, mcaps, floor, terms)
 
     def __pow__(self, n: int) -> "Series":
         if not isinstance(n, int) or n < 0:
@@ -402,7 +469,7 @@ class Series:
         raw = {(i, v): c for v, hv in h.items() for i, c in enumerate(hv) if c}
         # 1/g is known through the window of g above its floor, -qfloor
         cps = TruncationSpec(width - self.qfloor, cps.vcaps)
-        return Series._build(table, cps, -self.qfloor, raw)
+        return Series._build(table, cps, -self.qfloor, _integral(raw))
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -442,6 +509,8 @@ class Series:
         The replacement monomial may carry a negative q-exponent p: an
         unknown q^a var^e (a above the top, e <= var's cap) lands at a + e*p,
         so the top moves down by cap*|p| and the floor by the lowest key.
+        It may carry another variable v as v^k: an unknown var^e (e above
+        var's cap) lands at v^(e*k), so v's cap drops below (cap + 1)*k.
         """
         i = self.table.slot(var)
         r = _as_coeff(r)
@@ -466,11 +535,24 @@ class Series:
         # negative replacement exponents lower the keys, the floor and the top
         low = min(0, min((qr for qr, _ in raw), default=0))
         raw = {(qr - low, ve): c for (qr, ve), c in raw.items()}
-        top = self.caps.qmax + min(0, m.qexp) * self.caps.vcaps[i]
-        cps = TruncationSpec(top, self.caps.vcaps)
-        return Series._build(self.table, cps, self.qfloor + low, raw)
+        cap = self.caps.vcaps[i]
+        top = self.caps.qmax + min(0, m.qexp) * cap
+        vcaps = tuple(vc if j == i or not k else min(vc, (cap + 1) * k - 1)
+                      for j, (vc, k) in enumerate(zip(self.caps.vcaps,
+                                                      m.vexps)))
+        return Series._build(self.table, TruncationSpec(top, vcaps),
+                             self.qfloor + low, _integral(raw))
 
     # -- comparison ----------------------------------------------------------
+
+    def _absolute(self, within: TruncationSpec) -> dict:
+        """(absolute q-exponent, vexps) -> coeff of the terms inside within."""
+        f = self.qfloor
+        if self.caps == within:
+            return {(qr + f, ve): c for (qr, ve), c in self.terms.items()}
+        top, admits = within.qmax - f, within.admits
+        return {(qr + f, ve): c for (qr, ve), c in self.terms.items()
+                if qr <= top and admits(ve)}
 
     def __eq__(self, other) -> bool:
         """Structural equality of representatives (floor and terms)."""
@@ -570,7 +652,7 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
         k = (m.qexp - floor, m.vexps)
         prev = raw.get(k)
         raw[k] = c if prev is None else prev + c
-    return Series._build(table, caps_, floor, raw)
+    return Series._build(table, caps_, floor, _integral(raw))
 
 
 def zero(table: VarTable = DEFAULT_TABLE,
@@ -639,20 +721,14 @@ def equals_mod_caps(f: Series, g: Series):
     variable exponents) order.
     """
     f._same_table(g)
-    mcaps = f.caps.meet(g.caps)
-    seen = set()
-    for s in (f, g):
-        for qr, ve in s.terms:
-            qa = qr + s.qfloor
-            if qa <= mcaps.qmax and mcaps.admits(ve):
-                seen.add((qa, ve))
-    bad = []
-    for qa, ve in seen:
-        m = Monomial(qa, ve)
-        cf, cg = f.coeff(m), g.coeff(m)
-        if cf != cg:
-            bad.append((qa, ve, cf, cg))
-    if not bad:
+    if f.qfloor == g.qfloor and f.caps == g.caps and f.terms == g.terms:
+        # every stored term is nonzero and inside the shared window
         return True, None
-    qa, ve, cf, cg = min(bad, key=lambda t: (t[0], t[1]))
-    return False, (Monomial(qa, ve), cf, cg)
+    mcaps = f.caps.meet(g.caps)
+    fd, gd = (s._absolute(mcaps) for s in (f, g))
+    if fd == gd:
+        return True, None
+    nil = Fraction(0)
+    m = Monomial(*min(k for k in fd.keys() | gd.keys()
+                      if fd.get(k, nil) != gd.get(k, nil)))
+    return False, (m, fd.get(m, nil), gd.get(m, nil))

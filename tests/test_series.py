@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qsw.operators import dq
 from qsw.qfunctions import phi
 from qsw.series import (
-    DEFAULT_TABLE, DivisionByNonUnit, Series, TruncationSpec, VarTable,
-    VarTableMismatch, VariableNotFound, caps, constant, equals_mod_caps,
-    make_series, mono, one, q_power, variable, zero,
+    DEFAULT_TABLE, DivisionByNonUnit, Monomial, Series, TruncationSpec,
+    VarTable, VarTableMismatch, VariableNotFound, caps, constant,
+    equals_mod_caps, make_series, mono, one, q_power, variable, zero,
 )
 
 Q = Fraction
@@ -202,6 +203,16 @@ def test_substitute_laurent_result():
     s = (y ** 2).substitute("y", 1, mono(-1, {"y": 1}))
     assert s.qfloor == -2
     assert s.coeff(mono(-2, {"y": 2})) == 1
+
+
+def test_substitute_into_another_variable_lowers_its_cap():
+    # 1/(1 - x) at x-cap 2 is known as 1 + x + x^2, so under x -> y the
+    # result knows nothing from y^3 on, whatever the y-cap
+    c = caps(5, x=2, y=8)
+    s = (1 - var("x", c)).reciprocal().substitute("x", 1, mono(0, {"y": 1}))
+    assert s.caps.vcaps[s.table.slot("y")] == 2
+    ok, witness = equals_mod_caps(s, (1 - var("y", c)).reciprocal())
+    assert ok, witness
 
 
 def test_substitute_unknown_variable():
@@ -418,6 +429,22 @@ def _assert_same_product(got, want):
 
 @settings(max_examples=300, deadline=None)
 @example(zero(caps_=C), make_series([(Q(1, 2), mono(-1)), (3, mono(2))], C))
+# one-term operands: a Laurent floor, a key at the window top, a sum of
+# variable exponents above a cap, a Fraction scalar of value -1 or 1, and
+# two Fractions whose product is an integer
+@example(make_series([(Q(1, 2), mono(-2, {"x": 1}))], C),
+         make_series([(3, mono(-1)), (Q(2, 3), mono(4, {"y": 1}))], caps(6)))
+@example(make_series([(3, mono(5))], C),
+         make_series([(1, mono(0)), (Q(2, 3), mono(1))], C))
+@example(make_series([(2, mono(0, {"x": 2}))], caps(5, x=3)),
+         make_series([(1, mono(0, {"x": 1})), (Q(1, 4), mono(1, {"x": 2})),
+                      (Q(1, 2), mono(0, {"y": 1}))], caps(5, x=3)))
+@example(make_series([(Q(-1), mono(0))], C),
+         make_series([(Q(1, 2), mono(1)), (Q(3, 4), mono(2, {"x": 1}))], C))
+@example(make_series([(Q(1), mono(1))], C),
+         make_series([(Q(1, 2), mono(-1)), (3, mono(2))], caps(4)))
+@example(make_series([(Q(2, 3), mono(0))], C),
+         make_series([(Q(3, 2), mono(1)), (Q(1, 2), mono(2))], C))
 @given(laurent_series_st(), laurent_series_st())
 def test_mul_matches_schoolbook_fraction_product(f, g):
     _assert_same_product(f * g, _schoolbook_mul(f, g))
@@ -431,6 +458,93 @@ def test_scalar_mul_matches_schoolbook_fraction_product(f, c):
     _assert_same_product(f * c, want)
 
 
+# -- one stored form per coefficient ---------------------------------------------------
+
+
+def _canonical(s):
+    """Every stored coefficient is a plain int or a non-integral Fraction."""
+    return all(type(c) is int or c.denominator > 1 for c in s.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@example(make_series([(Q(1, 2), mono(1))], C),
+         make_series([(Q(1, 2), mono(1))], C), Q(2, 1))
+@example(make_series([(Q(1, 2), mono(0, {"x": 1})),
+                      (Q(-3, 2), mono(1, {"x": 1})), (Q(3, 2), mono(1))], C),
+         zero(caps_=C), Q(4, 2))
+@example(make_series([(2, mono(0)), (-4, mono(1))], C), zero(caps_=C), 1)
+@given(laurent_series_st(), laurent_series_st(), scalars)
+def test_coefficients_stay_canonical(f, g, c):
+    # q/2 + q/2 as duplicate entries or as h + h for h = q/2,
+    # D_q(x/2 - 3/2 q x) = 1/2 - 2q + 3/2 q^2, x/2 + 3/2 q under x -> q and
+    # 1/(2 - 4q) = 1/2 + q + ... each give an integer coefficient
+    half = (Q(1, 2), mono(1))
+    results = [make_series([(c, mono(0)), half, half], f.caps),
+               f + g, f - g, -f, dq(f, "x"), f.substitute("x", c, mono(1)),
+               f.substitute("x", 1, mono(-1, {"y": 1}))]
+    if f.constant_term():
+        results.append(f.reciprocal())
+    for s in results:
+        assert _canonical(s), s.terms
+
+
+# -- equals_mod_caps against the per-monomial comparison -----------------------------
+
+
+def _equals_by_monomial(f, g):
+    """Reference comparison: every monomial either side stores inside the
+    meet of the two windows, compared one at a time through coeff()."""
+    mcaps = f.caps.meet(g.caps)
+    seen = set()
+    for s in (f, g):
+        for qr, ve in s.terms:
+            qa = qr + s.qfloor
+            if qa <= mcaps.qmax and mcaps.admits(ve):
+                seen.add((qa, ve))
+    bad = []
+    for qa, ve in seen:
+        m = Monomial(qa, ve)
+        cf, cg = f.coeff(m), g.coeff(m)
+        if cf != cg:
+            bad.append((qa, ve, cf, cg))
+    if not bad:
+        return True, None
+    qa, ve, cf, cg = min(bad, key=lambda t: (t[0], t[1]))
+    return False, (Monomial(qa, ve), cf, cg)
+
+
+@st.composite
+def compared_pair_st(draw):
+    """f and a g that is equal to it, perturbed by one term, the same
+    entries at other caps, or drawn on its own."""
+    f = draw(laurent_series_st())
+    kind = draw(st.sampled_from(["equal", "perturbed", "recapped", "other"]))
+    if kind == "other":
+        return f, draw(laurent_series_st())
+    entries = [(c, m) for m, c in f.monomials()]
+    if kind == "perturbed":
+        entries.append((draw(scalars), mono(draw(st.integers(-3, 6)), {
+            "x": draw(st.integers(0, 3)), "y": draw(st.integers(0, 3))})))
+    pcaps = f.caps
+    if kind == "recapped":
+        pcaps = caps(draw(st.integers(0, 6)), default=0,
+                     x=draw(st.integers(0, 3)), y=draw(st.integers(0, 3)))
+    return f, make_series(entries, pcaps)
+
+
+@settings(max_examples=300, deadline=None)
+@example((make_series([(1, mono(0)), (2, mono(1))], C),
+          make_series([(1, mono(0)), (3, mono(1))], C)))
+@example((make_series([(1, mono(-2)), (Q(1, 2), mono(3, {"x": 1}))], C),
+          make_series([(1, mono(-1)), (Q(1, 2), mono(3, {"x": 1}))],
+                      caps(4, x=0))))
+@given(compared_pair_st())
+def test_equals_mod_caps_matches_per_monomial_oracle(pair):
+    f, g = pair
+    assert equals_mod_caps(f, g) == _equals_by_monomial(f, g)
+    assert equals_mod_caps(g, f) == _equals_by_monomial(g, f)
+
+
 # -- the absolute q-window against the same entries at a wider one ------------------
 
 WIDEN = 30
@@ -439,9 +553,9 @@ _window_entries = st.lists(
     st.tuples(scalars, st.integers(-4, 8), st.integers(0, 3)), max_size=4)
 
 
-def _at(entries, qmax):
+def _at(entries, qmax, **var_caps):
     return make_series([(c, mono(qe, {"x": xe})) for c, qe, xe in entries],
-                       caps(qmax))
+                       caps(qmax, **var_caps))
 
 
 def _floor_top(s):
@@ -467,6 +581,12 @@ def _window_op(op, fe, ge, fq, gq, widen):
         p = gq % 4
         return (f.substitute("x", 1, mono(-p, {"x": 1})),
                 ft - p * f.caps.vcaps[f.table.slot("x")])
+    if op == "substitute_y":
+        # x -> q^p y: an unknown x^e, e above the x-cap, lands at y^e
+        p, xcap = fq % 4 - 1, gq % 4 + widen
+        f = _at(fe, fq + widen, x=xcap)
+        return (f.substitute("x", 1, mono(p, {"y": 1})),
+                _floor_top(f)[1] + min(0, p) * xcap)
     if op == "reciprocal":
         # a unit: a constant term at its floor, at or below every entry
         low = min([qe for c, qe, _ in fe if c] + [0])
@@ -485,8 +605,10 @@ def _window_op(op, fe, ge, fq, gq, widen):
 @example("phi", [(1, 0, 1)], [], 12, 4)
 @example("mul", [(1, 6, 0)], [(1, -1, 0)], 5, 5)
 @example("substitute", [(1, 0, 1), (1, 6, 3)], [], 5, 3)
+@example("substitute_y", [(1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3)], [],
+         5, 2)
 @given(st.sampled_from(["add", "mul", "truncate", "reciprocal", "phi",
-                        "substitute"]),
+                        "substitute", "substitute_y"]),
        _window_entries, _window_entries, st.integers(0, 12),
        st.integers(0, 12))
 def test_window_is_sound(op, fe, ge, fq, gq):
@@ -494,8 +616,9 @@ def test_window_is_sound(op, fe, ge, fq, gq):
     # WIDEN on the whole window it claims, and claim at least the top
     # derived from its inputs: q^-3 (to q^12) + q^-1 (to q^8) is known to
     # q^8, (q^-4 x; q)_4 at caps(12) to q^12, 0 (q^6 at caps(5)) times
-    # q^-1 only to q^4, since the true product is q^5, and x + q^6 x^3 at
-    # caps(5) under x -> q^-3 x not to q^2, since q^-3 x^3 is in the window
+    # q^-1 only to q^4, since the true product is q^5, x + q^6 x^3 at
+    # caps(5) under x -> q^-3 x not to q^2, since q^-3 x^3 is in the window,
+    # and 1 + x + x^2 + x^3 at x-cap 2 under x -> y not to y^3
     r, derived = _window_op(op, fe, ge, fq, gq, 0)
     wide, _ = _window_op(op, fe, ge, fq, gq, WIDEN)
     assert _floor_top(r)[1] >= derived
