@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .series import Monomial, Series, TruncationSpec, _integral, variable
+from .series import Monomial, Series, TruncationSpec, variable
 from .qfunctions import _qbinom_sum, _qexp_sum
 
 
@@ -44,7 +44,7 @@ def dq(f: Series, x: str) -> Series:
         key = (qr + k, nv)
         prev = raw.get(key)
         raw[key] = -c if prev is None else prev - c
-    return Series._build(f.table, f.caps, f.qfloor, _integral(raw))
+    return Series._build(f.table, f.caps, f.qfloor, raw, f.den)
 
 
 def dq_pow(f: Series, x: str, n: int) -> Series:

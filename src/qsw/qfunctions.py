@@ -181,7 +181,8 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
 
 def _stripped(s: Series, qmax: int) -> Series:
     """q^(-s.qfloor) s, an exact representative, read as ordinary to qmax."""
-    return Series._build(s.table, replace(s.caps, qmax=qmax), 0, dict(s.terms))
+    return Series._build(s.table, replace(s.caps, qmax=qmax), 0, s.terms,
+                         s.den)
 
 
 def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
@@ -264,7 +265,7 @@ def _as_neg_q_power(s: Series):
     if len(s.terms) != 1:
         return None
     ((qr, ve), c), = s.terms.items()
-    if c != 1 or any(ve):
+    if c != 1 or s.den != 1 or any(ve):
         return None
     qa = qr + s.qfloor
     return -qa if qa <= 0 else None

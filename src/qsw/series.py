@@ -9,17 +9,20 @@ carry negative exponents.  The q-window is absolute: caps.qmax is the top
 exponent through which the series is known, whatever its floor, and may be
 negative.
 
-Coefficients are exact rationals: a plain int for an integer value, else a
-fractions.Fraction in lowest terms with positive denominator, so every
-result is exact modulo its own stated ideal.  Multiplication convolves
-integers: each operand's coefficients are scaled to integer numerators over
-that operand's common denominator (the lcm of its coefficient denominators),
-and each output coefficient is reduced once, by one division by the product
-of the two denominators.
+Coefficients are exact rationals, stored as one integer polynomial over one
+denominator (the form of FLINT's fmpq_poly): nonzero int numerators and a
+den >= 1 with gcd(den, *numerators) == 1, and den == 1 for an integral or
+zero series.  Equal values therefore have equal representations, and every
+kernel operation runs on ints: a sum scales its operands to the lcm of their
+denominators, a product multiplies them, D_q keeps its operand's, and each
+result divides out one gcd, taken only when its den is not 1.  Values leave
+the kernel through coeff, constant_term, monomials and rendering, as an int
+when integral and a Fraction in lowest terms otherwise; every result is
+exact modulo its own stated ideal.
 
 Small operands take short paths with the same results.  A product with a
 one-term operand shifts each key of the other operand, multiplies each
-coefficient once and checks the variable caps once per variable part.
+numerator once and checks the variable caps once per variable part.
 The caps filter of a normalising pass runs once per variable part, not
 once per term.  Two series with the same floor and caps are compared by
 equality of their term dicts, since every stored term is nonzero and
@@ -33,8 +36,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, gt
+from math import gcd, lcm
+from operator import add, gt, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
 
@@ -143,21 +146,29 @@ def caps(qmax: int, table: VarTable = DEFAULT_TABLE, default: int = 8,
 
 
 def _as_coeff(c: Scalar):
-    # integer values are stored as plain ints: integer arithmetic is far
-    # cheaper than Fraction and both expose numerator/denominator
+    # an integral input scalar becomes a plain int, so that the all-int
+    # paths see no Fraction; both expose numerator/denominator
     if isinstance(c, (int, Fraction)):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficients must be int or Fraction, got {type(c)!r}")
 
 
-def _integral(terms: dict) -> dict:
-    """Store each Fraction of denominator 1 in terms as a plain int, in
-    place; returns terms."""
-    if Fraction in set(map(type, terms.values())):
-        for k, c in terms.items():
-            if c.__class__ is Fraction and c.denominator == 1:
-                terms[k] = c.numerator
-    return terms
+def _over_den(raw: dict) -> tuple[dict, int]:
+    """(integer numerators, den) of a map of int | Fraction values, over the
+    lcm of their denominators; not reduced."""
+    if Fraction not in set(map(type, raw.values())):
+        return raw, 1
+    den = lcm(*{c.denominator for c in raw.values()})
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in raw.items()}, den
+
+
+def _value(n: int, den: int):
+    """The rational n/den as an int when integral, else as a Fraction."""
+    if den == 1:
+        return n
+    c = Fraction(n, den)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _invert_scalar(c):
@@ -168,29 +179,32 @@ def _invert_scalar(c):
 class Series:
     """Immutable truncated series; all operations are pure functions.
 
-    terms maps (qrel, vexps) -> int | Fraction with qrel >= 0 and
-    qfloor + qrel <= caps.qmax, the absolute q-exponent being qfloor + qrel.
-    Multiplication convolves integer numerators over each operand's common
-    denominator and reduces once per output coefficient.  Invariants: no
-    zero coefficient is stored; the zero series has qfloor == 0; a nonzero
-    series has qfloor == 0 or some term at qrel == 0.
+    terms maps (qrel, vexps) -> int numerator with qrel >= 0 and
+    qfloor + qrel <= caps.qmax, the absolute q-exponent being qfloor + qrel;
+    the coefficient there is numerator / den.  Invariants: no zero numerator
+    is stored; den >= 1 and gcd(den, *numerators) == 1, so den == 1 for an
+    integral or zero series; the zero series has qfloor == 0; a nonzero
+    series has qfloor == 0 or some term at qrel == 0.  Equal values have
+    equal (qfloor, den, terms).
     """
 
-    __slots__ = ("table", "qfloor", "terms", "caps")
+    __slots__ = ("table", "qfloor", "terms", "caps", "den")
 
-    def __init__(self, table, qfloor, terms, caps_):
+    def __init__(self, table, qfloor, terms, caps_, den=1):
         # internal: use make_series / helpers, not this constructor
         self.table = table
         self.qfloor = qfloor
         self.terms = terms
         self.caps = caps_
+        self.den = den
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def _build(table: VarTable, caps_: TruncationSpec, qfloor: int,
-               raw: dict) -> "Series":
-        """Normalize a raw (qrel, vexps)->coeff map into a valid Series."""
+               raw: dict, den: int = 1) -> "Series":
+        """Normalize a raw (qrel, vexps) -> integer numerator map over den
+        into a valid Series."""
         if qfloor > 0:
             # fold a positive valuation into the exponents (floor stays <= 0)
             raw = {(qr + qfloor, ve): c for (qr, ve), c in raw.items()}
@@ -206,23 +220,29 @@ class Series:
                     ok = rows[ve] = admits(ve)
                 if ok:
                     terms[(qr, ve)] = c
-        return Series._lift_floor(table, caps_, qfloor, terms)
+        return Series._lift_floor(table, caps_, qfloor, terms, den)
 
     @staticmethod
     def _lift_floor(table: VarTable, caps_: TruncationSpec, qfloor: int,
-                    terms: dict) -> "Series":
-        """Series of nonzero terms inside caps_ at a floor <= 0.
+                    terms: dict, den: int = 1) -> "Series":
+        """Series of nonzero numerators over den inside caps_ at a floor <= 0.
 
-        Lifts a negative floor to the least stored q-exponent; the top stays.
+        Divides out gcd(den, *numerators) and lifts a negative floor to the
+        least stored q-exponent; the top stays.
         """
         if not terms:
             return Series(table, 0, {}, caps_)
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: n // g for k, n in terms.items()}
+                den //= g
         if qfloor < 0:
             lift = min(-qfloor, min(qr for qr, _ in terms))
             if lift:
                 terms = {(qr - lift, ve): c for (qr, ve), c in terms.items()}
                 qfloor += lift
-        return Series(table, qfloor, terms, caps_)
+        return Series(table, qfloor, terms, caps_, den)
 
     def _same_table(self, other: "Series"):
         if self.table is not other.table and self.table != other.table:
@@ -240,17 +260,18 @@ class Series:
         if qrel < 0 or m.qexp > self.caps.qmax \
                 or not self.caps.admits(m.vexps):
             return Fraction(0)
-        return self.terms.get((qrel, m.vexps), Fraction(0))
+        n = self.terms.get((qrel, m.vexps))
+        return Fraction(0) if n is None else _value(n, self.den)
 
     def constant_term(self):
         """Coefficient at the all-zero monomial relative to the floor."""
-        return self.terms.get((0, self.table.zero_vexps), 0)
+        return _value(self.terms.get((0, self.table.zero_vexps), 0), self.den)
 
     def monomials(self):
         """Iterate (Monomial, coeff) with absolute q-exponents."""
-        f = self.qfloor
-        for (qr, ve), c in self.terms.items():
-            yield Monomial(qr + f, ve), c
+        f, den = self.qfloor, self.den
+        for (qr, ve), n in self.terms.items():
+            yield Monomial(qr + f, ve), n if den == 1 else _value(n, den)
 
     def min_qexp(self) -> int:
         """Least absolute q-exponent among stored terms (0 for the zero series)."""
@@ -276,20 +297,25 @@ class Series:
         # only an operand with a wider window has terms outside the meet
         f, g = (s if s.caps == mcaps else s.truncate(mcaps) for s in (self, g))
         floor = min(f.qfloor, g.qfloor)
+        den = lcm(f.den, g.den)
         raw: dict = {}
         for src in (f, g):
             shift = src.qfloor - floor
-            for (qr, ve), c in src.terms.items():
+            scale = den // src.den
+            items = src.terms.items()
+            if scale != 1:
+                items = [(k, c * scale) for k, c in items]
+            for (qr, ve), c in items:
                 k = (qr + shift, ve)
                 raw[k] = raw.get(k, 0) + c
-        raw = _integral({k: c for k, c in raw.items() if c})
-        return Series._lift_floor(self.table, mcaps, floor, raw)
+        raw = {k: c for k, c in raw.items() if c}
+        return Series._lift_floor(self.table, mcaps, floor, raw, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
         terms = {k: -c for k, c in self.terms.items()}
-        return Series(self.table, self.qfloor, terms, self.caps)
+        return Series(self.table, self.qfloor, terms, self.caps, self.den)
 
     def __sub__(self, other) -> "Series":
         g = self._coerce(other)
@@ -300,27 +326,18 @@ class Series:
     def __rsub__(self, other) -> "Series":
         return (-self) + other
 
-    def _by_vexps(self, qmax: int) -> tuple[dict, int]:
-        """Integer numerators over a common denominator, by variable part.
-
-        Returns (vexps -> [(qrel, numerator), ...], d) where d is the lcm
-        of the coefficient denominators (1 when every coefficient is an int).
-        """
-        terms = self.terms
-        d = 1
-        if Fraction in set(map(type, terms.values())):
-            d = lcm(*{c.denominator for c in terms.values()})
-            terms = {k: c.numerator * (d // c.denominator)
-                     for k, c in terms.items()}
+    def _by_vexps(self, qmax: int) -> dict:
+        """The numerators at qrel <= qmax by variable part:
+        vexps -> [(qrel, numerator), ...]."""
         groups: dict = {}
-        for (qr, ve), n in terms.items():
+        for (qr, ve), n in self.terms.items():
             if qr <= qmax:
                 lst = groups.get(ve)
                 if lst is None:
                     groups[ve] = [(qr, n)]
                 else:
                     lst.append((qr, n))
-        return groups, d
+        return groups
 
     def __mul__(self, other) -> "Series":
         g = self._coerce(other)
@@ -338,11 +355,10 @@ class Series:
         if len(self.terms) == 1:
             return g._times_term(self, floor, qmax, mcaps)
         vcaps = mcaps.vcaps
-        # convolve integer numerators per pair of variable parts with a
-        # dense q-inner loop; divide by the denominators once per output
-        ga, da = self._by_vexps(qmax)
-        gb, db = g._by_vexps(qmax)
-        den = da * db
+        # convolve the numerators per pair of variable parts with a dense
+        # q-inner loop, over the product of the denominators
+        ga = self._by_vexps(qmax)
+        gb = g._by_vexps(qmax)
         if len(ga) > len(gb):
             ga, gb = gb, ga
         acc: dict = {}
@@ -368,16 +384,10 @@ class Series:
                         if qb <= lim:
                             dense[qa + qb] += ca * cb
         # every key is inside mcaps and floor <= 0: no caps filter needed
-        terms = {}
-        for ve, dense in acc.items():
-            for qr, n in enumerate(dense):
-                if n:
-                    if den != 1:
-                        n = Fraction(n, den)
-                        if n.denominator == 1:
-                            n = n.numerator
-                    terms[(qr, ve)] = n
-        return Series._lift_floor(self.table, mcaps, floor, terms)
+        terms = {(qr, ve): n for ve, dense in acc.items()
+                 for qr, n in enumerate(dense) if n}
+        return Series._lift_floor(self.table, mcaps, floor, terms,
+                                  self.den * g.den)
 
     __rmul__ = __mul__
 
@@ -385,7 +395,7 @@ class Series:
                     mcaps: TruncationSpec) -> "Series":
         """self times the one-term series t, as __mul__ has set it up.
 
-        Shifts each key by t's, multiplies each coefficient once and drops
+        Shifts each key by t's, multiplies each numerator once and drops
         what leaves the relative window qmax or a variable cap of mcaps.
         """
         ((qt, vt), c), = t.terms.items()
@@ -405,14 +415,9 @@ class Series:
                 rows[ve] = nv
             if nv is False:
                 continue
-            if sign:
-                n = cb if sign == 1 else -cb
-            else:
-                n = c * cb
-                if n.__class__ is Fraction and n.denominator == 1:
-                    n = n.numerator
-            terms[(qr + qt, nv)] = n
-        return Series._lift_floor(self.table, mcaps, floor, terms)
+            terms[(qr + qt, nv)] = cb if sign == 1 else -cb if sign else c * cb
+        return Series._lift_floor(self.table, mcaps, floor, terms,
+                                  self.den * t.den)
 
     def __pow__(self, n: int) -> "Series":
         if not isinstance(n, int) or n < 0:
@@ -430,35 +435,35 @@ class Series:
     def reciprocal(self) -> "Series":
         """Multiplicative inverse modulo the truncation ideal.
 
-        With the floor-stripped divisor G/d (G_u[j] the integer numerator
-        at q^j v^u), solves G_0[0] h_v[m] = d [v = 0 = m] - (the sum of
-        G_u[j] h_(v-u)[m-j] over every other term) for the reachable v in
-        order of total degree, m = 0..width in each; a pure-q divisor is
-        the one row v = 0, the dense recurrence in q.
+        With the floor-stripped divisor G/d (G_u[j] the stored numerator
+        at q^j v^u, d = den), solves G_0[0] h_v[m] = d [v = 0 = m] - (the
+        sum of G_u[j] h_(v-u)[m-j] over every other term) for the reachable
+        v in order of total degree, m = 0..width in each; a pure-q divisor
+        is the one row v = 0, the dense recurrence in q.
         """
-        c0 = self.constant_term()
+        zv = self.table.zero_vexps
+        c0 = self.terms.get((0, zv))
         if not c0:
             raise DivisionByNonUnit("constant term is zero")
-        table, cps = self.table, self.caps
-        zv = table.zero_vexps
+        table, cps, d = self.table, self.caps, self.den
         width = cps.qmax - self.qfloor  # the window above the floor
-        rows, d = self._by_vexps(width)
+        rows = self._by_vexps(width)
         others = sorted((j, u, c) for u, row in rows.items() for j, c in row
                         if j or u != zv)
         order, seen = [zv], {zv}
         for v in order:
             for _, u, _ in others:
-                w = tuple(a + b for a, b in zip(v, u))
+                w = tuple(map(add, v, u))
                 if w not in seen and cps.admits(w):
                     seen.add(w)
                     order.append(w)
         order.sort(key=sum)
-        inv0 = _invert_scalar(c0 * d)
+        inv0 = _invert_scalar(c0)
         h: dict = {}
         for v in order:
             hv = h[v] = [0] * (width + 1)
-            src = [(j, c, hw) for j, u, c in others if (hw := h.get(
-                tuple(a - b for a, b in zip(v, u)))) is not None]
+            src = [(j, c, hw) for j, u, c in others
+                   if (hw := h.get(tuple(map(sub, v, u)))) is not None]
             for m in range(width + 1):
                 acc = d if m == 0 and v == zv else 0
                 for j, c, hw in src:
@@ -469,7 +474,7 @@ class Series:
         raw = {(i, v): c for v, hv in h.items() for i, c in enumerate(hv) if c}
         # 1/g is known through the window of g above its floor, -qfloor
         cps = TruncationSpec(width - self.qfloor, cps.vcaps)
-        return Series._build(table, cps, -self.qfloor, _integral(raw))
+        return Series._build(table, cps, -self.qfloor, *_over_den(raw))
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -493,7 +498,7 @@ class Series:
     def truncate(self, new_caps: TruncationSpec) -> "Series":
         """Reduce into the (smaller) ideal given by meet(caps, new_caps)."""
         return Series._build(self.table, self.caps.meet(new_caps),
-                             self.qfloor, self.terms)
+                             self.qfloor, self.terms, self.den)
 
     def with_caps(self, new_caps: TruncationSpec) -> "Series":
         """Reinterpret this exact representative at different caps.
@@ -501,7 +506,8 @@ class Series:
         Widening the caps is a claim of knowledge the caller must justify
         (e.g. the series is an exact polynomial).
         """
-        return Series._build(self.table, new_caps, self.qfloor, self.terms)
+        return Series._build(self.table, new_caps, self.qfloor, self.terms,
+                             self.den)
 
     def substitute(self, var: str, r: Scalar, m: Monomial) -> "Series":
         """Replace every occurrence of var**e by r**e * m**e, then reduce.
@@ -511,27 +517,32 @@ class Series:
         so the top moves down by cap*|p| and the floor by the lowest key.
         It may carry another variable v as v^k: an unknown var^e (e above
         var's cap) lands at v^(e*k), so v's cap drops below (cap + 1)*k.
+        For r = rn/rd and E the top exponent of var present, the numerator
+        at var^e is scaled by rn^e rd^(E-e) and den by rd^E.
         """
         i = self.table.slot(var)
         r = _as_coeff(r)
+        rn, rd = r.numerator, r.denominator
+        top_e = max((ve[i] for _, ve in self.terms), default=0)
+        pw: dict = {}  # e -> rn^e rd^(top_e - e)
         raw: dict = {}
         for (qr, ve), c in self.terms.items():
             e = ve[i]
-            if e == 0:
+            p = pw.get(e)
+            if p is None:
+                p = pw[e] = rn ** e * rd ** (top_e - e)
+            c *= p
+            if e:
+                nv = list(ve)
+                nv[i] = 0
+                for j, me in enumerate(m.vexps):
+                    if me:
+                        nv[j] += e * me
+                k = (qr + e * m.qexp, tuple(nv))
+            else:
                 k = (qr, ve)
-                nc = raw.get(k)
-                raw[k] = c if nc is None else nc + c
-                continue
-            nc = c * r ** e
-            nq = qr + e * m.qexp
-            nv = list(ve)
-            nv[i] = 0
-            for j, me in enumerate(m.vexps):
-                if me:
-                    nv[j] += e * me
-            k = (nq, tuple(nv))
             prev = raw.get(k)
-            raw[k] = nc if prev is None else prev + nc
+            raw[k] = c if prev is None else prev + c
         # negative replacement exponents lower the keys, the floor and the top
         low = min(0, min((qr for qr, _ in raw), default=0))
         raw = {(qr - low, ve): c for (qr, ve), c in raw.items()}
@@ -541,12 +552,13 @@ class Series:
                       for j, (vc, k) in enumerate(zip(self.caps.vcaps,
                                                       m.vexps)))
         return Series._build(self.table, TruncationSpec(top, vcaps),
-                             self.qfloor + low, _integral(raw))
+                             self.qfloor + low, raw, self.den * rd ** top_e)
 
     # -- comparison ----------------------------------------------------------
 
     def _absolute(self, within: TruncationSpec) -> dict:
-        """(absolute q-exponent, vexps) -> coeff of the terms inside within."""
+        """(absolute q-exponent, vexps) -> numerator of the terms inside
+        within."""
         f = self.qfloor
         if self.caps == within:
             return {(qr + f, ve): c for (qr, ve), c in self.terms.items()}
@@ -561,16 +573,17 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return (self.table == other.table and self.qfloor == other.qfloor
-                and self.terms == other.terms)
+                and self.den == other.den and self.terms == other.terms)
 
     __hash__ = None  # mutable-ish container semantics; not hashable
 
     # -- rendering -----------------------------------------------------------
 
     def _sorted_monomials(self):
-        return sorted(((qr + self.qfloor, ve, c)
-                       for (qr, ve), c in self.terms.items()),
-                      key=lambda t: (t[0], t[1]))
+        """(absolute q-exponent, vexps, coeff) in rendering order."""
+        f, den = self.qfloor, self.den
+        return [(qr + f, ve, n if den == 1 else _value(n, den))
+                for (qr, ve), n in sorted(self.terms.items())]
 
     def text(self) -> str:
         """Canonical text rendering; equal series render identically."""
@@ -652,7 +665,7 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
         k = (m.qexp - floor, m.vexps)
         prev = raw.get(k)
         raw[k] = c if prev is None else prev + c
-    return Series._build(table, caps_, floor, _integral(raw))
+    return Series._build(table, caps_, floor, *_over_den(raw))
 
 
 def zero(table: VarTable = DEFAULT_TABLE,
@@ -672,7 +685,8 @@ def constant(c: Scalar, table: VarTable = DEFAULT_TABLE,
     c = _as_coeff(c)
     if not c or caps_.qmax < 0:
         return zero(table, caps_)
-    return Series(table, 0, {(0, table.zero_vexps): c}, caps_)
+    return Series(table, 0, {(0, table.zero_vexps): c.numerator}, caps_,
+                  c.denominator)
 
 
 def variable(name: str, table: VarTable = DEFAULT_TABLE,
@@ -721,14 +735,22 @@ def equals_mod_caps(f: Series, g: Series):
     variable exponents) order.
     """
     f._same_table(g)
-    if f.qfloor == g.qfloor and f.caps == g.caps and f.terms == g.terms:
+    if f.qfloor == g.qfloor and f.caps == g.caps and f.den == g.den \
+            and f.terms == g.terms:
         # every stored term is nonzero and inside the shared window
         return True, None
     mcaps = f.caps.meet(g.caps)
     fd, gd = (s._absolute(mcaps) for s in (f, g))
+    den = f.den
+    if f.den != g.den:
+        # the parts inside the meet need not be reduced: cross-multiply
+        fd = {k: n * g.den for k, n in fd.items()}
+        gd = {k: n * f.den for k, n in gd.items()}
+        den *= g.den
     if fd == gd:
         return True, None
-    nil = Fraction(0)
     m = Monomial(*min(k for k in fd.keys() | gd.keys()
-                      if fd.get(k, nil) != gd.get(k, nil)))
-    return False, (m, fd.get(m, nil), gd.get(m, nil))
+                      if fd.get(k) != gd.get(k)))
+    nil = Fraction(0)
+    return False, tuple([m] + [nil if n is None else _value(n, den)
+                               for n in (fd.get(m), gd.get(m))])

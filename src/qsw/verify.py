@@ -109,7 +109,7 @@ def _restrict(s: Series, slots: tuple[int, ...], bound: int) -> Series:
     """Keep only monomials of total degree <= bound in the given slots."""
     raw = {k: c for k, c in s.terms.items()
            if sum(k[1][i] for i in slots) <= bound}
-    return Series._build(s.table, s.caps, s.qfloor, raw)
+    return Series._build(s.table, s.caps, s.qfloor, raw, s.den)
 
 
 def registry():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qsw.series import (
-    TruncationSpec, caps, constant, equals_mod_caps, make_series, mono,
-    q_power, variable,
+    Monomial, TruncationSpec, caps, constant, equals_mod_caps, make_series,
+    mono, q_power, variable,
 )
 from qsw.qfunctions import INFINITY, poch, poch_inf_inv, rq
 from qsw.operators import OperatorContext, dq, dq_pow, leibniz_rhs, rr_op
@@ -58,16 +58,14 @@ def test_dq_matches_divided_difference():
         shifted = f.substitute("x", 1, mono(1, {"x": 1}))
         # (f(x) - f(qx)) / x, computed by exponent shift since x | numerator
         num = f - shifted
-        direct = {}
+        direct = []
         xs = f.table.slot("x")
-        for (qr, ve), c in num.terms.items():
-            assert ve[xs] >= 1
-            nv = list(ve)
+        for m, c in num.monomials():
+            assert m.vexps[xs] >= 1
+            nv = list(m.vexps)
             nv[xs] -= 1
-            direct[(qr, tuple(nv))] = c
-        from qsw.series import Series
-        expected = Series._build(f.table, f.caps, num.qfloor, direct)
-        assert dq(f, "x") == expected
+            direct.append((c, Monomial(m.qexp, tuple(nv))))
+        assert dq(f, "x") == make_series(direct, f.caps, f.table)
 
 
 def test_dq_linearity():

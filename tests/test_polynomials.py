@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from qsw.series import (
-    DEFAULT_TABLE, caps, equals_mod_caps, mono, one, q_power, variable,
+    DEFAULT_TABLE, caps, equals_mod_caps, make_series, mono, one, q_power,
+    variable,
 )
 from qsw.qfunctions import poch_inf_inv, qfact_inv
 from qsw.polynomials import (
@@ -180,11 +181,8 @@ def test_rogers_szego_generating_function():
     rhs = poch_inf_inv([variable("a", caps_=c) * wv,
                         variable("b", caps_=c) * wv], c)
     ws = total.table.slot("w")
-    from qsw.series import Series
-    lhs_cut = Series._build(total.table, total.caps, total.qfloor,
-                            {k: v for k, v in total.terms.items()
-                             if k[1][ws] <= N})
-    rhs_cut = Series._build(rhs.table, rhs.caps, rhs.qfloor,
-                            {k: v for k, v in rhs.terms.items()
-                             if k[1][ws] <= N})
+    lhs_cut, rhs_cut = (
+        make_series([(v, m) for m, v in s.monomials() if m.vexps[ws] <= N],
+                    s.caps, s.table)
+        for s in (total, rhs))
     assert_equal(lhs_cut, rhs_cut)

@@ -389,15 +389,16 @@ def _schoolbook_mul(f, g):
     """Reference product: Fraction arithmetic once per pair of terms, known
     through its floor plus the narrower of the windows above the floors."""
     raw: dict = {}
-    for (qa, va), ca in f.terms.items():
-        for (qb, vb), cb in g.terms.items():
-            k = (qa + qb, tuple(a + b for a, b in zip(va, vb)))
+    for ma, ca in f.monomials():
+        for mb, cb in g.monomials():
+            k = Monomial(ma.qexp + mb.qexp,
+                         tuple(a + b for a, b in zip(ma.vexps, mb.vexps)))
             raw[k] = raw.get(k, 0) + Fraction(ca) * Fraction(cb)
     floor = f.qfloor + g.qfloor
     top = floor + min(f.caps.qmax - f.qfloor, g.caps.qmax - g.qfloor)
-    return Series._build(f.table,
-                         TruncationSpec(top, f.caps.meet(g.caps).vcaps),
-                         floor, raw)
+    return make_series([(c, m) for m, c in raw.items()],
+                       TruncationSpec(top, f.caps.meet(g.caps).vcaps),
+                       f.table)
 
 
 # denominators that share factors, so an operand's lcm is not their product
@@ -423,8 +424,7 @@ def laurent_series_st(draw):
 def _assert_same_product(got, want):
     assert got == want
     assert got.json_text() == want.json_text()
-    assert all(type(c) is int or c.denominator > 1
-               for c in got.terms.values())
+    assert _canonical(got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -458,12 +458,24 @@ def test_scalar_mul_matches_schoolbook_fraction_product(f, c):
     _assert_same_product(f * c, want)
 
 
-# -- one stored form per coefficient ---------------------------------------------------
+# -- one stored form per series ------------------------------------------------------
 
 
 def _canonical(s):
-    """Every stored coefficient is a plain int or a non-integral Fraction."""
-    return all(type(c) is int or c.denominator > 1 for c in s.terms.values())
+    """Nonzero int numerators over an int den >= 1 that shares no factor
+    with all of them, so den is 1 for an integral or zero series."""
+    ns = list(s.terms.values())
+    return (all(type(n) is int and n for n in ns) and type(s.den) is int
+            and s.den >= 1 and math.gcd(s.den, *ns) == 1)
+
+
+def test_canonical_rejects_other_forms():
+    k = (0, DEFAULT_TABLE.zero_vexps)
+    assert _canonical(Series(DEFAULT_TABLE, 0, {k: 1}, C, 2))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {k: 2}, C, 2))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {k: Q(1, 2)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {k: 1}, C, 0))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {}, C, 3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -475,9 +487,9 @@ def _canonical(s):
 @example(make_series([(2, mono(0)), (-4, mono(1))], C), zero(caps_=C), 1)
 @given(laurent_series_st(), laurent_series_st(), scalars)
 def test_coefficients_stay_canonical(f, g, c):
-    # q/2 + q/2 as duplicate entries or as h + h for h = q/2,
+    # q/2 + q/2 as duplicate entries or as h + h for h = q/2 give den 1;
     # D_q(x/2 - 3/2 q x) = 1/2 - 2q + 3/2 q^2, x/2 + 3/2 q under x -> q and
-    # 1/(2 - 4q) = 1/2 + q + ... each give an integer coefficient
+    # 1/(2 - 4q) = 1/2 + q + ... each give an integer coefficient over den 2
     half = (Q(1, 2), mono(1))
     results = [make_series([(c, mono(0)), half, half], f.caps),
                f + g, f - g, -f, dq(f, "x"), f.substitute("x", c, mono(1)),
@@ -486,6 +498,82 @@ def test_coefficients_stay_canonical(f, g, c):
         results.append(f.reciprocal())
     for s in results:
         assert _canonical(s), s.terms
+
+
+# -- sums, D_q, substitution and truncation against per-term Fractions ---------------
+
+
+def _per_term(op, f, g, c):
+    """Reference values of op on f (and g): each term's contribution taken
+    one at a time in Fraction arithmetic, by absolute monomial, with the
+    caps the result is known to; substitute is x -> c q."""
+    xs = f.table.slot("x")
+    raw: dict = {}
+
+    def put(m, v):
+        raw[m] = raw.get(m, 0) + Fraction(v)
+    if op == "dq":
+        for m, v in f.monomials():
+            k = m.vexps[xs]
+            if k:
+                ve = list(m.vexps)
+                ve[xs] -= 1
+                put(Monomial(m.qexp, tuple(ve)), v)
+                put(Monomial(m.qexp + k, tuple(ve)), -v)
+        return raw, f.caps
+    if op == "substitute":
+        for m, v in f.monomials():
+            e = m.vexps[xs]
+            ve = list(m.vexps)
+            ve[xs] = 0
+            put(Monomial(m.qexp + e, tuple(ve)), v * Fraction(c) ** e)
+        return raw, f.caps
+    for m, v in f.monomials():
+        put(m, v)
+    if op in ("add", "sub"):
+        for m, v in g.monomials():
+            put(m, v if op == "add" else -v)
+    return raw, f.caps.meet(g.caps)
+
+
+@settings(max_examples=300, deadline=None)
+# q/2 + q/2 has den 1, q/2 + q^2/3 den 6, and x -> (2/3) q scales the
+# numerator at x^e by 2^e 3^(2-e) and den by 3^2
+@example("add", make_series([(Q(1, 2), mono(1))], C),
+         make_series([(Q(1, 2), mono(1))], C), 1)
+@example("add", make_series([(Q(1, 2), mono(1))], C),
+         make_series([(Q(1, 3), mono(2))], C), 1)
+@example("substitute",
+         make_series([(1, mono(0)), (Q(1, 2), mono(0, {"x": 1})),
+                      (3, mono(1, {"x": 2}))], C), zero(caps_=C), Q(2, 3))
+@given(st.sampled_from(["add", "sub", "dq", "substitute", "truncate"]),
+       laurent_series_st(), laurent_series_st(), scalars)
+def test_linear_ops_match_per_term_fraction_reference(op, f, g, c):
+    got = {"add": lambda: f + g, "sub": lambda: f - g,
+           "dq": lambda: dq(f, "x"),
+           "substitute": lambda: f.substitute("x", c, mono(1)),
+           "truncate": lambda: f.truncate(g.caps)}[op]()
+    raw, wcaps = _per_term(op, f, g, c)
+    assert got.caps == wcaps
+    assert dict(got.monomials()) == {
+        m: v for m, v in raw.items()
+        if v and m.qexp <= wcaps.qmax and wcaps.admits(m.vexps)}
+    assert all(type(v) is int or v.denominator > 1
+               for _, v in got.monomials())
+    want = make_series([(v, m) for m, v in raw.items()], wcaps, f.table)
+    assert got == want
+    assert got.json_text() == want.json_text()
+    assert _canonical(got)
+
+
+def test_den_is_the_reduced_lcm():
+    half = make_series([(Q(1, 2), mono(1))], C)
+    third = make_series([(Q(1, 3), mono(2))], C)
+    assert (half + half).den == 1 and (half + half) == qp(1)
+    assert (half + third).den == 6
+    assert (half * third).den == 6 and (half * 6).den == 1
+    assert equals_mod_caps(half + third.with_caps(caps(5)) * qp(3),
+                           half.truncate(caps(3))) == (True, None)
 
 
 # -- equals_mod_caps against the per-monomial comparison -----------------------------
@@ -538,6 +626,9 @@ def compared_pair_st(draw):
 @example((make_series([(1, mono(-2)), (Q(1, 2), mono(3, {"x": 1}))], C),
           make_series([(1, mono(-1)), (Q(1, 2), mono(3, {"x": 1}))],
                       caps(4, x=0))))
+# den 6 against den 2: inside the meet (to q^3) both are q/2
+@example((make_series([(Q(1, 2), mono(1)), (Q(1, 3), mono(5))], caps(5)),
+          make_series([(Q(1, 2), mono(1))], caps(3))))
 @given(compared_pair_st())
 def test_equals_mod_caps_matches_per_monomial_oracle(pair):
     f, g = pair
@@ -635,7 +726,7 @@ def _newton_reciprocal(f):
     floor-stripped ordinary part g of f, at its whole window every step."""
     width = f.caps.qmax - f.qfloor
     gcaps = TruncationSpec(width, f.caps.vcaps)
-    g = Series(f.table, 0, f.terms, gcaps)
+    g = Series(f.table, 0, f.terms, gcaps, f.den)
     x = constant(Fraction(1) / f.constant_term(), f.table, gcaps)
     unit = one(f.table, gcaps)
     for _ in range(width + sum(gcaps.vcaps) + 2):
@@ -647,7 +738,7 @@ def _newton_reciprocal(f):
         raise AssertionError("Newton's iteration failed to converge")
     # 1/f = q^(-floor) / g is known through width powers of q above -floor
     return Series._build(f.table, TruncationSpec(width - f.qfloor, gcaps.vcaps),
-                         -f.qfloor, x.terms)
+                         -f.qfloor, x.terms, x.den)
 
 
 @st.composite
