@@ -751,6 +751,8 @@ def equals_mod_caps(f: Series, g: Series):
         return True, None
     m = Monomial(*min(k for k in fd.keys() | gd.keys()
                       if fd.get(k) != gd.get(k)))
-    nil = Fraction(0)
-    return False, tuple([m] + [nil if n is None else _value(n, den)
-                               for n in (fd.get(m), gd.get(m))])
+
+    def value(d):
+        n = d.get(m)
+        return Fraction(0) if n is None else _value(n, den)
+    return False, (m, value(fd), value(gd))
