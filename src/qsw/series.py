@@ -34,6 +34,8 @@ after a mismatch.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,6 +58,12 @@ class VariableNotFound(KeyError):
 DEFAULT_NAMES = ("q", "x", "y", "z", "t", "s", "w", "a", "b")
 
 Scalar = Union[int, Fraction]
+
+# byte width of a packed q-slot -> the array format that moves it in C.
+# Packed ints are read little-endian, so the array paths (native order)
+# serve little-endian hosts only; other widths and hosts pack per slot.
+_SLOT_FORMAT = ({1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little"
+                else {})
 
 
 class VarTable:
@@ -354,9 +362,19 @@ class Series:
             return self._times_term(g, floor, qmax, mcaps)
         if len(self.terms) == 1:
             return g._times_term(self, floor, qmax, mcaps)
-        vcaps = mcaps.vcaps
-        # convolve the numerators per pair of variable parts with a dense
-        # q-inner loop, over the product of the denominators
+        if min(len(self.terms), len(g.terms)) <= 3:
+            terms = self._loop_product(g, qmax, mcaps.vcaps)
+        else:
+            terms = self._packed_product(g, qmax, mcaps.vcaps)
+        # every key is inside mcaps and floor <= 0: no caps filter needed
+        return Series._lift_floor(self.table, mcaps, floor, terms,
+                                  self.den * g.den)
+
+    __rmul__ = __mul__
+
+    def _loop_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
+        """Numerators of self * g through the relative window qmax inside
+        vcaps: one multiply-add per pair of terms into a dense q-row."""
         ga = self._by_vexps(qmax)
         gb = g._by_vexps(qmax)
         if len(ga) > len(gb):
@@ -383,13 +401,75 @@ class Series:
                     for qb, cb in lb:
                         if qb <= lim:
                             dense[qa + qb] += ca * cb
-        # every key is inside mcaps and floor <= 0: no caps filter needed
-        terms = {(qr, ve): n for ve, dense in acc.items()
-                 for qr, n in enumerate(dense) if n}
-        return Series._lift_floor(self.table, mcaps, floor, terms,
-                                  self.den * g.den)
+        return {(qr, ve): n for ve, dense in acc.items()
+                for qr, n in enumerate(dense) if n}
 
-    __rmul__ = __mul__
+    def _packed_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
+        """Numerators of self * g through the relative window qmax inside
+        vcaps, by Kronecker substitution in q.
+
+        Each q-row of an operand becomes one int with a signed k-bit slot
+        per q-power, so one int product convolves a pair of rows.  An
+        output slot sums at most one product per term of the smaller
+        operand, so k bounds it whichever row pairs add into its row.
+        """
+        n = qmax + 1
+        na, nb = self.terms.values(), g.terms.values()
+        bits = (max(map(abs, na)).bit_length() + max(map(abs, nb)).bit_length()
+                + min(len(na), len(nb)).bit_length() + 1)
+        kb = -(-bits // 8)
+        if kb <= 8:
+            kb = 1 << (kb - 1).bit_length()
+        fmt = _SLOT_FORMAT.get(kb)
+        k = 8 * kb
+        # 2^(k-1) in every slot: (u ^ bias) - bias reads the two's
+        # complement slots of u as signed digits, and back
+        bias = ((1 << k * n) - 1) // ((1 << k) - 1) << (k - 1)
+        ra = self._packed_rows(n, kb, fmt, bias)
+        rb = g._packed_rows(n, kb, fmt, bias)
+        acc: dict = {}
+        for va, xa in ra.items():
+            for vb, xb in rb.items():
+                ve = tuple(map(add, va, vb))
+                if not any(map(gt, ve, vcaps)):
+                    acc[ve] = acc.get(ve, 0) + xa * xb
+        # the mask ends each row at the window top, so neither the slots
+        # above it nor a borrow out of the top slot is read
+        low = (1 << k * n) - 1
+        terms = {}
+        for ve, x in acc.items():
+            x = ((x + bias) & low) ^ bias
+            # the slots up to the highest nonzero one
+            raw = x.to_bytes(-(-x.bit_length() // k) * kb, "little")
+            if fmt:
+                slots = memoryview(raw).cast(fmt)
+            else:
+                slots = [int.from_bytes(raw[i:i + kb], "little", signed=True)
+                         for i in range(0, len(raw), kb)]
+            for qr, c in enumerate(slots):
+                if c:
+                    terms[(qr, ve)] = c
+        return terms
+
+    def _packed_rows(self, n: int, kb: int, fmt: Optional[str],
+                     bias: int) -> dict:
+        """vexps -> the q-row at qrel < n packed in kb-byte slots, filled
+        as an array of format fmt when there is one."""
+        zeros = bytes(kb * n)
+        rows: dict = {}
+        for (qr, ve), c in self.terms.items():
+            if qr < n:
+                row = rows.get(ve)
+                if row is None:
+                    row = rows[ve] = array(fmt, zeros) if fmt else [0] * n
+                row[qr] = c
+        packed = {}
+        for ve, row in rows.items():
+            if not fmt:
+                row = b"".join(c.to_bytes(kb, "little", signed=True)
+                               for c in row)
+            packed[ve] = (int.from_bytes(row, "little") ^ bias) - bias
+        return packed
 
     def _times_term(self, t: "Series", floor: int, qmax: int,
                     mcaps: TruncationSpec) -> "Series":

@@ -450,6 +450,61 @@ def test_mul_matches_schoolbook_fraction_product(f, g):
     _assert_same_product(f * g, _schoolbook_mul(f, g))
 
 
+def _row(c, count, top=None, qmax=60, start=0, **vexps):
+    """c times q^start + ... + q^(start+count-1) times prod v^e, and -c
+    times q^top, at caps(qmax, x=3, y=3)."""
+    entries = [(c, mono(start + i, vexps)) for i in range(count)]
+    if top is not None:
+        entries.append((-c, mono(top, vexps)))
+    return make_series(entries, caps(qmax, x=3, y=3))
+
+
+@st.composite
+def wide_series_st(draw):
+    """Up to 40 terms over q, x and y with numerators up to 2^80 in size,
+    some over a denominator, at q-windows up to 60."""
+    pcaps = caps(draw(st.integers(0, 60)), default=0,
+                 x=draw(st.integers(0, 3)), y=draw(st.integers(0, 3)))
+    wide = st.integers(-2 ** 80, 2 ** 80)
+    coeff = wide if draw(st.booleans()) else st.builds(
+        Fraction, wide, st.sampled_from([1, 2, 3, 6, 2 ** 40]))
+    entries = draw(st.lists(
+        st.tuples(coeff, st.integers(-3, 63), st.integers(0, 3),
+                  st.integers(0, 3)), max_size=40))
+    return make_series(
+        [(c, mono(qe, {"x": xe, "y": ye})) for c, qe, xe, ye in entries],
+        pcaps)
+
+
+@settings(max_examples=100, deadline=None)
+# a slot of 1, 2, 4, 8 and 11 bytes (4 terms, numerators of 1, 5, 12, 25
+# and 40 bits); at 8, 9, 64 and 65 bits, every numerator -(2^a - 1) and
+# 2^t - 1 terms, so that the middle slot sums 2^t - 1 products and needs
+# every bit of the bound
+@example(_row(1, 4), _row(-1, 4, x=1))
+@example(_row(2 ** 5 - 1, 4), _row(-(2 ** 5 - 1), 4, y=2))
+@example(_row(2 ** 12 - 1, 4), _row(2 ** 12 - 1, 4))
+@example(_row(2 ** 25 - 1, 4, x=1), _row(-(2 ** 25 - 1), 4))
+@example(_row(2 ** 40 - 1, 4), _row(2 ** 40 - 1, 4, y=3))
+@example(_row(-3, 7), _row(-3, 7))
+@example(_row(-3, 15), _row(-3, 15))
+@example(_row(-(2 ** 30 - 1), 7), _row(-(2 ** 30 - 1), 7))
+@example(_row(-(2 ** 30 - 1), 15), _row(-(2 ** 30 - 1), 15))
+# a negative numerator at the window top of both operands, so that the
+# product borrows out of the top slot
+@example(_row(1, 4, top=8, qmax=8), _row(1, 4, top=8, qmax=8))
+@example(_row(2 ** 40, 4, top=8, qmax=8), _row(3, 4, top=8, qmax=8))
+# the zero series, and an operand whose terms all lie above the window
+@example(zero(caps_=caps(8)), _row(5, 6, qmax=8))
+@example(_row(5, 6, qmax=3), _row(7, 4, start=5, qmax=12))
+# a smaller operand of 3 and of 4 terms, with terms past a variable cap
+@example(_row(-2, 3, x=2), _row(3, 9, x=2, qmax=20))
+@example(_row(-2, 4, x=2), _row(3, 9, x=2, qmax=20))
+@given(wide_series_st(), wide_series_st())
+def test_packed_mul_matches_schoolbook_fraction_product(f, g):
+    _assert_same_product(f * g, _schoolbook_mul(f, g))
+
+
 @settings(max_examples=150, deadline=None)
 @given(laurent_series_st(), scalars)
 def test_scalar_mul_matches_schoolbook_fraction_product(f, c):
