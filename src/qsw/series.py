@@ -20,9 +20,19 @@ the kernel through coeff, constant_term, monomials and rendering, as an int
 when integral and a Fraction in lowest terms otherwise; every result is
 exact modulo its own stated ideal.
 
-Small operands take short paths with the same results.  A product with a
-one-term operand shifts each key of the other operand, multiplies each
-numerator once and checks the variable caps once per variable part.
+A product of two operands of 4 terms or more is a Kronecker substitution
+in q (FLINT's fmpz_poly_mul_KS): each q-row of numerators, one per
+variable part, is packed once into an int with a signed slot per q-power,
+each pair of rows that fits the variable caps is multiplied as ints, the
+products add packed per output row, and each output row is decoded once
+below the window top.  A slot holds bits(max|a|) + bits(max|b|) +
+bits(terms of the smaller operand) + 1 bits, since an output slot sums at
+most one product per term of the smaller operand.  A product whose
+smaller operand has at most 3 terms keeps one multiply-add per pair of
+terms, which measured faster there, and one with a one-term operand
+shifts each key of the other operand, multiplies each numerator once and
+checks the variable caps once per variable part.
+
 The caps filter of a normalising pass runs once per variable part, not
 once per term.  Two series with the same floor and caps are compared by
 equality of their term dicts, since every stored term is nonzero and

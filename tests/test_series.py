@@ -478,9 +478,9 @@ def wide_series_st(draw):
 
 @settings(max_examples=100, deadline=None)
 # a slot of 1, 2, 4, 8 and 11 bytes (4 terms, numerators of 1, 5, 12, 25
-# and 40 bits); at 8, 9, 64 and 65 bits, every numerator -(2^a - 1) and
-# 2^t - 1 terms, so that the middle slot sums 2^t - 1 products and needs
-# every bit of the bound
+# and 40 bits); a bound of 8, 9, 64 and 65 bits, every numerator
+# -(2^a - 1) over 2^t - 1 terms, so that the middle slot sums 2^t - 1
+# products and fills 7 of 8, 9 of 9, 64 of 64 and 65 of 65 bits
 @example(_row(1, 4), _row(-1, 4, x=1))
 @example(_row(2 ** 5 - 1, 4), _row(-(2 ** 5 - 1), 4, y=2))
 @example(_row(2 ** 12 - 1, 4), _row(2 ** 12 - 1, 4))
