@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .series import DEFAULT_TABLE, caps
 from .qfunctions import garrett_a, garrett_b, rq_at_power
-from .polynomials import MAX_ORDER, rogers_szego, sw_classic, sw_star
+from .polynomials import MAX_ORDER, MAX_QMAX, rogers_szego, sw_classic, \
+    sw_star
 from .verify import (
     BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, registry,
     report_lines, reports_json, resolve_garrett_convention, verify_all,
@@ -117,10 +118,15 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     # a_n and b_n recurse to depth n in qbinom_coeffs, so their --n is
     # bounded here as the polynomial families bound theirs; every family
-    # rejects a negative --n or --qmax with ValueError
+    # rejects a negative --n or --qmax with ValueError, and --qmax is
+    # bounded by MAX_QMAX here
     if args.family in ("garrett-a", "garrett-b") \
             and not 0 <= args.n <= MAX_ORDER:
         print(f"invalid request: order must be in 0..{MAX_ORDER}",
+              file=sys.stderr)
+        return 2
+    if args.qmax > MAX_QMAX:
+        print(f"invalid request: qmax must be at most {MAX_QMAX}",
               file=sys.stderr)
         return 2
     try:

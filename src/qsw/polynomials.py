@@ -16,6 +16,9 @@ from .qfunctions import phi, qbinom_coeffs, qfact_inv
 from .operators import OperatorContext, rr_op
 
 MAX_ORDER = 64
+# the highest q-window top a request may ask for: dense q-rows hold
+# qmax + 1 entries per term, so time and memory grow with it
+MAX_QMAX = 2000
 
 
 class OrderOutOfRange(ValueError):

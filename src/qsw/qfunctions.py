@@ -1,6 +1,13 @@
 """q-Pochhammer symbols, Gaussian binomials, basic hypergeometric series,
 the q-exponentials, Garrett's coefficient polynomials, and the Ramanujan
 q-exponential, all as exact truncated series.
+
+The pure-q rows (Gaussian binomials, (q;q)_n, 1/(q;q)_n, Garrett's a_k and
+b_k) are int coefficient tuples or lists; _dense turns a row into a Series
+directly, cut at the window top, with no monomial objects and no caps
+pass.  The weighted sums _qexp_sum and _qbinom_sum, which build the
+q-exponentials, phi, R(yD_q) and the identities' sums, stream their terms
+into one series.sum_series, so the running total is never copied.
 """
 
 from __future__ import annotations
@@ -9,13 +16,13 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import count
+from itertools import chain, count
 from operator import mul
 from typing import Sequence, Union
 
 from .series import (
-    DEFAULT_TABLE, Monomial, Scalar, Series, TruncationSpec, VarTable,
-    constant, make_series, one, q_power, zero,
+    DEFAULT_TABLE, Scalar, Series, TruncationSpec, VarTable, constant, one,
+    q_power, sum_series, zero,
 )
 
 INFINITY = math.inf
@@ -65,10 +72,20 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
 
 def _dense(coeffs: Sequence[int], caps: TruncationSpec, table: VarTable,
            shift: int = 0) -> Series:
-    """The pure q-series sum_i coeffs[i] q^(i + shift)."""
-    zv = table.zero_vexps
-    return make_series([(c, Monomial(i + shift, zv))
-                        for i, c in enumerate(coeffs) if c], caps, table)
+    """The pure q-series sum_i coeffs[i] q^(i + shift) of int coeffs at caps,
+    built straight into its term dict: the floor is min(0, the first
+    nonzero exponent) and the row ends at the window top."""
+    stop = caps.qmax - shift + 1
+    row = coeffs[:stop] if stop > 0 else ()  # a negative stop would wrap
+    for first, c in enumerate(row):
+        if c:
+            break
+    else:
+        return zero(table, caps)
+    floor = min(0, first + shift)
+    off, zv = shift - floor, table.zero_vexps
+    return Series(table, floor,
+                  {(i + off, zv): c for i, c in enumerate(row) if c}, caps)
 
 
 @lru_cache(maxsize=None)
@@ -159,24 +176,26 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
             nmax += 1
         work = replace(caps, qmax=caps.qmax + (-v) * nmax)
         z = z.with_caps(replace(z.caps, qmax=work.qmax))
-    total = zero(table, work)
-    zpow = one(table, work)
-    for n in count():
-        w = weight(n)
-        if w + n * v > caps.qmax:
-            break
-        if n:
-            zpow = zpow * z
-            if zpow.is_zero():
-                break
-        if factors is not None:
-            f = next(factors, None)
-            if f is None:
-                break
-        term = zpow * _dense(_qfact_inv_coeffs(n, work.qmax, base), work,
-                             table, w)
-        total = total + (term if factors is None else term * f)
-    return total.truncate(caps)
+
+    def terms():
+        yield zero(table, work)  # the empty sum, at the working window
+        zpow = one(table, work)
+        for n in count():
+            w = weight(n)
+            if w + n * v > caps.qmax:
+                return
+            if n:
+                zpow = zpow * z
+                if zpow.is_zero():
+                    return
+            if factors is not None:
+                f = next(factors, None)
+                if f is None:
+                    return
+            term = zpow * _dense(_qfact_inv_coeffs(n, work.qmax, base), work,
+                                 table, w)
+            yield term if factors is None else term * f
+    return sum_series(terms()).truncate(caps)
 
 
 def _stripped(s: Series, qmax: int) -> Series:
@@ -228,10 +247,9 @@ def _qbinom_sum(n: int, weight, factors, caps: TruncationSpec,
     the weight.  A stream that ends means every later f_k is zero."""
     ws = [weight(k) for k in range(n + 1)]
     work = replace(caps, qmax=caps.qmax + max(0, -min(ws)))
-    total = zero(table, caps)
-    for k, f in zip(range(n + 1), factors(work)):
-        total = total + _dense(qbinom_coeffs(n, k), caps, table, ws[k]) * f
-    return total
+    terms = (_dense(qbinom_coeffs(n, k), caps, table, ws[k]) * f
+             for k, f in zip(range(n + 1), factors(work)))
+    return sum_series(chain((zero(table, caps),), terms))  # zero if empty
 
 
 def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
@@ -377,20 +395,19 @@ def rq_at_power(k: int, caps: TruncationSpec,
 def _garrett_poly(k: int, exp_coef: int, offset: int, caps: TruncationSpec,
                   table: VarTable) -> Series:
     # sum over all integers i with a nonzero q-binomial; |i| <= k suffices
-    # since the floor argument must land in [0, k-1]
-    zv = table.zero_vexps
-    entries = []
+    # since the floor argument must land in [0, k-1].  w >= 0 for every
+    # integer i when |exp_coef| <= 5, so one row from q^0 to the top holds it
+    qmax = caps.qmax
+    row = [0] * (qmax + 1)
     for i in range(-k, k + 1):
-        j = (k + offset - 5 * i) // 2  # floor division handles negatives
-        coeffs = qbinom_coeffs(k - 1, j)
-        if not coeffs:
-            continue
         w = i * (5 * i + exp_coef) // 2
+        if w > qmax:
+            continue
+        j = (k + offset - 5 * i) // 2  # floor division handles negatives
         sign = -1 if i % 2 else 1
-        for d, c in enumerate(coeffs):
-            if c:
-                entries.append((sign * c, Monomial(w + d, zv)))
-    return make_series(entries, caps, table)
+        for d, c in enumerate(qbinom_coeffs(k - 1, j)[:qmax - w + 1], w):
+            row[d] += sign * c
+    return _dense(row, caps, table)
 
 
 def garrett_a(k: int, caps: TruncationSpec,

@@ -33,6 +33,14 @@ terms, which measured faster there, and one with a one-term operand
 shifts each key of the other operand, multiplies each numerator once and
 checks the variable caps once per variable part.
 
+Every sum of series is one n-ary sum, sum_series: it reads its parts once
+as a stream and adds their numerators into one dict, moving the keys to
+the least floor only when the floors differ and filtering by the meet of
+the caps only when the caps differ, so its result equals the left fold of
++ in value, window and stored form.  __add__ is its two-operand case.
+Rendering builds the factors of each variable part once and joins the
+terms once.
+
 The caps filter of a normalising pass runs once per variable part, not
 once per term.  Two series with the same floor and caps are compared by
 equality of their term dicts, since every stored term is nonzero and
@@ -310,24 +318,9 @@ class Series:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        self._same_table(g)
-        mcaps = self.caps.meet(g.caps)
-        # only an operand with a wider window has terms outside the meet
-        f, g = (s if s.caps == mcaps else s.truncate(mcaps) for s in (self, g))
-        floor = min(f.qfloor, g.qfloor)
-        den = lcm(f.den, g.den)
-        raw: dict = {}
-        for src in (f, g):
-            shift = src.qfloor - floor
-            scale = den // src.den
-            items = src.terms.items()
-            if scale != 1:
-                items = [(k, c * scale) for k, c in items]
-            for (qr, ve), c in items:
-                k = (qr + shift, ve)
-                raw[k] = raw.get(k, 0) + c
-        raw = {k: c for k, c in raw.items() if c}
-        return Series._lift_floor(self.table, mcaps, floor, raw, den)
+        # the larger operand is copied whole, the smaller added term by term
+        return sum_series((self, g) if len(self.terms) >= len(g.terms)
+                          else (g, self))
 
     __radd__ = __add__
 
@@ -679,31 +672,28 @@ class Series:
         """Canonical text rendering; equal series render identically."""
         if not self.terms:
             return "0"
-        names = self.table.names
-        parts = []
-        for qa, ve, c in self._sorted_monomials():
-            factors = []
-            if qa != 0:
-                factors.append("q" if qa == 1 else f"q^{qa}")
-            for j, e in enumerate(ve):
-                if e:
-                    nm = names[j + 1]
-                    factors.append(nm if e == 1 else f"{nm}^{e}")
+        vnames = self.table.names[1:]
+        f, den = self.qfloor, self.den
+        vtext: dict = {}  # vexps -> its factors, built once per variable part
+        out = []
+        for (qr, ve), n in sorted(self.terms.items()):
+            vs = vtext.get(ve)
+            if vs is None:
+                vs = vtext[ve] = "*".join(nm if e == 1 else f"{nm}^{e}"
+                                          for nm, e in zip(vnames, ve) if e)
+            qa = qr + f
+            if qa:
+                qs = "q" if qa == 1 else f"q^{qa}"
+                vs = qs + "*" + vs if vs else qs
+            c = n if den == 1 else _value(n, den)
             mag = abs(c)
-            coeff = str(mag.numerator) if mag.denominator == 1 \
-                else f"{mag.numerator}/{mag.denominator}"
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = coeff + "*" + "*".join(factors)
-            else:
-                body = coeff
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            if mag != 1 or not vs:
+                # mag is an int or a non-integral Fraction: str reads n or n/d
+                vs = str(mag) + "*" + vs if vs else str(mag)
+            out.append((" - " if out else "-") if c < 0
+                       else " + " if out else "")
+            out.append(vs)
+        return "".join(out)
 
     def to_json_dict(self) -> dict:
         """JSON rendering with fields {qFloor, caps, terms}; qMax is the
@@ -749,13 +739,67 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
         if c and m.qexp < floor:
             floor = m.qexp
     raw: dict = {}
+    nvars = table.nvars
     for c, m in entries:
-        if len(m.vexps) != table.nvars:
+        if len(m.vexps) != nvars:
             raise VarTableMismatch("monomial width does not match table")
         k = (m.qexp - floor, m.vexps)
         prev = raw.get(k)
         raw[k] = c if prev is None else prev + c
     return Series._build(table, caps_, floor, *_over_den(raw))
+
+
+def sum_series(parts: Iterable[Series]) -> Series:
+    """The sum of one or more series, equal in value, window and form to
+    the left fold of +: the window is the meet of the parts' caps.
+
+    Reads each part once as it arrives, holding no list of parts.  The
+    numerators add into one dict over the lcm of the dens seen so far,
+    keyed relative to the first part's floor; the keys move to the least
+    floor only when the floors differ, and the caps filter runs only when
+    the caps do.
+    """
+    parts = iter(parts)
+    first = next(parts, None)
+    if first is None:
+        raise ValueError("sum_series needs at least one part")
+    table, mcaps, base, den = first.table, first.caps, first.qfloor, first.den
+    floor = base
+    mixed_caps = False
+    raw = dict(first.terms)
+    get = raw.get
+    for p in parts:
+        first._same_table(p)
+        if p.caps is not mcaps and p.caps != mcaps:
+            mcaps = mcaps.meet(p.caps)
+            mixed_caps = True
+        floor = min(floor, p.qfloor)
+        shift = p.qfloor - base
+        scale = 1
+        if p.den != den:
+            d = lcm(den, p.den)
+            if d != den:
+                up = d // den
+                for k in raw:
+                    raw[k] *= up
+                den = d
+            scale = den // p.den
+        if shift or scale != 1:
+            for (qr, ve), c in p.terms.items():
+                k = (qr + shift, ve)
+                raw[k] = get(k, 0) + c * scale
+        else:
+            for k, c in p.terms.items():
+                raw[k] = get(k, 0) + c
+    lift = base - floor
+    if lift:
+        raw = {(qr + lift, ve): c for (qr, ve), c in raw.items() if c}
+    elif not mixed_caps:
+        raw = {k: c for k, c in raw.items() if c}
+    if mixed_caps:
+        # _build drops what lies outside the meet, and zero numerators
+        return Series._build(table, mcaps, floor, raw, den)
+    return Series._lift_floor(table, mcaps, floor, raw, den)
 
 
 def zero(table: VarTable = DEFAULT_TABLE,

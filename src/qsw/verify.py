@@ -14,7 +14,7 @@ from typing import Optional
 from .series import (
     DEFAULT_TABLE, Monomial, Series, VariableNotFound, equals_mod_caps,
 )
-from .polynomials import OrderOutOfRange
+from .polynomials import MAX_QMAX, OrderOutOfRange
 
 
 class UnknownIdentity(KeyError):
@@ -27,8 +27,9 @@ class BindingViolation(ValueError):
 
 class InvalidRequest(ValueError):
     """Verification settings that leave nothing valid to check: a negative
-    cap or sum order, an unknown variable, a polynomial order above
-    polynomials.MAX_ORDER, or no cases at all."""
+    cap or sum order, a qmax above polynomials.MAX_QMAX, an unknown
+    variable, a polynomial order above polynomials.MAX_ORDER, or no cases
+    at all."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class VerifyConfig:
                         ("sum_order", self.sum_order), *self.var_caps.items()):
             if v is not None and v < 0:
                 raise InvalidRequest(f"{name} must be non-negative, got {v}")
+        if self.qmax is not None and self.qmax > MAX_QMAX:
+            raise InvalidRequest(
+                f"qmax must be at most {MAX_QMAX}, got {self.qmax}")
         for name in (*self.var_caps, *self.bindings):
             try:
                 DEFAULT_TABLE.slot(name)
@@ -141,6 +145,8 @@ def resolve_garrett_convention(kmax: int = 6, qmax: int = 40) -> Report:
 
     if kmax < 2:
         raise ValueError("kmax must be at least 2 to separate conventions")
+    if qmax > MAX_QMAX:
+        raise ValueError(f"qmax must be at most {MAX_QMAX}")
     key = (kmax, qmax)
     if key in _CONVENTION_CACHE:
         return _CONVENTION_CACHE[key]

@@ -12,7 +12,7 @@ import qsw
 from qsw.cli import main
 from qsw.identities import BY_ID, IdentitySpec
 from qsw.series import caps
-from qsw.polynomials import sw_star
+from qsw.polynomials import MAX_QMAX, sw_star
 
 
 def run(argv, capsys):
@@ -139,6 +139,11 @@ def test_usage_error_exits_2(capsys):
     ["garrett-convention", "--qmax", "-1"],
     ["verify", "T4-GF", "--sum-order", "70"],
     ["verify", "T4-SRIAGA-YZ1", "--cap", "x=70", "--trials", "1"],
+    # a q-window above MAX_QMAX would allocate a dense row of that length
+    ["eval", "rq", "--n", "0", "--qmax", "1000000000"],
+    ["eval", "garrett-a", "--n", "1", "--qmax", str(MAX_QMAX + 1)],
+    ["verify", "I-RR1", "--qmax", str(MAX_QMAX + 1)],
+    ["garrett-convention", "--qmax", str(MAX_QMAX + 1)],
 ])
 def test_usage_error_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2

@@ -1,18 +1,20 @@
 """q-Pochhammer symbols, Gaussian binomials, hypergeometric sums, the
 q-exponentials, the Ramanujan q-exponential, and Garrett polynomials."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsw.series import (
-    caps, constant, equals_mod_caps, make_series, mono, one, q_power,
-    variable, zero,
+    DEFAULT_TABLE, Monomial, caps, constant, equals_mod_caps, make_series,
+    mono, one, q_power, variable, zero,
 )
 from qsw.qfunctions import (
     INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries,
-    _qbinom_sum, _qexp_sum, _qfact_inv_coeffs, eq_big, eq_small, garrett_a, garrett_b,
+    _dense, _qbinom_sum, _qexp_sum, _qfact_inv_coeffs, eq_big, eq_small,
+    garrett_a, garrett_b,
     phi, poch, poch_inf_inv, qbinom, qbinom_coeffs, qfact, qfact_coeffs,
     qfact_inv, rq, rq_at_power,
 )
@@ -426,3 +428,55 @@ def test_garrett_small_values():
     assert garrett_b(2, C) == one(caps_=C)
     assert garrett_a(3, C) == one(caps_=C)
     assert garrett_b(3, C).text() == "1 + q"
+
+
+# -- dense builders against their monomial-list constructions ---------------------------
+
+
+def _dense_by_monomials(coeffs, c, shift=0):
+    """Reference _dense: one Monomial per nonzero coefficient, whatever its
+    exponent, normalised by make_series."""
+    zv = DEFAULT_TABLE.zero_vexps
+    return make_series([(x, Monomial(i + shift, zv))
+                        for i, x in enumerate(coeffs) if x], c)
+
+
+@settings(max_examples=200, deadline=None)
+@example((1, 0, 2), -2, 5)  # a negative shift: a Laurent floor
+@example((0, 0, 4, 1), -3, 4)  # the first nonzero coefficient sets it
+@example((3, -1), 9, 5)  # every term above the top
+@example((0, 0, 0), -1, 5)  # an all-zero row
+@example((1, 2, 3), -3, -2)  # a negative absolute top
+@example((1, 2, 3), -3, -5)  # ... below every term: a negative slice stop
+@given(st.lists(st.integers(-3, 3), max_size=12).map(tuple),
+       st.integers(-8, 14), st.integers(-6, 12))
+def test_dense_matches_monomial_construction(coeffs, shift, qmax):
+    c = replace(C, qmax=qmax)
+    got, want = _dense(coeffs, c, DEFAULT_TABLE, shift), \
+        _dense_by_monomials(coeffs, c, shift)
+    assert got == want and got.caps == want.caps
+    assert got.json_text() == want.json_text()
+
+
+def _garrett_by_monomials(k, exp_coef, offset, c):
+    """Reference Garrett polynomial: every term of every signed, shifted
+    q-binomial as a monomial, summed by make_series."""
+    entries = []
+    for i in range(-k, k + 1):
+        coeffs = qbinom_coeffs(k - 1, (k + offset - 5 * i) // 2)
+        w = i * (5 * i + exp_coef) // 2
+        entries += [(-x if i % 2 else x, mono(w + d))
+                    for d, x in enumerate(coeffs) if x]
+    return make_series(entries, c)
+
+
+@settings(max_examples=60, deadline=None)
+@example(4, 0)
+@example(9, -1)
+@given(st.integers(1, 14), st.integers(-2, 60))
+def test_garrett_row_matches_monomial_construction(k, qmax):
+    c = replace(C, qmax=qmax)
+    for got, want in ((garrett_a(k, c), _garrett_by_monomials(k, -3, 1, c)),
+                      (garrett_b(k, c), _garrett_by_monomials(k, 1, -1, c))):
+        assert got == want and got.caps == want.caps
+        assert got.json_text() == want.json_text()

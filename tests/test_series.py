@@ -4,6 +4,7 @@ truncation, substitution, comparison, and rendering."""
 import json
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +14,8 @@ from qsw.qfunctions import phi
 from qsw.series import (
     DEFAULT_TABLE, DivisionByNonUnit, Monomial, Series, TruncationSpec,
     VarTable, VarTableMismatch, VariableNotFound, caps, constant,
-    equals_mod_caps, make_series, mono, one, q_power, variable, zero,
+    equals_mod_caps, make_series, mono, one, q_power, sum_series, variable,
+    zero,
 )
 
 Q = Fraction
@@ -629,6 +631,113 @@ def test_den_is_the_reduced_lcm():
     assert (half * third).den == 6 and (half * 6).den == 1
     assert equals_mod_caps(half + third.with_caps(caps(5)) * qp(3),
                            half.truncate(caps(3))) == (True, None)
+
+
+# -- sum_series against the two-operand sum it replaced ------------------------------
+
+
+def _pair_add(f, g):
+    """Reference sum of two series, the accumulation Series.__add__ ran
+    before sum_series: both operands truncated to the meet of the caps,
+    scaled to the lcm of the dens and added into one dict at the least
+    floor."""
+    mcaps = f.caps.meet(g.caps)
+    f, g = (s if s.caps == mcaps else s.truncate(mcaps) for s in (f, g))
+    floor = min(f.qfloor, g.qfloor)
+    den = math.lcm(f.den, g.den)
+    raw: dict = {}
+    for src in (f, g):
+        shift = src.qfloor - floor
+        for (qr, ve), c in src.terms.items():
+            k = (qr + shift, ve)
+            raw[k] = raw.get(k, 0) + c * (den // src.den)
+    raw = {k: c for k, c in raw.items() if c}
+    return Series._lift_floor(f.table, mcaps, floor, raw, den)
+
+
+@settings(max_examples=150, deadline=None)
+# terms that cancel to zero, lowest terms that cancel so the floor lifts,
+# a zero part that narrows the window, dens 2, 2 and 3 that reduce, and a
+# single part
+@example([make_series([(Q(1, 2), mono(-1)), (3, mono(2, {"x": 1}))], C),
+          make_series([(Q(-1, 2), mono(-1)), (-3, mono(2, {"x": 1}))], C)])
+@example([make_series([(1, mono(-2)), (2, mono(1))], C),
+          make_series([(-1, mono(-2)), (Q(1, 3), mono(3))], caps(4)),
+          make_series([(1, mono(-1, {"y": 1}))], caps(5, y=0))])
+@example([make_series([(Q(1, 2), mono(-1))], C), zero(caps_=caps(3, x=1)),
+          make_series([(2, mono(3)), (1, mono(0, {"x": 2}))], C)])
+@example([make_series([(Q(1, 2), mono(1))], C),
+          make_series([(Q(1, 2), mono(1))], C),
+          make_series([(Q(1, 3), mono(2))], C)])
+@example([make_series([(Q(1, 2), mono(-1)), (1, mono(0, {"x": 1}))], C)])
+@given(st.lists(laurent_series_st(), min_size=1, max_size=5))
+def test_sum_series_matches_left_fold_of_pair_sums(parts):
+    want = reduce(_pair_add, parts)
+    got = sum_series(iter(parts))  # read once, as a stream
+    assert got == want and got.caps == want.caps
+    assert got.json_text() == want.json_text()
+    assert _canonical(got)
+    if len(parts) == 2:
+        for two in (parts[0] + parts[1], parts[1] + parts[0]):
+            assert two == want and two.caps == want.caps
+
+
+def test_sum_series_needs_a_part():
+    with pytest.raises(ValueError):
+        sum_series(iter(()))
+
+
+# -- text() against the per-monomial renderer it replaced -------------------------
+
+
+def _per_term_text(s):
+    """Reference rendering, one monomial at a time: its factors, then the
+    magnitude of its coefficient unless that is 1 before a factor."""
+    names = s.table.names
+    parts = []
+    for m, c in sorted(s.monomials(), key=lambda t: (t[0].qexp, t[0].vexps)):
+        factors = []
+        if m.qexp != 0:
+            factors.append("q" if m.qexp == 1 else f"q^{m.qexp}")
+        for j, e in enumerate(m.vexps):
+            if e:
+                nm = names[j + 1]
+                factors.append(nm if e == 1 else f"{nm}^{e}")
+        mag = abs(Fraction(c))
+        coeff = str(mag.numerator) if mag.denominator == 1 \
+            else f"{mag.numerator}/{mag.denominator}"
+        if factors and mag == 1:
+            body = "*".join(factors)
+        elif factors:
+            body = coeff + "*" + "*".join(factors)
+        else:
+            body = coeff
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+# Fraction coefficients, +-1 with and without factors, bare constants, and
+# terms over three variables at a Laurent floor
+@example(make_series([(Q(-3, 2), mono(2, {"x": 1})), (Q(7, 3), mono(0)),
+                      (Q(1, 6), mono(-1, {"y": 2}))], C))
+@example(make_series([(-1, mono(0)), (1, mono(1)), (-1, mono(0, {"x": 1})),
+                      (1, mono(2, {"x": 2, "y": 1}))], C))
+@example(make_series([(1, mono(0)), (-1, mono(1)), (Q(-1, 1), mono(3))], C))
+@example(constant(-1, caps_=C))
+@example(constant(Q(5, 3), caps_=C))
+@example(make_series([(2, mono(1, {"x": 1, "y": 2, "z": 3})),
+                      (Q(-1, 2), mono(-2, {"z": 1})),
+                      (-1, mono(0, {"x": 1, "z": 1}))], C))
+@given(laurent_series_st())
+def test_text_matches_per_term_renderer(s):
+    assert s.text() == _per_term_text(s)
 
 
 # -- equals_mod_caps against the per-monomial comparison -----------------------------
