@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -38,15 +39,8 @@ from .qfunctions import (
 )
 from .operators import OperatorContext, dq_pow, leibniz_rhs, rr_op
 from .polynomials import _gauss_form, sw_classic, sw_star, sw_star_op
-from .verify import BindingViolation, _stable_seed
 
 TABLE = DEFAULT_TABLE
-
-# Repeated draws in a row after which the random bindings of an identity are
-# taken to be exhausted.  One free rational has 14 values, each drawn with
-# probability at least 1/18, so an undrawn one survives this many draws with
-# probability below 1e-24.
-DRAW_PATIENCE = 1000
 
 
 @dataclass
@@ -133,12 +127,96 @@ class Env:
     def bindings_dict(self) -> dict:
         out = {k: v for k, v in self.ints.items() if isinstance(v, int)}
         for name, bv in sorted(self.bindings.items()):
-            if isinstance(bv, tuple):
-                c, d = bv
-                out[name] = f"{c.numerator}/{c.denominator}*q^{d}"
-            else:
-                out[name] = f"{bv.numerator}/{bv.denominator}"
+            c, d = bv if isinstance(bv, tuple) else (bv, 0)  # a bound d >= 1
+            tail = f"*q^{d}" if d else ""
+            out[name] = f"{c.numerator}/{c.denominator}{tail}"
         return out
+
+
+class BindingViolation(ValueError):
+    """User bindings are inconsistent with an identity's constraints."""
+
+
+def _stable_seed(seed: int, ident: str) -> int:
+    return seed ^ zlib.crc32(ident.encode())
+
+
+def _pick(v, default):  # an unset VerifyConfig field falls back to default
+    return default if v is None else v
+
+
+# _nonzero_frac's numerators; over denominators 1..3 they give 14 values
+_NUMERATORS = (-3, -2, -1, 1, 2, 3)
+_RATIONALS = len({Fraction(n, d) for n in _NUMERATORS for d in (1, 2, 3)})
+
+
+def _nonzero_frac(rng) -> Fraction:
+    return Fraction(rng.choice(_NUMERATORS), rng.randint(1, 3))
+
+
+@dataclass(frozen=True)
+class Params:
+    """The free parameters of an identity, declared as data: each name is
+    bound to a nonzero rational, or to a q-monomial c*q^d (c != 0, d >= 1)
+    when monomial, and the values differ when distinct.  inverse names the
+    parameter tied to them by inverse * prod(names) = 1, derived unless
+    bound too.  No other name may be bound."""
+
+    names: tuple
+    inverse: Optional[str] = None
+    distinct: bool = False
+    monomial: bool = False
+
+    def draw(self, ident: str, rng, trials: int) -> list[dict]:
+        """trials distinct random bindings: per name a rational, then a
+        degree in 1..3 when monomial; a distinct clash redraws only the
+        later name.  With no names there is one case, with no bindings."""
+        if not self.names:
+            return [{}]
+        values = _RATIONALS * (3 if self.monomial else 1)  # d in 1..3
+        k = len(self.names)
+        count = math.perm(values, k) if self.distinct else values ** k
+        if trials > count:
+            raise BindingViolation(f"{ident} has only {count} distinct random "
+                                   f"bindings, {trials} trials requested")
+        out: list = []
+        while len(out) < trials:
+            b: dict = {}
+            for name in self.names:
+                v = self._value(rng)
+                while self.distinct and v in b.values():
+                    v = self._value(rng)
+                b[name] = v
+            b = self.validate(ident, b)
+            if b not in out:
+                out.append(b)
+        return out
+
+    def _value(self, rng):
+        c = _nonzero_frac(rng)
+        return (c, rng.randint(1, 3)) if self.monomial else c
+
+    def validate(self, ident: str, bindings: dict) -> dict:
+        """The user's bindings, checked, with inverse derived if unbound."""
+        extra = sorted(set(bindings) - {*self.names, self.inverse})
+        if extra:
+            raise BindingViolation(f"{ident} has no free parameter {extra[0]}")
+        vals = [bindings.get(name) for name in self.names]
+        kind = ("a q-monomial c*q^d with c != 0, d >= 1 (a rational makes "
+                "the sum formally divergent)" if self.monomial
+                else "a nonzero rational")
+        for name, v in zip(self.names, vals):
+            if not (isinstance(v, tuple) and v[0] != 0 and v[1] >= 1
+                    if self.monomial else isinstance(v, Fraction) and v != 0):
+                raise BindingViolation(f"{name} must be bound to {kind}")
+        if self.distinct and len(set(vals)) < len(vals):
+            raise BindingViolation(f"{' and '.join(self.names)} must differ")
+        if self.inverse is not None:
+            inv = 1 / math.prod(vals)
+            if bindings.setdefault(self.inverse, inv) != inv:
+                raise BindingViolation(f"constraint {self.inverse}"
+                                       f"{''.join(self.names)} = 1 violated")
+        return bindings
 
 
 @dataclass(frozen=True)
@@ -155,46 +233,22 @@ class IdentitySpec:
     var_caps: dict = field(default_factory=dict)
     window: Optional[tuple] = None  # compare only up to total degree `order`
     sweep: Optional[Callable] = None  # (cfg, rng) -> list of ints dicts
-    free: tuple = ()  # constrained parameters needing bindings
-    complete: Optional[Callable] = None  # bindings -> full validated bindings
-    rand: Optional[Callable] = None  # rng -> bindings for the free parameters
+    params: Params = Params(())  # free parameters to bind; none by default
     trials: int = 5
     uses_garrett: bool = False
 
     def cases(self, cfg, convention) -> list[Env]:
-        qmax = cfg.qmax if cfg.qmax is not None else self.qmax
-        deg = cfg.deg if cfg.deg is not None else self.deg
-        over = dict(self.var_caps)
-        over.update(cfg.var_caps)
-        cps = caps(qmax, TABLE, deg, **over)
-        order = cfg.sum_order if cfg.sum_order is not None else self.order
+        cps = caps(_pick(cfg.qmax, self.qmax), TABLE,
+                   _pick(cfg.deg, self.deg),
+                   **{**self.var_caps, **cfg.var_caps})
+        order = _pick(cfg.sum_order, self.order)
         rng = random.Random(_stable_seed(cfg.seed, self.id))
         sweeps = self.sweep(cfg, rng) if self.sweep else [{}]
-        if self.free:
-            if cfg.bindings:
-                blist = [self.complete(dict(cfg.bindings))]
-            else:
-                trials = cfg.trials if cfg.trials is not None else self.trials
-                blist = []
-                seen = set()
-                repeats = 0
-                while len(blist) < trials:
-                    b = self.rand(rng)
-                    key = tuple(sorted(b.items()))
-                    if key in seen:
-                        repeats += 1
-                        if repeats > DRAW_PATIENCE:
-                            raise BindingViolation(
-                                f"{self.id} has only {len(blist)} distinct "
-                                f"random bindings, {trials} trials requested")
-                        continue
-                    seen.add(key)
-                    repeats = 0
-                    blist.append(self.complete(b))
-        elif cfg.bindings:
-            raise BindingViolation(f"{self.id} has no free parameters to bind")
+        if cfg.bindings:
+            blist = [self.params.validate(self.id, dict(cfg.bindings))]
         else:
-            blist = [{}]
+            blist = self.params.draw(self.id, rng,
+                                     _pick(cfg.trials, self.trials))
         return [Env(cps, order, b, convention, dict(sw))
                 for b in blist for sw in sweeps]
 
@@ -293,12 +347,6 @@ def _garrett_kernel(e: Env, m: int, v: Series) -> Series:
         lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5)))
 
 
-def _nonzero_frac(rng) -> Fraction:
-    num = rng.choice([-3, -2, -1, 1, 2, 3])
-    den = rng.randint(1, 3)
-    return Fraction(num, den)
-
-
 def _range_sweep(name, hi):
     return lambda cfg, rng: [{name: n} for n in range(hi + 1)]
 
@@ -306,56 +354,6 @@ def _range_sweep(name, hi):
 def _pair_sweep(hi):
     return lambda cfg, rng: [{"n": n, "k": k} for n in range(hi + 1)
                              for k in range(hi + 1)]
-
-
-def _require(bindings, *names):
-    for name in names:
-        v = bindings.get(name)
-        if v is None:
-            raise BindingViolation(f"binding for {name} is required")
-        if not isinstance(v, (Fraction, tuple)):
-            raise BindingViolation(f"binding for {name} must be rational")
-        if isinstance(v, Fraction) and v == 0:
-            raise BindingViolation(f"binding for {name} must be nonzero")
-
-
-def _inverse_binding(target, *names):
-    """Completer for the constraint target * prod(names) = 1: the names
-    must be bound to nonzero rationals, and target defaults to the
-    reciprocal of their product."""
-    def complete(bindings):
-        _require(bindings, *names)
-        vals = [bindings[name] for name in names]
-        if not all(isinstance(v, Fraction) for v in vals):
-            raise BindingViolation(
-                f"{' and '.join(names)} must be nonzero rationals")
-        p = math.prod(vals)
-        t = bindings.get(target)
-        if t is None:
-            bindings[target] = 1 / p
-        elif t * p != 1:
-            raise BindingViolation(
-                f"constraint {target}{''.join(names)} = 1 violated")
-        return bindings
-    return complete
-
-
-def _ts_complete(bindings):
-    _require(bindings, "t", "s")
-    t, s = bindings["t"], bindings["s"]
-    if not isinstance(t, Fraction) or not isinstance(s, Fraction):
-        raise BindingViolation("t and s must be nonzero rationals")
-    if t == s:
-        raise BindingViolation("t and s must differ (t/s = 1 degenerates)")
-    return bindings
-
-
-def _rand_ts(rng):
-    t = _nonzero_frac(rng)
-    s = _nonzero_frac(rng)
-    while s == t:
-        s = _nonzero_frac(rng)
-    return {"t": t, "s": s}
 
 
 # -- Pochhammer identities (I-POCH-*) --------------------------------------------
@@ -771,9 +769,8 @@ _ratio_image = _rr_image(
 _two_inv_image = _rr_image(
     lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]))
 # case generation of the by = 1 Garrett forms and of the Rogers formulas
-_BY1 = dict(free=("y",), complete=_inverse_binding("b", "y"),
-            rand=lambda rng: {"y": _nonzero_frac(rng)}, uses_garrett=True)
-_TS = dict(free=("t", "s"), complete=_ts_complete, rand=_rand_ts)
+_BY1 = dict(params=Params(("y",), inverse="b"), uses_garrett=True)
+_TS = dict(params=Params(("t", "s"), distinct=True))
 
 _ident(
     id="T4-XN",
@@ -854,8 +851,7 @@ _ident(
     description="yz=1 Garrett form of the Srivastava-Agarwal representation",
     build_lhs=_gf_lhs(_sriaga_coeff, "z", _bound_z_order),
     build_rhs=_ratio_rq_rhs("az", "z", _garrett_kernel),
-    free=("z",), complete=_inverse_binding("y", "z"),
-    rand=lambda rng: {"z": _nonzero_frac(rng)}, uses_garrett=True,
+    params=Params(("z",), inverse="y"), uses_garrett=True,
 )
 
 _ident(
@@ -887,25 +883,8 @@ _ident(
                 "function",
     build_lhs=_gf_lhs(_rsgf_coeff, "z", _bound_z_order),
     build_rhs=_rq_sum_rhs("az", "bz", _garrett_kernel),
-    free=("z", "y"), complete=_inverse_binding("b", "z", "y"),
-    rand=lambda rng: {"z": _nonzero_frac(rng), "y": _nonzero_frac(rng)},
-    uses_garrett=True,
+    params=Params(("z", "y"), inverse="b"), uses_garrett=True,
 )
-
-
-def _abgf_complete(bindings):
-    for name in ("a", "b"):
-        v = bindings.get(name)
-        if v is None:
-            raise BindingViolation(f"binding for {name} is required")
-        if isinstance(v, Fraction):
-            raise BindingViolation(
-                f"{name} must be a monomial c*q^d with d >= 1: rational "
-                "bindings make the sum formally divergent")
-        c, d = v
-        if c == 0 or d < 1:
-            raise BindingViolation(f"{name} must be c*q^d with c != 0, d >= 1")
-    return bindings
 
 
 def _t4abgf_rhs(e):
@@ -932,9 +911,7 @@ _ident(
                       * e.qfact_inv(n), "z"),
     build_rhs=_t4abgf_rhs,
     window=("z",),
-    free=("a", "b"), complete=_abgf_complete,
-    rand=lambda rng: {"a": (_nonzero_frac(rng), rng.randint(1, 3)),
-                      "b": (_nonzero_frac(rng), rng.randint(1, 3))},
+    params=Params(("a", "b"), monomial=True),
 )
 
 

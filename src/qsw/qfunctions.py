@@ -134,18 +134,34 @@ def qfact(n: int, caps: TruncationSpec,
     return _dense(qfact_coeffs(n), caps, table)
 
 
+# (qmax, base) -> (n, row n) of the last _qfact_inv_coeffs row built there
+_QFACT_INV_LAST: dict = {}
+
+
 @lru_cache(maxsize=None)
 def _qfact_inv_coeffs(n: int, qmax: int, base: int = 1) -> tuple[int, ...]:
     """Dense coefficients of 1/(q^base; q^base)_n modulo q^(qmax+1).
 
-    Divides 1 by each factor (1 - q^(base*k)) in place: h[i] += h[i - base*k]
-    sums the geometric series, and the result has integer coefficients."""
-    h = [1] + [0] * qmax
-    for k in range(1, n + 1):
+    Divides by each factor (1 - q^(base*k)) in place: h[i] += h[i - base*k]
+    sums the geometric series, and the result has integer coefficients.
+    The division starts from the last row built at (qmax, base) unless
+    that row is above n, so rows asked for in order, as _qexp_sum asks,
+    take one pass each.  A factor with base*k > qmax is 1 modulo the
+    window, so n is clamped at qmax // base."""
+    top = max(qmax, 0) // base
+    if n > top:
+        return _qfact_inv_coeffs(top, qmax, base)
+    k, row = _QFACT_INV_LAST.get((qmax, base), (0, (1,) + (0,) * qmax))
+    if k > n:
+        k, row = 0, (1,) + (0,) * qmax
+    h = list(row)
+    for k in range(k + 1, n + 1):
         step = base * k
         for i in range(step, qmax + 1):
             h[i] += h[i - step]
-    return tuple(h)
+    row = tuple(h)
+    _QFACT_INV_LAST[(qmax, base)] = (n, row)
+    return row
 
 
 def qfact_inv(n: int, caps: TruncationSpec,

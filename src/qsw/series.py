@@ -13,9 +13,11 @@ Coefficients are exact rationals, stored as one integer polynomial over one
 denominator (the form of FLINT's fmpq_poly): nonzero int numerators and a
 den >= 1 with gcd(den, *numerators) == 1, and den == 1 for an integral or
 zero series.  Equal values therefore have equal representations, and every
-kernel operation runs on ints: a sum scales its operands to the lcm of their
-denominators, a product multiplies them, D_q keeps its operand's, and each
-result divides out one gcd, taken only when its den is not 1.  Values leave
+kernel operation but one runs on ints: a sum scales its operands to the lcm
+of their denominators, a product multiplies them, D_q keeps its operand's,
+and each result divides out one gcd, taken only when its den is not 1.  The
+exception is reciprocal, whose recurrence multiplies by 1/c0, a Fraction
+whenever the stored constant numerator c0 is not +-1.  Values leave
 the kernel through coeff, constant_term, monomials and rendering, as an int
 when integral and a Fraction in lowest terms otherwise; every result is
 exact modulo its own stated ideal.

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import time
-import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -14,22 +13,25 @@ from typing import Optional
 from .series import (
     DEFAULT_TABLE, Monomial, Series, VariableNotFound, equals_mod_caps,
 )
-from .polynomials import MAX_QMAX, OrderOutOfRange
+from .polynomials import MAX_ORDER, MAX_QMAX, OrderOutOfRange
+from .identities import (  # BindingViolation is re-exported
+    BY_ID, REGISTRY, BindingViolation, garrett_candidates,
+)
 
 
 class UnknownIdentity(KeyError):
     """Identity id not present in the registry."""
 
 
-class BindingViolation(ValueError):
-    """User bindings are inconsistent with an identity's constraints."""
+# the most trials one verify() call draws; T4-ABGF, the slowest there, 4 s
+MAX_TRIALS = 100
 
 
 class InvalidRequest(ValueError):
-    """Verification settings that leave nothing valid to check: a negative
-    cap or sum order, a qmax above polynomials.MAX_QMAX, an unknown
-    variable, a polynomial order above polynomials.MAX_ORDER, or no cases
-    at all."""
+    """Verification settings that leave nothing valid to check or no bound
+    on the work: a negative qmax, cap, sum order or trial count, one above
+    its bound (MAX_QMAX, MAX_ORDER, MAX_TRIALS), an unknown variable, a
+    polynomial order above MAX_ORDER, or no cases at all."""
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,16 @@ class VerifyConfig:
     bindings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, v in (("qmax", self.qmax), ("deg", self.deg),
-                        ("sum_order", self.sum_order), *self.var_caps.items()):
+        for name, v, top in (("qmax", self.qmax, MAX_QMAX),
+                             ("deg", self.deg, MAX_ORDER),
+                             ("sum_order", self.sum_order, None),
+                             ("trials", self.trials, MAX_TRIALS),
+                             *((name, cap, MAX_ORDER)
+                               for name, cap in self.var_caps.items())):
             if v is not None and v < 0:
                 raise InvalidRequest(f"{name} must be non-negative, got {v}")
-        if self.qmax is not None and self.qmax > MAX_QMAX:
-            raise InvalidRequest(
-                f"qmax must be at most {MAX_QMAX}, got {self.qmax}")
+            if v is not None and top is not None and v > top:
+                raise InvalidRequest(f"{name} must be at most {top}, got {v}")
         for name in (*self.var_caps, *self.bindings):
             try:
                 DEFAULT_TABLE.slot(name)
@@ -105,10 +110,6 @@ def _mono_text(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _stable_seed(seed: int, ident: str) -> int:
-    return seed ^ zlib.crc32(ident.encode())
-
-
 def _restrict(s: Series, slots: tuple[int, ...], bound: int) -> Series:
     """Keep only monomials of total degree <= bound in the given slots."""
     raw = {k: c for k, c in s.terms.items()
@@ -118,12 +119,10 @@ def _restrict(s: Series, slots: tuple[int, ...], bound: int) -> Series:
 
 def registry():
     """All registered identity specifications, in canonical order."""
-    from .identities import REGISTRY
     return list(REGISTRY)
 
 
 def get_identity(ident: str):
-    from .identities import BY_ID
     spec = BY_ID.get(ident)
     if spec is None:
         raise UnknownIdentity(ident)
@@ -141,10 +140,9 @@ def resolve_garrett_convention(kmax: int = 6, qmax: int = 40) -> Report:
     report's convention field carries the single surviving tag, or None if
     zero or both survive.
     """
-    from .identities import garrett_candidates
-
-    if kmax < 2:
-        raise ValueError("kmax must be at least 2 to separate conventions")
+    # 2 separates the conventions; MAX_ORDER bounds a_k, b_k as in `eval`
+    if not 2 <= kmax <= MAX_ORDER:
+        raise ValueError(f"kmax must be in 2..{MAX_ORDER}, got {kmax}")
     if qmax > MAX_QMAX:
         raise ValueError(f"qmax must be at most {MAX_QMAX}")
     key = (kmax, qmax)

@@ -12,7 +12,8 @@ import qsw
 from qsw.cli import main
 from qsw.identities import BY_ID, IdentitySpec
 from qsw.series import caps
-from qsw.polynomials import MAX_QMAX, sw_star
+from qsw.polynomials import MAX_ORDER, MAX_QMAX, sw_star
+from qsw.verify import MAX_TRIALS
 
 
 def run(argv, capsys):
@@ -144,11 +145,34 @@ def test_usage_error_exits_2(capsys):
     ["eval", "garrett-a", "--n", "1", "--qmax", str(MAX_QMAX + 1)],
     ["verify", "I-RR1", "--qmax", str(MAX_QMAX + 1)],
     ["garrett-convention", "--qmax", str(MAX_QMAX + 1)],
+    # --kmax 200 --qmax 40 ran for minutes
+    ["garrett-convention", "--kmax", str(MAX_ORDER + 1)],
+    ["verify", "I-RR1", "--trials", str(MAX_TRIALS + 1)],
+    ["verify", "I-RR1", "--cap", f"x={MAX_ORDER + 1}"],
+    # within the cap bound, T4-SRIAGA-YZ1 still asks for S*_n at n > 64
+    ["verify", "T4-SRIAGA-YZ1", "--cap", "x=60", "--trials", "1"],
+    # x is not a parameter of T4-BY1: binding it used to report a false FAIL
+    ["verify", "T4-BY1", "--bind", "y=2", "--bind", "x=1/3"],
 ])
 def test_usage_error_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "T4-BY1", "--bind", "y=2", "--bind", "x=1/3"],
+    ["verify", "T4-SRIAGA-YZ1", "--bind", "z=2", "--bind", "b=1/2"],
+    ["verify", "T6-ROGERS", "--bind", "t=2", "--bind", "s=3", "--bind",
+     "y=1"],
+    ["verify", "all", "--bind", "y=2"],
+])
+def test_binding_an_undeclared_name_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("binding violation:")
     assert len(captured.err.strip().splitlines()) == 1
 
 

@@ -10,10 +10,12 @@ import pytest
 import qsw.identities as identities
 import qsw.qfunctions as qfunctions
 from qsw.identities import BY_ID, Env, IdentitySpec, garrett_candidates
+from qsw.polynomials import MAX_ORDER
 from qsw.qfunctions import rq_at_power
 from qsw.series import TruncationSpec, caps, equals_mod_caps, mono, q_power
 from qsw.verify import (
-    BindingViolation, InvalidRequest, UnknownIdentity, VerifyConfig, _restrict,
+    MAX_TRIALS, BindingViolation, InvalidRequest, UnknownIdentity,
+    VerifyConfig, _restrict,
     registry, reports_json, resolve_garrett_convention, selected_convention,
     verify,
 )
@@ -81,6 +83,129 @@ def test_user_binding_override_and_violation():
     with pytest.raises(BindingViolation):
         verify("T4-ABGF", VerifyConfig(bindings={"a": Fraction(1, 2),
                                                  "b": Fraction(1, 3)}))
+
+
+# Every case's bindings (Env.bindings_dict, which verify() reports as
+# bindings_used) of the identities with free parameters at seeds 0 and 3.
+# They pin the drawer's order of RNG calls, on which every report depends: a
+# rational per name, then the degree of a q-monomial, and a redraw of only
+# the later name on a t = s clash (T6-ROGERS at seed 0 has one).
+DRAWN = {
+    ("T4-BY1", 0): [
+        "b=-1/1 y=-1/1", "b=1/1 y=1/1", "b=-1/2 y=-2/1", "b=3/1 y=1/3",
+        "b=-2/1 y=-1/2",
+    ],
+    ("T4-2PROD", 0): [
+        "b=1/1 y=1/1", "b=-2/3 y=-3/2", "b=-1/3 y=-3/1", "b=1/3 y=3/1",
+        "b=-1/1 y=-1/1",
+    ],
+    ("T4-SRIAGA-YZ1", 0): [
+        "y=-1/3 z=-3/1", "y=1/2 z=2/1", "y=-3/2 z=-2/3", "y=-1/1 z=-1/1",
+        "y=1/1 z=1/1",
+    ],
+    ("T4-RSGF-BZY1", 0): [
+        "b=-1/3 y=1/1 z=-3/1", "b=-2/3 y=-3/2 z=1/1", "b=-9/2 y=1/3 z=-2/3",
+        "b=-2/3 y=3/2 z=-1/1", "b=-1/3 y=-1/1 z=3/1",
+    ],
+    ("T4-ABGF", 0): [
+        "a=1/3*q^3 b=3/2*q^2", "a=-2/1*q^2 b=2/1*q^3", "a=-1/3*q^2 b=1/3*q^3",
+        "a=-1/1*q^1 b=-1/1*q^1", "a=1/1*q^1 b=2/3*q^3",
+    ],
+    ("T6-ROGERS", 0): [
+        "s=-3/1 t=1/1", "s=1/3 t=3/2", "s=-1/3 t=-2/3", "s=2/3 t=3/2",
+        "s=1/1 t=-1/1",
+    ],
+    ("T6-ROGERS-ALT", 0): [
+        "s=-2/3 t=-1/2", "s=-1/3 t=2/3", "s=1/3 t=-1/1", "s=-1/1 t=1/1",
+        "s=3/2 t=-1/1",
+    ],
+    ("T4-BY1", 3): [
+        "b=1/3 y=3/1", "b=2/1 y=1/2", "b=-2/1 y=-1/2", "b=1/1 y=1/1",
+        "b=-3/2 y=-2/3",
+    ],
+    ("T4-2PROD", 3): [
+        "b=1/1 y=1/1", "b=-2/1 y=-1/2", "b=-3/2 y=-2/3", "b=2/3 y=3/2",
+        "b=-2/3 y=-3/2",
+    ],
+    ("T4-SRIAGA-YZ1", 3): [
+        "y=1/1 z=1/1", "y=-1/3 z=-3/1", "y=-3/2 z=-2/3", "y=-1/2 z=-2/1",
+        "y=-3/1 z=-1/3",
+    ],
+    ("T4-RSGF-BZY1", 3): [
+        "b=3/4 y=-2/1 z=-2/3", "b=-1/3 y=-3/1 z=1/1", "b=1/3 y=1/1 z=3/1",
+        "b=2/3 y=3/2 z=1/1", "b=-1/1 y=-1/1 z=1/1",
+    ],
+    ("T4-ABGF", 3): [
+        "a=1/1*q^2 b=-1/3*q^2", "a=1/2*q^2 b=3/2*q^3", "a=-2/1*q^3 b=1/2*q^1",
+        "a=-2/1*q^3 b=2/3*q^2", "a=1/1*q^3 b=3/2*q^2",
+    ],
+    ("T6-ROGERS", 3): [
+        "s=-1/1 t=2/3", "s=-3/2 t=2/1", "s=-2/3 t=3/2", "s=-3/2 t=-2/1",
+        "s=3/2 t=1/2",
+    ],
+    ("T6-ROGERS-ALT", 3): [
+        "s=-1/1 t=-3/1", "s=1/3 t=1/2", "s=2/1 t=1/2", "s=2/1 t=1/1",
+        "s=-3/1 t=-2/1",
+    ],
+}
+
+
+@pytest.mark.parametrize("ident, seed", sorted(DRAWN))
+def test_drawn_bindings_are_pinned(ident, seed):
+    envs = BY_ID[ident].cases(VerifyConfig(seed=seed), "alternating")
+    assert [" ".join(f"{k}={v}" for k, v in env.bindings_dict().items())
+            for env in envs] == DRAWN[ident, seed]
+
+
+@pytest.mark.parametrize("ident, bindings", [
+    ("T4-BY1", {"y": Fraction(2), "x": Fraction(1, 3)}),
+    ("T4-SRIAGA-YZ1", {"z": Fraction(2), "b": Fraction(1, 2)}),
+    ("T6-ROGERS", {"t": Fraction(2), "s": Fraction(3), "y": Fraction(1)}),
+    ("T4-ABGF", {"a": (Fraction(1), 1), "b": (Fraction(2), 1),
+                 "z": Fraction(1)}),
+    ("I-RR1", {"y": Fraction(2, 3)}),
+])
+def test_binding_an_undeclared_name_is_a_violation(ident, bindings):
+    # T4-BY1 with x bound used to build its sides at x = 1/3 and report a
+    # false FAIL
+    with pytest.raises(BindingViolation, match="no free parameter"):
+        BY_ID[ident].cases(VerifyConfig(bindings=bindings), "alternating")
+
+
+def test_declared_bindings_derive_or_check_the_inverse():
+    def bind(ident, **bindings):
+        envs = BY_ID[ident].cases(VerifyConfig(bindings=bindings),
+                                  "alternating")
+        assert len(envs) == 1
+        return envs[0].bindings
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert bind("T4-RSGF-BZY1", z=3 * half, y=half)["b"] == Fraction(4, 3)
+    assert bind("T4-SRIAGA-YZ1", z=3 * half, y=2 * third)["y"] == 2 * third
+    assert bind("T6-ROGERS", t=half, s=third) == {"t": half, "s": third}
+    assert bind("T4-ABGF", a=(half, 1), b=(third, 2))["b"] == (third, 2)
+    for ident, bindings in [
+            ("T4-SRIAGA-YZ1", {"z": 3 * half, "y": half}),
+            ("T4-RSGF-BZY1", {"z": half}),
+            ("T6-ROGERS", {"t": half, "s": half}),
+            ("T6-ROGERS", {"t": half, "s": 1}),
+            ("T4-ABGF", {"a": (half, 0), "b": (third, 2)}),
+            ("T4-ABGF", {"a": (0, 1), "b": (third, 2)})]:
+        with pytest.raises(BindingViolation):
+            BY_ID[ident].cases(VerifyConfig(bindings=bindings), None)
+
+
+@pytest.mark.parametrize("kw", [
+    {"trials": MAX_TRIALS + 1}, {"trials": -1}, {"deg": MAX_ORDER + 1},
+    {"var_caps": {"x": MAX_ORDER + 1}}, {"var_caps": {"t": 2000}},
+])
+def test_verify_config_bounds_trials_and_caps(kw):
+    with pytest.raises(InvalidRequest):
+        VerifyConfig(**kw)
+
+
+def test_verify_config_accepts_its_bounds():
+    VerifyConfig(trials=MAX_TRIALS, deg=MAX_ORDER,
+                 var_caps=dict.fromkeys("xyztswab", MAX_ORDER))
 
 
 def test_perturbed_rhs_reports_witness():

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qsw.qfunctions as qfunctions
+from qsw.polynomials import MAX_QMAX
 from qsw.series import (
     DEFAULT_TABLE, Monomial, caps, constant, equals_mod_caps, make_series,
     mono, one, q_power, variable, zero,
@@ -121,6 +123,51 @@ def test_qfact_inv_coeffs_match_reciprocal(n, qmax, base):
     inv = qfact_at_base.reciprocal()
     assert _qfact_inv_coeffs(n, qmax, base) \
         == tuple(inv.coeff(mono(i)) for i in range(qmax + 1))
+
+
+def _cold_qfact_inv():
+    _qfact_inv_coeffs.cache_clear()
+    qfunctions._QFACT_INV_LAST.clear()
+
+
+def _qfact_inv_from_scratch(n, qmax, base):
+    """1/(q^base; q^base)_n, dividing 1 by all n factors afresh."""
+    h = [1] + [0] * qmax
+    for k in range(1, n + 1):
+        for i in range(base * k, qmax + 1):
+            h[i] += h[i - base * k]
+    return tuple(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=6),
+       st.integers(-2, 40), st.integers(1, 4))
+def test_qfact_inv_coeffs_rows_match_division_from_scratch(ns, qmax, base):
+    # rows asked for in any order: each continues from the last row built
+    # at (qmax, base), or starts afresh when that row is above it; n beyond
+    # qmax // base is clamped
+    _cold_qfact_inv()
+    for n in ns:
+        assert _qfact_inv_coeffs(n, qmax, base) \
+            == _qfact_inv_from_scratch(n, qmax, base)
+
+
+def test_qfact_inv_coeffs_cold_at_max_qmax():
+    # one cold call at the widest window builds its rows by iteration, with
+    # no recursion per row; 1/(q;q)_N counts partitions, checked here by
+    # Euler's pentagonal recurrence
+    _cold_qfact_inv()
+    row = _qfact_inv_coeffs(MAX_QMAX, MAX_QMAX)
+    p = [1] + [0] * MAX_QMAX
+    for m in range(1, MAX_QMAX + 1):
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= m:
+            sign = 1 if j % 2 else -1
+            p[m] += sign * p[m - g]
+            if g + j <= m:
+                p[m] += sign * p[m - g - j]
+            j += 1
+    assert row == tuple(p)
 
 
 # an ordinary series: monomials c q^i x^j, possibly none
