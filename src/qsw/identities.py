@@ -26,12 +26,12 @@ import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import mul
 from typing import Callable, Optional
 
 from .series import (
     DEFAULT_TABLE, Monomial, Series, TruncationSpec, VarTable, caps, constant,
-    make_series, mono, monomial_series, one, q_power, variable,
+    make_series, mono, monomial_series, one, q_power, sum_series, variable,
 )
 from .qfunctions import (
     INFINITY, _poch_ratios, _qbinom_sum, _qexp_sum, eq_big, eq_small,
@@ -268,7 +268,7 @@ def _gf_lhs(coeff, z, nmax=lambda e: e.order):
     replaced by its value when the case binds it."""
     def build(e):
         zv = e.sym(z)
-        return reduce(add, (coeff(e, n) * zv ** n for n in range(nmax(e) + 1)))
+        return sum_series(coeff(e, n) * zv ** n for n in range(nmax(e) + 1))
     return build
 
 
@@ -474,8 +474,8 @@ def _leibniz_sweep(cfg, rng):
 
 def _spec_poly(e, key):
     """sum c q^i x^j over the case's random (c, i, j) triples."""
-    return reduce(add, (monomial_series(c, i, {"x": j}, e.table, e.caps)
-                        for c, i, j in e.ints[key]))
+    return sum_series(monomial_series(c, i, {"x": j}, e.table, e.caps)
+                      for c, i, j in e.ints[key])
 
 
 def _leibniz_lhs(e):
@@ -899,7 +899,7 @@ def _t4abgf_rhs(e):
             yield prod * e.pochn([z * x], k) * rq(e.qpow(k) * z * y) \
                 * e.qfact_inv(k)
             prod = prod * (a - b * e.qpow(k))
-    return e.pochinf([a]) * e.pochinf_inv([z * x, b]) * reduce(add, terms())
+    return e.pochinf([a]) * e.pochinf_inv([z * x, b]) * sum_series(terms())
 
 
 _ident(
@@ -997,10 +997,10 @@ def _rogers_lhs(alternating):
             if alternating:
                 return (-1) ** n * e.qpow(n * (n - 1) // 2) * tv ** n
             return tv ** n
-        return reduce(add, (
+        return sum_series(
             sw_star(n + m, e.caps, e.table) * tpow(n) * sv ** m
             * e.qfact_inv(n) * e.qfact_inv(m)
-            for n in range(e.order + 1) for m in range(e.order + 1 - n)))
+            for n in range(e.order + 1) for m in range(e.order + 1 - n))
     return build
 
 

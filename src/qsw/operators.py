@@ -10,6 +10,7 @@ building inputs with enough headroom in the differentiation variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import sub
 
 from .series import Monomial, Series, TruncationSpec, variable
 from .qfunctions import _qbinom_sum, _qexp_sum
@@ -28,23 +29,21 @@ class OperatorContext:
 
 
 def dq(f: Series, x: str) -> Series:
-    """q-derivative of f with respect to x."""
+    """q-derivative of f with respect to x: the row at x^k becomes itself
+    minus itself shifted up by k powers of q, at x^(k-1)."""
     i = f.table.slot(x)
-    raw: dict = {}
-    for (qr, ve), c in f.terms.items():
+    rows: dict = {}
+    for ve, r in f.rows.items():
         k = ve[i]
         if k == 0:
             continue
         nv = list(ve)
         nv[i] = k - 1
-        nv = tuple(nv)
-        key = (qr, nv)
-        prev = raw.get(key)
-        raw[key] = c if prev is None else prev + c
-        key = (qr + k, nv)
-        prev = raw.get(key)
-        raw[key] = -c if prev is None else prev - c
-    return Series._build(f.table, f.caps, f.qfloor, raw, f.den)
+        d = list(r)
+        d += [0] * k
+        d[k:] = map(sub, d[k:], r)
+        rows[tuple(nv)] = d
+    return Series._build(f.table, f.caps, f.qfloor, rows, f.den)
 
 
 def dq_pow(f: Series, x: str, n: int) -> Series:

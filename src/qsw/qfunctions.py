@@ -3,9 +3,9 @@ the q-exponentials, Garrett's coefficient polynomials, and the Ramanujan
 q-exponential, all as exact truncated series.
 
 The pure-q rows (Gaussian binomials, (q;q)_n, 1/(q;q)_n, Garrett's a_k and
-b_k) are int coefficient tuples or lists; _dense turns a row into a Series
-directly, cut at the window top, with no monomial objects and no caps
-pass.  The weighted sums _qexp_sum and _qbinom_sum, which build the
+b_k) are int coefficient tuples or lists; _dense stores one as the single
+q-row of a Series, cut at the window top, with no monomial objects.  The
+weighted sums _qexp_sum and _qbinom_sum, which build the
 q-exponentials, phi, R(yD_q) and the identities' sums, stream their terms
 into one series.sum_series, so the running total is never copied.
 """
@@ -73,19 +73,9 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
 def _dense(coeffs: Sequence[int], caps: TruncationSpec, table: VarTable,
            shift: int = 0) -> Series:
     """The pure q-series sum_i coeffs[i] q^(i + shift) of int coeffs at caps,
-    built straight into its term dict: the floor is min(0, the first
-    nonzero exponent) and the row ends at the window top."""
-    stop = caps.qmax - shift + 1
-    row = coeffs[:stop] if stop > 0 else ()  # a negative stop would wrap
-    for first, c in enumerate(row):
-        if c:
-            break
-    else:
-        return zero(table, caps)
-    floor = min(0, first + shift)
-    off, zv = shift - floor, table.zero_vexps
-    return Series(table, floor,
-                  {(i + off, zv): c for i, c in enumerate(row) if c}, caps)
+    built straight into its one row: the floor is min(0, the first nonzero
+    exponent) and the row ends at the window top."""
+    return Series._build(table, caps, shift, {table.zero_vexps: coeffs})
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +206,7 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
 
 def _stripped(s: Series, qmax: int) -> Series:
     """q^(-s.qfloor) s, an exact representative, read as ordinary to qmax."""
-    return Series._build(s.table, replace(s.caps, qmax=qmax), 0, s.terms,
+    return Series._build(s.table, replace(s.caps, qmax=qmax), 0, s.rows,
                          s.den)
 
 
@@ -296,21 +286,19 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
 
 def _as_neg_q_power(s: Series):
     """If s is exactly the monomial q^(-m) with m >= 0, return m, else None."""
-    if len(s.terms) != 1:
+    if len(s.rows) != 1:
         return None
-    ((qr, ve), c), = s.terms.items()
-    if c != 1 or s.den != 1 or any(ve):
+    ((ve, r),) = s.rows.items()
+    if r[-1] != 1 or s.den != 1 or any(ve) or any(r[:-1]):
         return None
-    qa = qr + s.qfloor
+    qa = len(r) - 1 + s.qfloor
     return -qa if qa <= 0 else None
 
 
 def _weight_certificate(z: Series) -> bool:
     """True iff every monomial of z has positive q-exponent or variable content."""
-    for (qr, ve), _ in z.terms.items():
-        if qr + z.qfloor < 1 and not any(ve):
-            return False
-    return True
+    r = z.rows.get(z.table.zero_vexps, ())
+    return not any(r[:1 - z.qfloor])
 
 
 def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,

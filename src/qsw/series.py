@@ -9,10 +9,17 @@ carry negative exponents.  The q-window is absolute: caps.qmax is the top
 exponent through which the series is known, whatever its floor, and may be
 negative.
 
+A Series is stored row-major, the recursive dense layout: one dense q-row
+of numerators per variable part, rows[vexps][qrel] the numerator at
+q^(qfloor + qrel) vexps.  Every operation works a row at a time: the caps
+are checked once per row, the window top slices each row, a sum adds rows
+at an offset, a product by one term shifts and scales whole rows, and D_q
+maps the row at x^k to itself minus itself shifted up by k powers of q.
+
 Coefficients are exact rationals, stored as one integer polynomial over one
-denominator (the form of FLINT's fmpq_poly): nonzero int numerators and a
-den >= 1 with gcd(den, *numerators) == 1, and den == 1 for an integral or
-zero series.  Equal values therefore have equal representations, and every
+denominator (the form of FLINT's fmpq_poly): int numerators and a den >= 1
+with gcd(den, *numerators) == 1, and den == 1 for an integral or zero
+series.  Equal values therefore have equal representations, and every
 kernel operation but one runs on ints: a sum scales its operands to the lcm
 of their denominators, a product multiplies them, D_q keeps its operand's,
 and each result divides out one gcd, taken only when its den is not 1.  The
@@ -23,32 +30,23 @@ when integral and a Fraction in lowest terms otherwise; every result is
 exact modulo its own stated ideal.
 
 A product of two operands of 4 terms or more is a Kronecker substitution
-in q (FLINT's fmpz_poly_mul_KS): each q-row of numerators, one per
-variable part, is packed once into an int with a signed slot per q-power,
-each pair of rows that fits the variable caps is multiplied as ints, the
-products add packed per output row, and each output row is decoded once
-below the window top.  A slot holds bits(max|a|) + bits(max|b|) +
-bits(terms of the smaller operand) + 1 bits, since an output slot sums at
-most one product per term of the smaller operand.  A product whose
-smaller operand has at most 3 terms keeps one multiply-add per pair of
-terms, which measured faster there, and one with a one-term operand
-shifts each key of the other operand, multiplies each numerator once and
-checks the variable caps once per variable part.
+in q (FLINT's fmpz_poly_mul_KS): each row is packed once into an int with
+a signed slot per q-power, each pair of rows that fits the variable caps
+is multiplied as ints, the products add packed per output row, and an
+output row is its slots, read once below the window top.  A slot holds
+bits(max|a|) + bits(max|b|) + bits(terms of the smaller operand) + 1
+bits, since an output slot sums at most one product per term of the
+smaller operand.  A product whose smaller operand has at most 3 terms adds
+each row of the other operand, shifted and scaled by each of its terms,
+which measured faster there.
 
 Every sum of series is one n-ary sum, sum_series: it reads its parts once
-as a stream and adds their numerators into one dict, moving the keys to
-the least floor only when the floors differ and filtering by the meet of
-the caps only when the caps differ, so its result equals the left fold of
-+ in value, window and stored form.  __add__ is its two-operand case.
-Rendering builds the factors of each variable part once and joins the
-terms once.
-
-The caps filter of a normalising pass runs once per variable part, not
-once per term.  Two series with the same floor and caps are compared by
-equality of their term dicts, since every stored term is nonzero and
-inside the shared window; otherwise each side's terms inside the meet of
-the windows are compared, and the least differing monomial is sought only
-after a mismatch.
+as a stream and adds their rows into one dict, padding the rows only when
+a part has a lower floor, so its result equals the left fold of + in
+value, window and stored form.  __add__ is its two-operand case.  Two
+series are compared by equality of their stored forms at the meet of
+their windows, and the least differing monomial is sought only after a
+mismatch.
 """
 
 from __future__ import annotations
@@ -58,8 +56,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, gt, sub
+from operator import add, gt, mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
 
@@ -156,10 +155,7 @@ class TruncationSpec:
 
     def admits(self, vexps: tuple[int, ...]) -> bool:
         """True iff the variable part vexps is within every variable cap."""
-        for e, c in zip(vexps, self.vcaps):
-            if e > c:
-                return False
-        return True
+        return not any(map(gt, vexps, self.vcaps))
 
 
 def caps(qmax: int, table: VarTable = DEFAULT_TABLE, default: int = 8,
@@ -181,14 +177,16 @@ def _as_coeff(c: Scalar):
     raise TypeError(f"coefficients must be int or Fraction, got {type(c)!r}")
 
 
-def _over_den(raw: dict) -> tuple[dict, int]:
-    """(integer numerators, den) of a map of int | Fraction values, over the
-    lcm of their denominators; not reduced."""
-    if Fraction not in set(map(type, raw.values())):
-        return raw, 1
-    den = lcm(*{c.denominator for c in raw.values()})
-    return {k: c.numerator * (den // c.denominator)
-            for k, c in raw.items()}, den
+def _over_den(rows: dict) -> tuple[dict, int]:
+    """(integer numerator rows, den) of rows of int | Fraction entries, over
+    the lcm of their denominators; not reduced."""
+    dens = {c.denominator for r in rows.values() for c in r
+            if type(c) is not int}
+    if not dens:
+        return rows, 1
+    den = lcm(*dens)
+    return {ve: [c.numerator * (den // c.denominator) for c in r]
+            for ve, r in rows.items()}, den
 
 
 def _value(n: int, den: int):
@@ -204,25 +202,64 @@ def _invert_scalar(c):
     return inv.numerator if inv.denominator == 1 else inv
 
 
+def _trim(row, stop: int) -> tuple:
+    """The entries of row below index stop, without trailing zeros."""
+    n = max(0, min(len(row), stop))
+    while n and not row[n - 1]:
+        n -= 1
+    return tuple(row[:n])
+
+
+def _lead(row) -> int:
+    """Index of the first nonzero entry of a row that has one."""
+    for i, c in enumerate(row):
+        if c:
+            return i
+
+
+def _add_at(acc: dict, key, off: int, row, scale=1):
+    """Add scale * row into the row acc[key] from index off, growing it as
+    needed.  A tuple is stored as it is and copied before the first add
+    into it."""
+    end = off + len(row)
+    if scale != 1:
+        row = map(mul, repeat(scale), row)
+    d = acc.get(key)
+    if d is None:
+        if off or type(row) is not tuple:
+            d = acc[key] = [0] * off
+            d += row
+        else:
+            acc[key] = row
+        return
+    if type(d) is tuple:
+        d = acc[key] = list(d)
+    if len(d) < end:
+        d += [0] * (end - len(d))
+    d[off:end] = map(add, d[off:end], row)
+
+
 class Series:
     """Immutable truncated series; all operations are pure functions.
 
-    terms maps (qrel, vexps) -> int numerator with qrel >= 0 and
-    qfloor + qrel <= caps.qmax, the absolute q-exponent being qfloor + qrel;
-    the coefficient there is numerator / den.  Invariants: no zero numerator
-    is stored; den >= 1 and gcd(den, *numerators) == 1, so den == 1 for an
-    integral or zero series; the zero series has qfloor == 0; a nonzero
-    series has qfloor == 0 or some term at qrel == 0.  Equal values have
-    equal (qfloor, den, terms).
+    rows maps vexps -> a tuple of int numerators, the entry at index qrel
+    being the numerator at q^(qfloor + qrel) vexps; the coefficient there is
+    numerator / den.  Invariants: no row is empty and every row ends in a
+    nonzero entry; every row is inside the variable caps and at or below
+    the top, qfloor + qrel <= caps.qmax; den >= 1 and gcd(den, *numerators)
+    == 1, so den == 1 for an integral or zero series; the zero series has
+    qfloor == 0; a nonzero series has qfloor == 0 or some row with a
+    nonzero entry at qrel == 0.  Equal values have equal (qfloor, den,
+    rows).
     """
 
-    __slots__ = ("table", "qfloor", "terms", "caps", "den")
+    __slots__ = ("table", "qfloor", "rows", "caps", "den")
 
-    def __init__(self, table, qfloor, terms, caps_, den=1):
+    def __init__(self, table, qfloor, rows, caps_, den=1):
         # internal: use make_series / helpers, not this constructor
         self.table = table
         self.qfloor = qfloor
-        self.terms = terms
+        self.rows = rows
         self.caps = caps_
         self.den = den
 
@@ -230,47 +267,45 @@ class Series:
 
     @staticmethod
     def _build(table: VarTable, caps_: TruncationSpec, qfloor: int,
-               raw: dict, den: int = 1) -> "Series":
-        """Normalize a raw (qrel, vexps) -> integer numerator map over den
-        into a valid Series."""
-        if qfloor > 0:
-            # fold a positive valuation into the exponents (floor stays <= 0)
-            raw = {(qr + qfloor, ve): c for (qr, ve), c in raw.items()}
-            qfloor = 0
-        top = caps_.qmax - qfloor
+               rows: dict, den: int = 1) -> "Series":
+        """Normalize raw rows (vexps -> integer numerators over den indexed
+        by the q-exponent above qfloor, of any length, zeros allowed) into a
+        valid Series."""
+        # a positive valuation folds into the rows (floor stays <= 0)
+        lead = max(qfloor, 0)
+        qfloor -= lead
+        stop = caps_.qmax - qfloor + 1 - lead
+        pad = (0,) * lead
         admits = caps_.admits
-        rows: dict = {}  # vexps -> within the variable caps
-        terms = {}
-        for (qr, ve), c in raw.items():
-            if c and 0 <= qr <= top:
-                ok = rows.get(ve)
-                if ok is None:
-                    ok = rows[ve] = admits(ve)
-                if ok:
-                    terms[(qr, ve)] = c
-        return Series._lift_floor(table, caps_, qfloor, terms, den)
+        out = {}
+        if stop > 0:
+            for ve, r in rows.items():
+                if admits(ve):
+                    r = _trim(r, stop)
+                    if r:
+                        out[ve] = pad + r
+        return Series._lift_floor(table, caps_, qfloor, out, den)
 
     @staticmethod
     def _lift_floor(table: VarTable, caps_: TruncationSpec, qfloor: int,
-                    terms: dict, den: int = 1) -> "Series":
-        """Series of nonzero numerators over den inside caps_ at a floor <= 0.
+                    rows: dict, den: int = 1) -> "Series":
+        """Series of valid rows over den inside caps_ at a floor <= 0.
 
         Divides out gcd(den, *numerators) and lifts a negative floor to the
         least stored q-exponent; the top stays.
         """
-        if not terms:
+        if not rows:
             return Series(table, 0, {}, caps_)
         if den != 1:
-            g = gcd(den, *terms.values())
+            g = gcd(den, *chain.from_iterable(rows.values()))
             if g != 1:
-                terms = {k: n // g for k, n in terms.items()}
+                rows = {ve: tuple(n // g for n in r) for ve, r in rows.items()}
                 den //= g
-        if qfloor < 0:
-            lift = min(-qfloor, min(qr for qr, _ in terms))
-            if lift:
-                terms = {(qr - lift, ve): c for (qr, ve), c in terms.items()}
-                qfloor += lift
-        return Series(table, qfloor, terms, caps_, den)
+        if qfloor < 0 and not any(r[0] for r in rows.values()):
+            lift = min(-qfloor, min(map(_lead, rows.values())))
+            rows = {ve: r[lift:] for ve, r in rows.items()}
+            qfloor += lift
+        return Series(table, qfloor, rows, caps_, den)
 
     def _same_table(self, other: "Series"):
         if self.table is not other.table and self.table != other.table:
@@ -280,7 +315,18 @@ class Series:
     # -- predicates / accessors --------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
+
+    @property
+    def terms(self) -> dict:
+        """(qrel, vexps) -> numerator of every nonzero stored entry, built
+        anew on each read; the kernel itself reads rows."""
+        return {(qr, ve): n for ve, r in self.rows.items()
+                for qr, n in enumerate(r) if n}
+
+    def _nterms(self) -> int:
+        """Number of nonzero stored entries."""
+        return sum([len(r) - r.count(0) for r in self.rows.values()])
 
     def coeff(self, m: Monomial):
         """Coefficient of a monomial (absolute q-exponent); 0 outside caps."""
@@ -288,24 +334,29 @@ class Series:
         if qrel < 0 or m.qexp > self.caps.qmax \
                 or not self.caps.admits(m.vexps):
             return Fraction(0)
-        n = self.terms.get((qrel, m.vexps))
-        return Fraction(0) if n is None else _value(n, self.den)
+        r = self.rows.get(m.vexps, ())
+        n = r[qrel] if qrel < len(r) else 0
+        return _value(n, self.den) if n else Fraction(0)
 
     def constant_term(self):
         """Coefficient at the all-zero monomial relative to the floor."""
-        return _value(self.terms.get((0, self.table.zero_vexps), 0), self.den)
+        r = self.rows.get(self.table.zero_vexps)
+        return _value(r[0] if r else 0, self.den)
 
     def monomials(self):
         """Iterate (Monomial, coeff) with absolute q-exponents."""
         f, den = self.qfloor, self.den
-        for (qr, ve), n in self.terms.items():
-            yield Monomial(qr + f, ve), n if den == 1 else _value(n, den)
+        for ve, r in self.rows.items():
+            for qr, n in enumerate(r):
+                if n:
+                    yield Monomial(qr + f, ve), \
+                        n if den == 1 else _value(n, den)
 
     def min_qexp(self) -> int:
         """Least absolute q-exponent among stored terms (0 for the zero series)."""
-        if not self.terms:
+        if not self.rows:
             return 0
-        return self.qfloor + min(qr for qr, _ in self.terms)
+        return self.qfloor + min(map(_lead, self.rows.values()))
 
     # -- ring operations ----------------------------------------------------
 
@@ -320,15 +371,15 @@ class Series:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        # the larger operand is copied whole, the smaller added term by term
-        return sum_series((self, g) if len(self.terms) >= len(g.terms)
+        # the rows of the first operand are taken whole, the second's added
+        return sum_series((self, g) if len(self.rows) >= len(g.rows)
                           else (g, self))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        terms = {k: -c for k, c in self.terms.items()}
-        return Series(self.table, self.qfloor, terms, self.caps, self.den)
+        rows = {ve: tuple(map(neg, r)) for ve, r in self.rows.items()}
+        return Series(self.table, self.qfloor, rows, self.caps, self.den)
 
     def __sub__(self, other) -> "Series":
         g = self._coerce(other)
@@ -338,19 +389,6 @@ class Series:
 
     def __rsub__(self, other) -> "Series":
         return (-self) + other
-
-    def _by_vexps(self, qmax: int) -> dict:
-        """The numerators at qrel <= qmax by variable part:
-        vexps -> [(qrel, numerator), ...]."""
-        groups: dict = {}
-        for (qr, ve), n in self.terms.items():
-            if qr <= qmax:
-                lst = groups.get(ve)
-                if lst is None:
-                    groups[ve] = [(qr, n)]
-                else:
-                    lst.append((qr, n))
-        return groups
 
     def __mul__(self, other) -> "Series":
         g = self._coerce(other)
@@ -363,55 +401,43 @@ class Series:
         mcaps = self.caps.meet(g.caps)
         if mcaps.qmax != floor + qmax:
             mcaps = TruncationSpec(floor + qmax, mcaps.vcaps)
-        if len(g.terms) == 1:
+        na, nb = self._nterms(), g._nterms()
+        if nb == 1:
             return self._times_term(g, floor, qmax, mcaps)
-        if len(self.terms) == 1:
+        if na == 1:
             return g._times_term(self, floor, qmax, mcaps)
-        if min(len(self.terms), len(g.terms)) <= 3:
-            terms = self._loop_product(g, qmax, mcaps.vcaps)
+        if na <= 3:
+            rows = g._loop_product(self, qmax, mcaps.vcaps)
+        elif nb <= 3:
+            rows = self._loop_product(g, qmax, mcaps.vcaps)
         else:
-            terms = self._packed_product(g, qmax, mcaps.vcaps)
-        # every key is inside mcaps and floor <= 0: no caps filter needed
-        return Series._lift_floor(self.table, mcaps, floor, terms,
-                                  self.den * g.den)
+            rows = self._packed_product(g, qmax, mcaps.vcaps, min(na, nb))
+        return Series._build(self.table, mcaps, floor, rows, self.den * g.den)
 
     __rmul__ = __mul__
 
     def _loop_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
-        """Numerators of self * g through the relative window qmax inside
-        vcaps: one multiply-add per pair of terms into a dense q-row."""
-        ga = self._by_vexps(qmax)
-        gb = g._by_vexps(qmax)
-        if len(ga) > len(gb):
-            ga, gb = gb, ga
+        """Rows of self * g through the relative window qmax inside vcaps,
+        for g of few terms: each row of self, shifted and scaled by each
+        term of g, is added into its output row."""
         acc: dict = {}
-        for va, la in ga.items():
-            for vb, lb in gb.items():
-                ve = []
-                dead = False
-                for e1, e2, cp in zip(va, vb, vcaps):
-                    s = e1 + e2
-                    if s > cp:
-                        dead = True
-                        break
-                    ve.append(s)
-                if dead:
+        for vb, rb in g.rows.items():
+            terms = [(qb, cb) for qb, cb in enumerate(rb[:qmax + 1]) if cb]
+            for va, ra in self.rows.items():
+                ve = tuple(map(add, va, vb))
+                if any(map(gt, ve, vcaps)):
                     continue
-                ve = tuple(ve)
-                dense = acc.get(ve)
-                if dense is None:
-                    dense = acc[ve] = [0] * (qmax + 1)
-                for qa, ca in la:
-                    lim = qmax - qa
-                    for qb, cb in lb:
-                        if qb <= lim:
-                            dense[qa + qb] += ca * cb
-        return {(qr, ve): n for ve, dense in acc.items()
-                for qr, n in enumerate(dense) if n}
+                for qb, cb in terms:
+                    seg = ra[:qmax + 1 - qb]
+                    if seg:
+                        _add_at(acc, ve, qb, seg, cb)
+        return acc
 
-    def _packed_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
-        """Numerators of self * g through the relative window qmax inside
-        vcaps, by Kronecker substitution in q.
+    def _packed_product(self, g: "Series", qmax: int, vcaps: tuple,
+                        m: int) -> dict:
+        """Rows of self * g through the relative window qmax inside vcaps,
+        by Kronecker substitution in q; m is the smaller operand's term
+        count.
 
         Each q-row of an operand becomes one int with a signed k-bit slot
         per q-power, so one int product convolves a pair of rows.  An
@@ -419,9 +445,9 @@ class Series:
         operand, so k bounds it whichever row pairs add into its row.
         """
         n = qmax + 1
-        na, nb = self.terms.values(), g.terms.values()
-        bits = (max(map(abs, na)).bit_length() + max(map(abs, nb)).bit_length()
-                + min(len(na), len(nb)).bit_length() + 1)
+        bits = (max(max(map(abs, r)) for r in self.rows.values()).bit_length()
+                + max(max(map(abs, r)) for r in g.rows.values()).bit_length()
+                + m.bit_length() + 1)
         kb = -(-bits // 8)
         if kb <= 8:
             kb = 1 << (kb - 1).bit_length()
@@ -441,38 +467,25 @@ class Series:
         # the mask ends each row at the window top, so neither the slots
         # above it nor a borrow out of the top slot is read
         low = (1 << k * n) - 1
-        terms = {}
+        rows = {}
         for ve, x in acc.items():
             x = ((x + bias) & low) ^ bias
             # the slots up to the highest nonzero one
             raw = x.to_bytes(-(-x.bit_length() // k) * kb, "little")
-            if fmt:
-                slots = memoryview(raw).cast(fmt)
-            else:
-                slots = [int.from_bytes(raw[i:i + kb], "little", signed=True)
-                         for i in range(0, len(raw), kb)]
-            for qr, c in enumerate(slots):
-                if c:
-                    terms[(qr, ve)] = c
-        return terms
+            rows[ve] = tuple(memoryview(raw).cast(fmt)) if fmt else tuple(
+                int.from_bytes(raw[i:i + kb], "little", signed=True)
+                for i in range(0, len(raw), kb))
+        return rows
 
     def _packed_rows(self, n: int, kb: int, fmt: Optional[str],
                      bias: int) -> dict:
-        """vexps -> the q-row at qrel < n packed in kb-byte slots, filled
-        as an array of format fmt when there is one."""
-        zeros = bytes(kb * n)
-        rows: dict = {}
-        for (qr, ve), c in self.terms.items():
-            if qr < n:
-                row = rows.get(ve)
-                if row is None:
-                    row = rows[ve] = array(fmt, zeros) if fmt else [0] * n
-                row[qr] = c
+        """vexps -> the q-row at qrel < n packed in kb-byte slots, through
+        an array of format fmt when there is one."""
         packed = {}
-        for ve, row in rows.items():
-            if not fmt:
-                row = b"".join(c.to_bytes(kb, "little", signed=True)
-                               for c in row)
+        for ve, r in self.rows.items():
+            r = r[:n]
+            row = array(fmt, r) if fmt else b"".join(
+                c.to_bytes(kb, "little", signed=True) for c in r)
             packed[ve] = (int.from_bytes(row, "little") ^ bias) - bias
         return packed
 
@@ -480,28 +493,30 @@ class Series:
                     mcaps: TruncationSpec) -> "Series":
         """self times the one-term series t, as __mul__ has set it up.
 
-        Shifts each key by t's, multiplies each numerator once and drops
-        what leaves the relative window qmax or a variable cap of mcaps.
+        Shifts each row by t's term and scales it once, dropping what
+        leaves the relative window qmax or a variable cap of mcaps.
         """
-        ((qt, vt), c), = t.terms.items()
-        sign = 1 if c == 1 else -1 if c == -1 else 0
-        lim = qmax - qt
+        ((vt, rt),) = t.rows.items()
+        qt = len(rt) - 1
+        c = rt[qt]
+        stop = qmax - qt + 1
+        pad = (0,) * qt
         vcaps = mcaps.vcaps
-        rows: dict = {}  # vexps -> shifted vexps, False outside the caps
-        terms = {}
-        for (qr, ve), cb in self.terms.items():
-            if qr > lim:
+        moved = any(vt)
+        check = moved or self.caps.vcaps != vcaps
+        rows = {}
+        for ve, r in self.rows.items():
+            if moved:
+                ve = tuple(map(add, ve, vt))
+            if check and any(map(gt, ve, vcaps)):
                 continue
-            nv = rows.get(ve)
-            if nv is None:
-                nv = tuple(map(add, ve, vt))
-                if any(map(gt, nv, vcaps)):
-                    nv = False
-                rows[ve] = nv
-            if nv is False:
+            r = _trim(r, stop)
+            if not r:
                 continue
-            terms[(qr + qt, nv)] = cb if sign == 1 else -cb if sign else c * cb
-        return Series._lift_floor(self.table, mcaps, floor, terms,
+            if c != 1:
+                r = tuple(map(neg, r) if c == -1 else map(mul, repeat(c), r))
+            rows[ve] = pad + r
+        return Series._lift_floor(self.table, mcaps, floor, rows,
                                   self.den * t.den)
 
     def __pow__(self, n: int) -> "Series":
@@ -527,14 +542,14 @@ class Series:
         is the one row v = 0, the dense recurrence in q.
         """
         zv = self.table.zero_vexps
-        c0 = self.terms.get((0, zv))
+        r0 = self.rows.get(zv)
+        c0 = r0[0] if r0 else 0
         if not c0:
             raise DivisionByNonUnit("constant term is zero")
         table, cps, d = self.table, self.caps, self.den
         width = cps.qmax - self.qfloor  # the window above the floor
-        rows = self._by_vexps(width)
-        others = sorted((j, u, c) for u, row in rows.items() for j, c in row
-                        if j or u != zv)
+        others = sorted((j, u, c) for u, row in self.rows.items()
+                        for j, c in enumerate(row) if c and (j or u != zv))
         order, seen = [zv], {zv}
         for v in order:
             for _, u, _ in others:
@@ -556,10 +571,9 @@ class Series:
                         break
                     acc -= c * hw[m - j]
                 hv[m] = acc * inv0
-        raw = {(i, v): c for v, hv in h.items() for i, c in enumerate(hv) if c}
         # 1/g is known through the window of g above its floor, -qfloor
         cps = TruncationSpec(width - self.qfloor, cps.vcaps)
-        return Series._build(table, cps, -self.qfloor, *_over_den(raw))
+        return Series._build(table, cps, -self.qfloor, *_over_den(h))
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -583,7 +597,7 @@ class Series:
     def truncate(self, new_caps: TruncationSpec) -> "Series":
         """Reduce into the (smaller) ideal given by meet(caps, new_caps)."""
         return Series._build(self.table, self.caps.meet(new_caps),
-                             self.qfloor, self.terms, self.den)
+                             self.qfloor, self.rows, self.den)
 
     def with_caps(self, new_caps: TruncationSpec) -> "Series":
         """Reinterpret this exact representative at different caps.
@@ -591,7 +605,7 @@ class Series:
         Widening the caps is a claim of knowledge the caller must justify
         (e.g. the series is an exact polynomial).
         """
-        return Series._build(self.table, new_caps, self.qfloor, self.terms,
+        return Series._build(self.table, new_caps, self.qfloor, self.rows,
                              self.den)
 
     def substitute(self, var: str, r: Scalar, m: Monomial) -> "Series":
@@ -602,87 +616,68 @@ class Series:
         so the top moves down by cap*|p| and the floor by the lowest key.
         It may carry another variable v as v^k: an unknown var^e (e above
         var's cap) lands at v^(e*k), so v's cap drops below (cap + 1)*k.
-        For r = rn/rd and E the top exponent of var present, the numerator
-        at var^e is scaled by rn^e rd^(E-e) and den by rd^E.
+        For r = rn/rd and E the top exponent of var present, the row at
+        var^e is scaled by rn^e rd^(E-e) and den by rd^E.
         """
         i = self.table.slot(var)
         r = _as_coeff(r)
         rn, rd = r.numerator, r.denominator
-        top_e = max((ve[i] for _, ve in self.terms), default=0)
-        pw: dict = {}  # e -> rn^e rd^(top_e - e)
-        raw: dict = {}
-        for (qr, ve), c in self.terms.items():
+        top_e = max((ve[i] for ve in self.rows), default=0)
+        # negative replacement exponents lower the rows, the floor and the top
+        low = min(0, m.qexp * top_e)
+        acc: dict = {}
+        for ve, row in self.rows.items():
             e = ve[i]
-            p = pw.get(e)
-            if p is None:
-                p = pw[e] = rn ** e * rd ** (top_e - e)
-            c *= p
             if e:
                 nv = list(ve)
                 nv[i] = 0
                 for j, me in enumerate(m.vexps):
                     if me:
                         nv[j] += e * me
-                k = (qr + e * m.qexp, tuple(nv))
-            else:
-                k = (qr, ve)
-            prev = raw.get(k)
-            raw[k] = c if prev is None else prev + c
-        # negative replacement exponents lower the keys, the floor and the top
-        low = min(0, min((qr for qr, _ in raw), default=0))
-        raw = {(qr - low, ve): c for (qr, ve), c in raw.items()}
+                ve = tuple(nv)
+            _add_at(acc, ve, e * m.qexp - low, row,
+                    rn ** e * rd ** (top_e - e))
         cap = self.caps.vcaps[i]
         top = self.caps.qmax + min(0, m.qexp) * cap
         vcaps = tuple(vc if j == i or not k else min(vc, (cap + 1) * k - 1)
                       for j, (vc, k) in enumerate(zip(self.caps.vcaps,
                                                       m.vexps)))
         return Series._build(self.table, TruncationSpec(top, vcaps),
-                             self.qfloor + low, raw, self.den * rd ** top_e)
+                             self.qfloor + low, acc, self.den * rd ** top_e)
 
     # -- comparison ----------------------------------------------------------
 
-    def _absolute(self, within: TruncationSpec) -> dict:
-        """(absolute q-exponent, vexps) -> numerator of the terms inside
-        within."""
-        f = self.qfloor
-        if self.caps == within:
-            return {(qr + f, ve): c for (qr, ve), c in self.terms.items()}
-        top, admits = within.qmax - f, within.admits
-        return {(qr + f, ve): c for (qr, ve), c in self.terms.items()
-                if qr <= top and admits(ve)}
-
     def __eq__(self, other) -> bool:
-        """Structural equality of representatives (floor and terms)."""
+        """Structural equality of representatives (floor and rows)."""
         if isinstance(other, (int, Fraction)):
             other = constant(other, self.table, self.caps)
         if not isinstance(other, Series):
             return NotImplemented
         return (self.table == other.table and self.qfloor == other.qfloor
-                and self.den == other.den and self.terms == other.terms)
+                and self.den == other.den and self.rows == other.rows)
 
     __hash__ = None  # mutable-ish container semantics; not hashable
 
     # -- rendering -----------------------------------------------------------
 
-    def _sorted_monomials(self):
-        """(absolute q-exponent, vexps, coeff) in rendering order."""
-        f, den = self.qfloor, self.den
-        return [(qr + f, ve, n if den == 1 else _value(n, den))
-                for (qr, ve), n in sorted(self.terms.items())]
+    def _sorted_terms(self) -> list:
+        """(qrel, vexps, numerator) of every nonzero entry in rendering
+        order."""
+        return sorted((qr, ve, n) for ve, r in self.rows.items()
+                      for qr, n in enumerate(r) if n)
 
     def text(self) -> str:
         """Canonical text rendering; equal series render identically."""
-        if not self.terms:
+        if not self.rows:
             return "0"
         vnames = self.table.names[1:]
         f, den = self.qfloor, self.den
-        vtext: dict = {}  # vexps -> its factors, built once per variable part
+        vtext = {ve: "*".join(nm if e == 1 else f"{nm}^{e}"
+                              for nm, e in zip(vnames, ve) if e)
+                 for ve in self.rows}
         out = []
-        for (qr, ve), n in sorted(self.terms.items()):
-            vs = vtext.get(ve)
-            if vs is None:
-                vs = vtext[ve] = "*".join(nm if e == 1 else f"{nm}^{e}"
-                                          for nm, e in zip(vnames, ve) if e)
+        for qr, ve, n in self._sorted_terms():
+            vs = vtext[ve]
             qa = qr + f
             if qa:
                 qs = "q" if qa == 1 else f"q^{qa}"
@@ -701,12 +696,14 @@ class Series:
         """JSON rendering with fields {qFloor, caps, terms}; qMax is the
         window's width above qFloor."""
         names = self.table.names
+        f, den = self.qfloor, self.den
         terms = []
-        for qa, ve, c in self._sorted_monomials():
-            mono = {"q": qa}
+        for qr, ve, n in self._sorted_terms():
+            mono = {"q": qr + f}
             for j, e in enumerate(ve):
                 if e:
                     mono[names[j + 1]] = e
+            c = n if den == 1 else _value(n, den)
             terms.append({"coeff": f"{c.numerator}/{c.denominator}",
                           "mono": mono})
         return {
@@ -737,18 +734,17 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
     """
     floor = 0
     entries = [(_as_coeff(c), m) for c, m in entries]
-    for c, m in entries:
-        if c and m.qexp < floor:
-            floor = m.qexp
-    raw: dict = {}
     nvars = table.nvars
     for c, m in entries:
         if len(m.vexps) != nvars:
             raise VarTableMismatch("monomial width does not match table")
-        k = (m.qexp - floor, m.vexps)
-        prev = raw.get(k)
-        raw[k] = c if prev is None else prev + c
-    return Series._build(table, caps_, floor, *_over_den(raw))
+        if c and m.qexp < floor:
+            floor = m.qexp
+    rows: dict = {}
+    for c, m in entries:
+        if c:
+            _add_at(rows, m.vexps, m.qexp - floor, (c,))
+    return Series._build(table, caps_, floor, *_over_den(rows))
 
 
 def sum_series(parts: Iterable[Series]) -> Series:
@@ -756,52 +752,37 @@ def sum_series(parts: Iterable[Series]) -> Series:
     the left fold of +: the window is the meet of the parts' caps.
 
     Reads each part once as it arrives, holding no list of parts.  The
-    numerators add into one dict over the lcm of the dens seen so far,
-    keyed relative to the first part's floor; the keys move to the least
-    floor only when the floors differ, and the caps filter runs only when
-    the caps do.
+    rows add into one dict over the lcm of the dens seen so far, indexed
+    from the least floor seen so far, so the rows are padded only when a
+    part has a lower floor.
     """
     parts = iter(parts)
     first = next(parts, None)
     if first is None:
         raise ValueError("sum_series needs at least one part")
-    table, mcaps, base, den = first.table, first.caps, first.qfloor, first.den
-    floor = base
-    mixed_caps = False
-    raw = dict(first.terms)
-    get = raw.get
+    table, mcaps, floor, den = first.table, first.caps, first.qfloor, first.den
+    acc = dict(first.rows)  # a part's row is copied only when added into
     for p in parts:
         first._same_table(p)
         if p.caps is not mcaps and p.caps != mcaps:
             mcaps = mcaps.meet(p.caps)
-            mixed_caps = True
-        floor = min(floor, p.qfloor)
-        shift = p.qfloor - base
+        if p.qfloor < floor:
+            pad = [0] * (floor - p.qfloor)
+            acc = {ve: pad + list(r) for ve, r in acc.items()}
+            floor = p.qfloor
         scale = 1
         if p.den != den:
             d = lcm(den, p.den)
             if d != den:
                 up = d // den
-                for k in raw:
-                    raw[k] *= up
+                acc = {ve: [c * up for c in r] for ve, r in acc.items()}
                 den = d
             scale = den // p.den
-        if shift or scale != 1:
-            for (qr, ve), c in p.terms.items():
-                k = (qr + shift, ve)
-                raw[k] = get(k, 0) + c * scale
-        else:
-            for k, c in p.terms.items():
-                raw[k] = get(k, 0) + c
-    lift = base - floor
-    if lift:
-        raw = {(qr + lift, ve): c for (qr, ve), c in raw.items() if c}
-    elif not mixed_caps:
-        raw = {k: c for k, c in raw.items() if c}
-    if mixed_caps:
-        # _build drops what lies outside the meet, and zero numerators
-        return Series._build(table, mcaps, floor, raw, den)
-    return Series._lift_floor(table, mcaps, floor, raw, den)
+        off = p.qfloor - floor
+        for ve, r in p.rows.items():
+            _add_at(acc, ve, off, r, scale)
+    # _build drops trailing zeros, and what lies outside a narrower meet
+    return Series._build(table, mcaps, floor, acc, den)
 
 
 def zero(table: VarTable = DEFAULT_TABLE,
@@ -821,7 +802,7 @@ def constant(c: Scalar, table: VarTable = DEFAULT_TABLE,
     c = _as_coeff(c)
     if not c or caps_.qmax < 0:
         return zero(table, caps_)
-    return Series(table, 0, {(0, table.zero_vexps): c.numerator}, caps_,
+    return Series(table, 0, {table.zero_vexps: (c.numerator,)}, caps_,
                   c.denominator)
 
 
@@ -871,24 +852,11 @@ def equals_mod_caps(f: Series, g: Series):
     variable exponents) order.
     """
     f._same_table(g)
-    if f.qfloor == g.qfloor and f.caps == g.caps and f.den == g.den \
-            and f.terms == g.terms:
-        # every stored term is nonzero and inside the shared window
-        return True, None
+    # equal values inside the meet have one stored form there
     mcaps = f.caps.meet(g.caps)
-    fd, gd = (s._absolute(mcaps) for s in (f, g))
-    den = f.den
-    if f.den != g.den:
-        # the parts inside the meet need not be reduced: cross-multiply
-        fd = {k: n * g.den for k, n in fd.items()}
-        gd = {k: n * f.den for k, n in gd.items()}
-        den *= g.den
-    if fd == gd:
+    f, g = f.truncate(mcaps), g.truncate(mcaps)
+    if f == g:
         return True, None
-    m = Monomial(*min(k for k in fd.keys() | gd.keys()
-                      if fd.get(k) != gd.get(k)))
-
-    def value(d):
-        n = d.get(m)
-        return Fraction(0) if n is None else _value(n, den)
-    return False, (m, value(fd), value(gd))
+    m = min(m for s in (f, g) for m, _ in s.monomials()
+            if f.coeff(m) != g.coeff(m))
+    return False, (m, f.coeff(m), g.coeff(m))

@@ -112,9 +112,9 @@ def _mono_text(m: Monomial) -> str:
 
 def _restrict(s: Series, slots: tuple[int, ...], bound: int) -> Series:
     """Keep only monomials of total degree <= bound in the given slots."""
-    raw = {k: c for k, c in s.terms.items()
-           if sum(k[1][i] for i in slots) <= bound}
-    return Series._build(s.table, s.caps, s.qfloor, raw, s.den)
+    rows = {ve: r for ve, r in s.rows.items()
+            if sum(ve[i] for i in slots) <= bound}
+    return Series._lift_floor(s.table, s.caps, s.qfloor, rows, s.den)
 
 
 def registry():

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsw.series import (
-    DEFAULT_TABLE, caps, equals_mod_caps, make_series, mono, one, q_power,
-    variable,
+    DEFAULT_TABLE, Monomial, caps, equals_mod_caps, make_series, mono, one,
+    q_power, variable,
 )
-from qsw.qfunctions import poch_inf_inv, qfact_inv
+from qsw.qfunctions import poch_inf_inv, qbinom_coeffs, qfact_inv
 from qsw.polynomials import (
     _gauss_form, rogers_szego, sw_classic, sw_star, sw_star_op,
 )
@@ -123,6 +123,45 @@ def test_gauss_form_bound_bases_match_substitution(family, n, ub, vb, top,
             return cb, mono(d)
         return 1, mono(0, {name: 1})
     got = _gauss_form(n, c, DEFAULT_TABLE, base(u), base(v), weight)
+    assert got.json_text() == want.json_text()
+
+
+def _gauss_by_monomials(n, c, u, v, weight):
+    """Reference _gauss_form: every coefficient of every row as a Monomial,
+    scaled by cu^(n-k) cv^k in Fraction arithmetic, normalised by
+    make_series, which drops what lies outside the caps."""
+    (cu, mu), (cv, mv) = u, v
+    entries = []
+    for k in range(n + 1):
+        ve = tuple((n - k) * a + k * b for a, b in zip(mu.vexps, mv.vexps))
+        low = weight(k) + (n - k) * mu.qexp + k * mv.qexp
+        ck = Fraction(cu) ** (n - k) * Fraction(cv) ** k
+        entries += [(ck * b, Monomial(low + d, ve))
+                    for d, b in enumerate(qbinom_coeffs(n, k))]
+    return make_series(entries, c)
+
+
+def _base(bv, name):
+    return (1, mono(0, {name: 1})) if bv is None else (bv[0], mono(bv[1]))
+
+
+@settings(max_examples=200, deadline=None)
+# a bound Fraction base times q^2; rows above the top (k*k > 3); rows
+# outside the x-cap 1; both bases bound, so every row is the pure-q one
+@example(3, (Fraction(-1, 2), 2), None, True, 12, 4, 4)
+@example(4, None, None, True, 3, 4, 4)
+@example(3, None, None, False, 10, 1, 4)
+@example(4, (Fraction(2, 3), 1), (Fraction(-3), 0), True, 15, 0, 0)
+@given(st.integers(0, 10), _bound_value, _bound_value, st.booleans(),
+       st.integers(0, 15), st.integers(0, 4), st.integers(0, 4))
+def test_gauss_form_matches_monomial_construction(n, ub, vb, squares, top,
+                                                  cx, cy):
+    c = caps(top, x=cx, y=cy)
+    u, v = _base(ub, "x"), _base(vb, "y")
+    weight = (lambda k: k * k) if squares else (lambda k: 0)
+    got = _gauss_form(n, c, DEFAULT_TABLE, u, v, weight)
+    want = _gauss_by_monomials(n, c, u, v, weight)
+    assert got == want and got.caps == want.caps
     assert got.json_text() == want.json_text()
 
 

@@ -519,20 +519,38 @@ def test_scalar_mul_matches_schoolbook_fraction_product(f, c):
 
 
 def _canonical(s):
-    """Nonzero int numerators over an int den >= 1 that shares no factor
-    with all of them, so den is 1 for an integral or zero series."""
-    ns = list(s.terms.values())
-    return (all(type(n) is int and n for n in ns) and type(s.den) is int
-            and s.den >= 1 and math.gcd(s.den, *ns) == 1)
+    """One q-row per variable part: a tuple of int numerators, none empty,
+    each ending in a nonzero entry, inside the variable caps and at or
+    below the top; an int den >= 1 that shares no factor with all the
+    numerators, so den is 1 for an integral or zero series; a floor of 0,
+    or below 0 with a nonzero entry at it."""
+    rows = s.rows.values()
+    ns = [n for r in rows for n in r]
+    return (all(type(r) is tuple and r and r[-1] for r in rows)
+            and all(s.caps.admits(ve) and s.qfloor + len(r) - 1 <= s.caps.qmax
+                    for ve, r in s.rows.items())
+            and all(type(n) is int for n in ns) and type(s.den) is int
+            and s.den >= 1 and math.gcd(s.den, *ns) == 1
+            and (s.qfloor == 0 or s.qfloor < 0 and any(r[0] for r in rows)))
 
 
 def test_canonical_rejects_other_forms():
-    k = (0, DEFAULT_TABLE.zero_vexps)
-    assert _canonical(Series(DEFAULT_TABLE, 0, {k: 1}, C, 2))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {k: 2}, C, 2))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {k: Q(1, 2)}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {k: 1}, C, 0))
+    zv, xv = DEFAULT_TABLE.zero_vexps, mono(0, {"x": 1}).vexps
+    assert _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,)}, C, 2))
+    assert _canonical(Series(DEFAULT_TABLE, -1, {zv: (1, 0, 2)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (2,)}, C, 2))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (Q(1, 2),)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,)}, C, 0))
     assert not _canonical(Series(DEFAULT_TABLE, 0, {}, C, 3))
+    # a trailing zero, an empty row, a row outside a cap, a row above the
+    # top, a list row and a floor with nothing at it
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1, 0)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,), xv: ()}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, 0,
+                                 {mono(0, {"x": 9}).vexps: (1,)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,) * 7}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: [1]}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, -1, {zv: (0, 1)}, C))
 
 
 @settings(max_examples=150, deadline=None)
@@ -554,7 +572,16 @@ def test_coefficients_stay_canonical(f, g, c):
     if f.constant_term():
         results.append(f.reciprocal())
     for s in results:
-        assert _canonical(s), s.terms
+        assert _canonical(s), s.rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_series_st())
+def test_terms_view_matches_monomials(s):
+    # the flat (qrel, vexps) -> numerator view of the rows
+    assert s.terms == {(m.qexp - s.qfloor, m.vexps): Fraction(c) * s.den
+                       for m, c in s.monomials()}
+    assert all(type(n) is int and n for n in s.terms.values())
 
 
 # -- sums, D_q, substitution and truncation against per-term Fractions ---------------
@@ -603,6 +630,20 @@ def _per_term(op, f, g, c):
 @example("substitute",
          make_series([(1, mono(0)), (Q(1, 2), mono(0, {"x": 1})),
                       (3, mono(1, {"x": 2}))], C), zero(caps_=C), Q(2, 3))
+# a row that cancels to zero in a sum; a lowest row that cancels, so the
+# floor lifts and every row shifts; a row cut by truncate, ending in zeros
+# there; D_q emptying the row at x^0, and cutting 1 - q^2 at the top q^1
+@example("add", make_series([(1, mono(0)), (Q(1, 2), mono(1, {"x": 1}))], C),
+         make_series([(Q(-1, 2), mono(1, {"x": 1}))], C), 1)
+@example("sub", make_series([(1, mono(-2)), (2, mono(-1, {"x": 1})),
+                             (1, mono(1, {"y": 1}))], C),
+         make_series([(1, mono(-2))], C), 1)
+@example("truncate", make_series([(1, mono(0, {"x": 1})),
+                                  (Q(1, 3), mono(3, {"x": 1})),
+                                  (1, mono(5))], C), zero(caps_=caps(2)), 1)
+@example("dq", make_series([(2, mono(0)), (3, mono(1)),
+                            (1, mono(0, {"x": 1})), (1, mono(1, {"x": 1}))],
+                           caps(1)), zero(caps_=C), 1)
 @given(st.sampled_from(["add", "sub", "dq", "substitute", "truncate"]),
        laurent_series_st(), laurent_series_st(), scalars)
 def test_linear_ops_match_per_term_fraction_reference(op, f, g, c):
@@ -651,8 +692,18 @@ def _pair_add(f, g):
         for (qr, ve), c in src.terms.items():
             k = (qr + shift, ve)
             raw[k] = raw.get(k, 0) + c * (den // src.den)
-    raw = {k: c for k, c in raw.items() if c}
-    return Series._lift_floor(f.table, mcaps, floor, raw, den)
+    return Series._lift_floor(f.table, mcaps, floor, _rows_of(raw), den)
+
+
+def _rows_of(raw):
+    """Rows of the nonzero numerators of a (qrel, vexps) -> numerator map."""
+    rows: dict = {}
+    for (qr, ve), c in sorted(raw.items()):
+        if c:
+            r = rows.setdefault(ve, [])
+            r += [0] * (qr - len(r))
+            r.append(c)
+    return {ve: tuple(r) for ve, r in rows.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -890,7 +941,7 @@ def _newton_reciprocal(f):
     floor-stripped ordinary part g of f, at its whole window every step."""
     width = f.caps.qmax - f.qfloor
     gcaps = TruncationSpec(width, f.caps.vcaps)
-    g = Series(f.table, 0, f.terms, gcaps, f.den)
+    g = Series(f.table, 0, f.rows, gcaps, f.den)
     x = constant(Fraction(1) / f.constant_term(), f.table, gcaps)
     unit = one(f.table, gcaps)
     for _ in range(width + sum(gcaps.vcaps) + 2):
@@ -902,7 +953,7 @@ def _newton_reciprocal(f):
         raise AssertionError("Newton's iteration failed to converge")
     # 1/f = q^(-floor) / g is known through width powers of q above -floor
     return Series._build(f.table, TruncationSpec(width - f.qfloor, gcaps.vcaps),
-                         -f.qfloor, x.terms, x.den)
+                         -f.qfloor, x.rows, x.den)
 
 
 @st.composite
