@@ -20,14 +20,14 @@ Coefficients are exact rationals, stored as one integer polynomial over one
 denominator (the form of FLINT's fmpq_poly): int numerators and a den >= 1
 with gcd(den, *numerators) == 1, and den == 1 for an integral or zero
 series.  Equal values therefore have equal representations, and every
-kernel operation but one runs on ints: a sum scales its operands to the lcm
-of their denominators, a product multiplies them, D_q keeps its operand's,
-and each result divides out one gcd, taken only when its den is not 1.  The
-exception is reciprocal, whose recurrence multiplies by 1/c0, a Fraction
-whenever the stored constant numerator c0 is not +-1.  Values leave
-the kernel through coeff, constant_term, monomials and rendering, as an int
-when integral and a Fraction in lowest terms otherwise; every result is
-exact modulo its own stated ideal.
+kernel operation runs on ints: a sum scales its operands to the lcm of
+their denominators, a product multiplies them, D_q keeps its operand's, a
+reciprocal scales its recurrence by powers of the constant numerator c0 so
+that each step is an integer step, and each result divides out one gcd,
+taken only when its den is not 1.  Values leave the kernel through coeff,
+constant_term, monomials and rendering, as an int when integral and a
+Fraction in lowest terms otherwise; every result is exact modulo its own
+stated ideal.
 
 A product of two operands of 4 terms or more is a Kronecker substitution
 in q (FLINT's fmpz_poly_mul_KS): each row is packed once into an int with
@@ -195,11 +195,6 @@ def _value(n: int, den: int):
         return n
     c = Fraction(n, den)
     return c.numerator if c.denominator == 1 else c
-
-
-def _invert_scalar(c):
-    inv = Fraction(1, c) if isinstance(c, int) else 1 / c
-    return inv.numerator if inv.denominator == 1 else inv
 
 
 def _trim(row, stop: int) -> tuple:
@@ -533,22 +528,23 @@ class Series:
         return result
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse modulo the truncation ideal.
+        """Multiplicative inverse modulo the truncation ideal, in ints.
 
-        With the floor-stripped divisor G/d (G_u[j] the stored numerator
-        at q^j v^u, d = den), solves G_0[0] h_v[m] = d [v = 0 = m] - (the
-        sum of G_u[j] h_(v-u)[m-j] over every other term) for the reachable
-        v in order of total degree, m = 0..width in each; a pure-q divisor
-        is the one row v = 0, the dense recurrence in q.
+        For the floor-stripped divisor G/d (G_u[j] its numerator at q^j v^u,
+        c0 = G_0[0], d = den) solves, for reachable v by |v| and m = 0..width,
+        the integers H_v[m] = c0^(m+|v|+1) h_v[m] / d of the inverse h:
+        H_v[m] = [v = 0 = m] - sum c0^(j+|u|-1) G_u[j] H_(v-u)[m-j] over every
+        other term, so j + |u| >= 1.  With T the top m + |v|, row v at q^m is
+        sign d H_v[m] c0^(T-m-|v|) over |c0|^(T+1), sign that of c0^(T+1).
         """
         zv = self.table.zero_vexps
-        r0 = self.rows.get(zv)
-        c0 = r0[0] if r0 else 0
+        c0 = self.rows.get(zv, (0,))[0]
         if not c0:
             raise DivisionByNonUnit("constant term is zero")
-        table, cps, d = self.table, self.caps, self.den
+        cps = self.caps
         width = cps.qmax - self.qfloor  # the window above the floor
-        others = sorted((j, u, c) for u, row in self.rows.items()
+        others = sorted((j, u, c0 ** (j + sum(u) - 1) * c)
+                        for u, row in self.rows.items()
                         for j, c in enumerate(row) if c and (j or u != zv))
         order, seen = [zv], {zv}
         for v in order:
@@ -558,28 +554,32 @@ class Series:
                     seen.add(w)
                     order.append(w)
         order.sort(key=sum)
-        inv0 = _invert_scalar(c0)
+        top = width + sum(order[-1])
+        sd = -self.den if c0 < 0 and top % 2 == 0 else self.den
+        scale = [sd * c0 ** (top - k) for k in range(top + 1)]  # k = |v| + m
         h: dict = {}
         for v in order:
             hv = h[v] = [0] * (width + 1)
             src = [(j, c, hw) for j, u, c in others
                    if (hw := h.get(tuple(map(sub, v, u)))) is not None]
             for m in range(width + 1):
-                acc = d if m == 0 and v == zv else 0
+                acc = 1 if m == 0 and v == zv else 0
                 for j, c, hw in src:
                     if j > m:
                         break
                     acc -= c * hw[m - j]
-                hv[m] = acc * inv0
+                hv[m] = acc
+        rows = {v: tuple(map(mul, hv, scale[sum(v):])) for v, hv in h.items()}
         # 1/g is known through the window of g above its floor, -qfloor
         cps = TruncationSpec(width - self.qfloor, cps.vcaps)
-        return Series._build(table, cps, -self.qfloor, *_over_den(h))
+        return Series._build(self.table, cps, -self.qfloor, rows,
+                             abs(c0) ** (top + 1))
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByNonUnit("division by zero scalar")
-            return self * _invert_scalar(other)
+            return self * (1 / Fraction(other))
         g = self._coerce(other)
         if g is None:
             return NotImplemented

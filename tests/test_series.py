@@ -975,9 +975,49 @@ def laurent_unit_st(draw):
                            for c, i, a, b, d in rest], pcaps)
 
 
+def _unit(entries, qmax, **vcaps):
+    """A divisor from (coefficient, qexp, vexps) triples at caps over x, y."""
+    return make_series([(c, mono(e, ve)) for c, e, ve in entries],
+                       caps(qmax, default=0, **vcaps))
+
+
 @settings(max_examples=200, deadline=None)
+# c0 = -3 at an even and at an odd top grade T (the sign of the den is that
+# of c0^(T+1)), c0 = +-1 over den 2 and 3, c0 = -1 over den 1, a width-0
+# window, a Laurent floor under c0 = 3, and x^2, which the x-cap 1 makes
+# unreachable from the parts x and q y
+@example(_unit([(-3, 0, {}), (1, 1, {}), (2, 0, {"x": 1})], 3, x=1))
+@example(_unit([(-3, 0, {}), (1, 1, {}), (2, 0, {"x": 1})], 4, x=1))
+@example(_unit([(Q(1, 2), 0, {}), (1, 1, {}), (1, 0, {"x": 1})], 5, x=2))
+@example(_unit([(Q(-1, 3), 0, {}), (1, 1, {"x": 1}), (2, 2, {})], 5, x=2))
+@example(_unit([(-1, 0, {}), (1, 1, {}), (1, 0, {"x": 1})], 5, x=2))
+@example(_unit([(-3, 0, {}), (2, 0, {"x": 1}), (1, 0, {"y": 1})], 0, x=2,
+               y=1))
+@example(_unit([(Q(3, 2), -2, {}), (1, -1, {"x": 1}), (2, 1, {})], 4, x=2))
+@example(_unit([(2, 0, {}), (1, 0, {"x": 1}), (-1, 1, {"y": 1})], 5, x=1,
+               y=2))
 @given(laurent_unit_st())
 def test_reciprocal_matches_newton(u):
     got, want = u.reciprocal(), _newton_reciprocal(u)
     assert got == want
     assert got.json_text() == want.json_text()
+
+
+class _NoFraction:
+    def __new__(cls, *args):
+        raise AssertionError("reciprocal built a Fraction")
+
+
+def test_reciprocal_builds_no_fraction(monkeypatch):
+    # 1 - (2/3) x - (2/3) q x is stored as (3 - 2x - 2qx)/3, so c0 = 3
+    units = [_unit([(1, 0, {}), (Q(-2, 3), 0, {"x": 1}),
+                    (Q(-2, 3), 1, {"x": 1})], 8, x=3),
+             _unit([(-3, 0, {}), (1, 1, {}), (2, 0, {"y": 1})], 6, y=2)]
+    want = [_newton_reciprocal(u) for u in units]
+    monkeypatch.setattr("qsw.series.Fraction", _NoFraction)
+    got = [u.reciprocal() for u in units]
+    monkeypatch.undo()
+    assert [u.rows[u.table.zero_vexps][0] for u in units] == [3, -3]
+    for g, w in zip(got, want):
+        assert g == w
+        assert g.json_text() == w.json_text()
