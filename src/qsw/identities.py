@@ -30,7 +30,7 @@ from operator import mul
 from typing import Callable, Optional
 
 from .series import (
-    DEFAULT_TABLE, Monomial, Series, TruncationSpec, VarTable, caps, constant,
+    DEFAULT_TABLE, Series, TruncationSpec, VarTable, caps, constant,
     make_series, mono, monomial_series, one, q_power, sum_series, variable,
 )
 from .qfunctions import (
@@ -41,6 +41,8 @@ from .operators import OperatorContext, dq_pow, leibniz_rhs, rr_op
 from .polynomials import _gauss_form, sw_classic, sw_star, sw_star_op
 
 TABLE = DEFAULT_TABLE
+# random bindings drawn per identity with free parameters, unless set
+TRIALS = 5
 
 
 @dataclass
@@ -84,7 +86,7 @@ class Env:
         if bv is None:
             return 1, mono(0, {name: 1}, self.table)
         c, d = bv if isinstance(bv, tuple) else (bv, 0)
-        return c, Monomial(d, self.table.zero_vexps)
+        return c, mono(d, {}, self.table)
 
     def sym(self, name):
         """Variable, or its bound value when the case binds it."""
@@ -228,27 +230,24 @@ class IdentitySpec:
     build_lhs: Callable[[Env], Series]
     build_rhs: Callable[[Env], Series]
     qmax: int = 25
-    deg: int = 8
-    order: int = 8
+    deg: int = 8  # also the default sum order
     var_caps: dict = field(default_factory=dict)
     window: Optional[tuple] = None  # compare only up to total degree `order`
     sweep: Optional[Callable] = None  # (cfg, rng) -> list of ints dicts
     params: Params = Params(())  # free parameters to bind; none by default
-    trials: int = 5
     uses_garrett: bool = False
 
     def cases(self, cfg, convention) -> list[Env]:
         cps = caps(_pick(cfg.qmax, self.qmax), TABLE,
                    _pick(cfg.deg, self.deg),
                    **{**self.var_caps, **cfg.var_caps})
-        order = _pick(cfg.sum_order, self.order)
+        order = _pick(cfg.sum_order, self.deg)
         rng = random.Random(_stable_seed(cfg.seed, self.id))
         sweeps = self.sweep(cfg, rng) if self.sweep else [{}]
         if cfg.bindings:
             blist = [self.params.validate(self.id, dict(cfg.bindings))]
         else:
-            blist = self.params.draw(self.id, rng,
-                                     _pick(cfg.trials, self.trials))
+            blist = self.params.draw(self.id, rng, _pick(cfg.trials, TRIALS))
         return [Env(cps, order, b, convention, dict(sw))
                 for b in blist for sw in sweeps]
 
@@ -874,7 +873,7 @@ _ident(
     description="mixed generating function with Rogers-Szego polynomials",
     build_lhs=_gf_lhs(_rsgf_coeff, "z"),
     build_rhs=_rq_sum_rhs("az", "bz"),
-    window=("z",), deg=6, order=6, qmax=20,
+    window=("z",), deg=6, qmax=20,
 )
 
 _ident(
@@ -962,7 +961,7 @@ _ident(
                       * sw_star(n, e.caps, e.table, "w", "z")
                       * e.qfact_inv(n), "t"),
     build_rhs=_mehler_rhs,
-    window=("t",), qmax=20, deg=6, order=6,
+    window=("t",), qmax=20, deg=6,
 )
 
 _ident(
@@ -971,7 +970,7 @@ _ident(
     build_lhs=_rr_image(lambda w: w.pochinf([w.syms("ax")])
                         * w.pochinf([w.syms("bx")])),
     build_rhs=_opprod_rhs("a", "b"),
-    qmax=20, deg=6, order=6,
+    qmax=20, deg=6,
 )
 
 _ident(
@@ -980,7 +979,7 @@ _ident(
                 "family",
     build_lhs=_gf_lhs(_altmehler_coeff, "z"),
     build_rhs=_opprod_rhs("az", "bz"),
-    window=("z",), qmax=20, deg=6, order=6,
+    window=("z",), qmax=20, deg=6,
 )
 
 
@@ -1014,7 +1013,7 @@ _ident(
     build_lhs=_rogers_lhs(alternating=True),
     build_rhs=_ratio_rhs("sx", "sy", a=lambda e: constant(
         e.bindings["t"] / e.bindings["s"], e.table, e.caps)),
-    window=("x", "y"), qmax=20, deg=6, order=6,
+    window=("x", "y"), qmax=20, deg=6,
     **_TS,
 )
 
@@ -1024,7 +1023,7 @@ _ident(
                 "sum",
     build_lhs=_rogers_lhs(alternating=False),
     build_rhs=_rq_sum_rhs("t", "s"),
-    window=("x", "y"), qmax=20, deg=6, order=6,
+    window=("x", "y"), qmax=20, deg=6,
     **_TS,
 )
 

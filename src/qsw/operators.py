@@ -5,14 +5,16 @@ All operators act on exact representatives: D_q is the coefficientwise map
 x^k -> (1 - q^k) x^(k-1), equivalent to (f(x) - f(qx)) / x by linearity.
 Callers verifying identities about infinite objects are responsible for
 building inputs with enough headroom in the differentiation variable.
+
+D_q is series.dq, a map of the kernel's rows, called here as this module's
+global dq; everything else here uses Series operations only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import sub
 
-from .series import Monomial, Series, TruncationSpec, variable
+from .series import Series, TruncationSpec, dq, mono, variable
 from .qfunctions import _qbinom_sum, _qexp_sum
 
 
@@ -26,24 +28,6 @@ class OperatorContext:
     def __post_init__(self):
         if self.x == self.y or "q" in (self.x, self.y):
             raise ValueError("operator variables must be distinct and not q")
-
-
-def dq(f: Series, x: str) -> Series:
-    """q-derivative of f with respect to x: the row at x^k becomes itself
-    minus itself shifted up by k powers of q, at x^(k-1)."""
-    i = f.table.slot(x)
-    rows: dict = {}
-    for ve, r in f.rows.items():
-        k = ve[i]
-        if k == 0:
-            continue
-        nv = list(ve)
-        nv[i] = k - 1
-        d = list(r)
-        d += [0] * k
-        d[k:] = map(sub, d[k:], r)
-        rows[tuple(nv)] = d
-    return Series._build(f.table, f.caps, f.qfloor, rows, f.den)
 
 
 def dq_pow(f: Series, x: str, n: int) -> Series:
@@ -65,17 +49,13 @@ def leibniz_rhs(f: Series, g: Series, x: str, n: int) -> Series:
     A _qbinom_sum with weight k(k-n); f and g are exact representatives,
     so the result is exact modulo meet(f.caps, g.caps).
     """
-    f._same_table(g)
-    xunit = [0] * f.table.nvars
-    xunit[f.table.slot(x)] = 1
-    xunit = tuple(xunit)
-
     def factors(work):
         fw = f.with_caps(replace(f.caps, qmax=work.qmax))
         gw = g.with_caps(replace(g.caps, qmax=work.qmax))
         for k in range(n + 1):
             yield dq_pow(fw, x, k) \
-                * dq_pow(gw.substitute(x, 1, Monomial(k, xunit)), x, n - k)
+                * dq_pow(gw.substitute(x, 1, mono(k, {x: 1}, f.table)), x,
+                         n - k)
     return _qbinom_sum(n, lambda k: k * (k - n), factors,
                        f.caps.meet(g.caps), f.table)
 

@@ -9,10 +9,9 @@ independent cross-check path.
 from __future__ import annotations
 
 from dataclasses import replace
-from math import lcm
 
 from .series import DEFAULT_TABLE, Series, TruncationSpec, VarTable, \
-    _add_at, mono, monomial_series, q_power
+    from_rows, mono, monomial_series, q_power
 from .qfunctions import phi, qbinom_coeffs, qfact_inv
 from .operators import OperatorContext, rr_op
 
@@ -51,9 +50,9 @@ def _gauss_form(n: int, caps: TruncationSpec, table: VarTable, u, v,
                 weight) -> Series:
     """sum_k [n k]_q q^weight(k) u^(n-k) v^k at caps, for one-term bases
     u, v = (c, Monomial): (1, x) for a variable x, (c, q^d) for a bound
-    value, d >= 0, and weight(k) >= 0.  Builds only the k the caps admit,
-    each only up to the top: the row of [n k]_q, shifted by its least
-    q-exponent, times the numerator of cu^(n-k) cv^k over one den."""
+    value, d >= 0, and weight(k) >= 0.  Each k the caps admit is one row
+    part: the row of [n k]_q at its least q-exponent, scaled by
+    cu^(n-k) cv^k; a k the caps drop computes no row."""
     _check_order(n)
     (cu, mu), (cv, mv) = u, v
     parts = []
@@ -61,13 +60,8 @@ def _gauss_form(n: int, caps: TruncationSpec, table: VarTable, u, v,
         ve = tuple((n - k) * a + k * b for a, b in zip(mu.vexps, mv.vexps))
         low = weight(k) + (n - k) * mu.qexp + k * mv.qexp
         if low <= caps.qmax and caps.admits(ve):
-            parts.append((ve, low, cu ** (n - k) * cv ** k,
-                          qbinom_coeffs(n, k)[:caps.qmax - low + 1]))
-    den = lcm(*(c.denominator for _, _, c, _ in parts))
-    rows: dict = {}
-    for ve, low, c, row in parts:
-        _add_at(rows, ve, low, row, c.numerator * (den // c.denominator))
-    return Series._build(table, caps, 0, rows, den)
+            parts.append((ve, low, qbinom_coeffs(n, k), cu ** (n - k) * cv ** k))
+    return from_rows(parts, caps, table)
 
 
 def sw_star(n: int, caps: TruncationSpec, table: VarTable = DEFAULT_TABLE,

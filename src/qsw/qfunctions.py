@@ -3,11 +3,13 @@ the q-exponentials, Garrett's coefficient polynomials, and the Ramanujan
 q-exponential, all as exact truncated series.
 
 The pure-q rows (Gaussian binomials, (q;q)_n, 1/(q;q)_n, Garrett's a_k and
-b_k) are int coefficient tuples or lists; _dense stores one as the single
-q-row of a Series, cut at the window top, with no monomial objects.  The
-weighted sums _qexp_sum and _qbinom_sum, which build the
-q-exponentials, phi, R(yD_q) and the identities' sums, stream their terms
-into one series.sum_series, so the running total is never copied.
+b_k) are int coefficient tuples; _dense and the Garrett polynomials place
+them through series.from_rows, which cuts each at the window top, with no
+monomial objects.  The weighted sums _qexp_sum and _qbinom_sum, which build
+the q-exponentials, phi, R(yD_q) and the identities' sums, stream their
+terms into one series.sum_series, so the running total is never copied.
+The termination and weight certificates are Series comparisons and
+truncations; nothing here reads the stored rows.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from operator import mul
 from typing import Sequence, Union
 
 from .series import (
-    DEFAULT_TABLE, Scalar, Series, TruncationSpec, VarTable, constant, one,
-    q_power, sum_series, zero,
+    DEFAULT_TABLE, Scalar, Series, TruncationSpec, VarTable, constant,
+    from_rows, one, q_power, sum_series, zero,
 )
 
 INFINITY = math.inf
@@ -73,9 +75,8 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
 def _dense(coeffs: Sequence[int], caps: TruncationSpec, table: VarTable,
            shift: int = 0) -> Series:
     """The pure q-series sum_i coeffs[i] q^(i + shift) of int coeffs at caps,
-    built straight into its one row: the floor is min(0, the first nonzero
-    exponent) and the row ends at the window top."""
-    return Series._build(table, caps, shift, {table.zero_vexps: coeffs})
+    placed as the one row of a Series, cut at the window top."""
+    return from_rows([(table.zero_vexps, 0, coeffs, 1)], caps, table, shift)
 
 
 @lru_cache(maxsize=None)
@@ -204,12 +205,6 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
     return sum_series(terms()).truncate(caps)
 
 
-def _stripped(s: Series, qmax: int) -> Series:
-    """q^(-s.qfloor) s, an exact representative, read as ordinary to qmax."""
-    return Series._build(s.table, replace(s.caps, qmax=qmax), 0, s.rows,
-                         s.den)
-
-
 def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
                  caps: TruncationSpec, table: VarTable):
     """(u1, ..., ur; q)_n / (l1, ..., ls; q)_n at caps for n = 0, 1, ...,
@@ -220,7 +215,7 @@ def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
     second factor goes into the ratio, and _poch_shift is the q-exponent
     left out.  Parameters are exact representatives, read at caps.qmax.
     """
-    ups, lows = ([(s.qfloor, _stripped(s, caps.qmax)) for s in ps
+    ups, lows = ([(s.qfloor, s.stripped(caps.qmax)) for s in ps
                   if not s.is_zero()] for ps in (ups, lows))
 
     def step(params, j):
@@ -286,19 +281,14 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
 
 def _as_neg_q_power(s: Series):
     """If s is exactly the monomial q^(-m) with m >= 0, return m, else None."""
-    if len(s.rows) != 1:
-        return None
-    ((ve, r),) = s.rows.items()
-    if r[-1] != 1 or s.den != 1 or any(ve) or any(r[:-1]):
-        return None
-    qa = len(r) - 1 + s.qfloor
-    return -qa if qa <= 0 else None
+    m = -s.min_qexp()
+    ok = m >= 0 and not s.is_zero() and s == q_power(-m, s.table, s.caps)
+    return m if ok else None
 
 
 def _weight_certificate(z: Series) -> bool:
     """True iff every monomial of z has positive q-exponent or variable content."""
-    r = z.rows.get(z.table.zero_vexps, ())
-    return not any(r[:1 - z.qfloor])
+    return z.truncate(TruncationSpec(0, (0,) * z.table.nvars)).is_zero()
 
 
 def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
@@ -340,7 +330,7 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
     v = zs.qfloor
 
     def factors(work):
-        z0 = _stripped(zs if e % 2 else -zs, work.qmax)
+        z0 = (zs if e % 2 else -zs).stripped(work.qmax)
         zpow = one(table, work)
         for ratio in _poch_ratios(ups, lows, work, table):
             yield zpow * ratio
@@ -398,20 +388,15 @@ def rq_at_power(k: int, caps: TruncationSpec,
 
 def _garrett_poly(k: int, exp_coef: int, offset: int, caps: TruncationSpec,
                   table: VarTable) -> Series:
-    # sum over all integers i with a nonzero q-binomial; |i| <= k suffices
-    # since the floor argument must land in [0, k-1].  w >= 0 for every
-    # integer i when |exp_coef| <= 5, so one row from q^0 to the top holds it
-    qmax = caps.qmax
-    row = [0] * (qmax + 1)
-    for i in range(-k, k + 1):
-        w = i * (5 * i + exp_coef) // 2
-        if w > qmax:
-            continue
-        j = (k + offset - 5 * i) // 2  # floor division handles negatives
-        sign = -1 if i % 2 else 1
-        for d, c in enumerate(qbinom_coeffs(k - 1, j)[:qmax - w + 1], w):
-            row[d] += sign * c
-    return _dense(row, caps, table)
+    # sum over the integers i with a nonzero q-binomial: its lower index
+    # j = (k + offset - 5i) // 2 lies in [0, k-1] exactly for i in lo..hi.
+    # w >= 0 for every integer i when |exp_coef| <= 5, so each part sits
+    # at or above q^0
+    lo, hi = -((k - 1 - offset) // 5), (k + offset) // 5
+    return from_rows([(table.zero_vexps, i * (5 * i + exp_coef) // 2,
+                       qbinom_coeffs(k - 1, (k + offset - 5 * i) // 2),
+                       -1 if i % 2 else 1) for i in range(lo, hi + 1)],
+                     caps, table)
 
 
 def garrett_a(k: int, caps: TruncationSpec,

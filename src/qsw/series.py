@@ -15,6 +15,11 @@ q^(qfloor + qrel) vexps.  Every operation works a row at a time: the caps
 are checked once per row, the window top slices each row, a sum adds rows
 at an offset, a product by one term shifts and scales whole rows, and D_q
 maps the row at x^k to itself minus itself shifted up by k powers of q.
+This module alone reads or writes rows and den.  Every builder elsewhere
+places its int rows through from_rows, the one row constructor, which cuts
+each row at the window top before placing it; D_q (dq) and the degree
+window (degree_window) are row maps here too, and other modules see a
+Series only through its operations.
 
 Coefficients are exact rationals, stored as one integer polynomial over one
 denominator (the form of FLINT's fmpq_poly): int numerators and a den >= 1
@@ -59,7 +64,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, gt, mul, neg, sub
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class VarTableMismatch(ValueError):
@@ -177,18 +182,6 @@ def _as_coeff(c: Scalar):
     raise TypeError(f"coefficients must be int or Fraction, got {type(c)!r}")
 
 
-def _over_den(rows: dict) -> tuple[dict, int]:
-    """(integer numerator rows, den) of rows of int | Fraction entries, over
-    the lcm of their denominators; not reduced."""
-    dens = {c.denominator for r in rows.values() for c in r
-            if type(c) is not int}
-    if not dens:
-        return rows, 1
-    den = lcm(*dens)
-    return {ve: [c.numerator * (den // c.denominator) for c in r]
-            for ve, r in rows.items()}, den
-
-
 def _value(n: int, den: int):
     """The rational n/den as an int when integral, else as a Fraction."""
     if den == 1:
@@ -270,10 +263,10 @@ class Series:
         lead = max(qfloor, 0)
         qfloor -= lead
         stop = caps_.qmax - qfloor + 1 - lead
-        pad = (0,) * lead
         admits = caps_.admits
         out = {}
-        if stop > 0:
+        if stop > 0:  # lead may be any size: pad only when a row can stay
+            pad = (0,) * lead
             for ve, r in rows.items():
                 if admits(ve):
                     r = _trim(r, stop)
@@ -608,6 +601,12 @@ class Series:
         return Series._build(self.table, new_caps, self.qfloor, self.rows,
                              self.den)
 
+    def stripped(self, qmax: int) -> "Series":
+        """q^(-qfloor) times this exact representative, an ordinary series,
+        read through the q-window top qmax."""
+        return Series._build(self.table, TruncationSpec(qmax, self.caps.vcaps),
+                             0, self.rows, self.den)
+
     def substitute(self, var: str, r: Scalar, m: Monomial) -> "Series":
         """Replace every occurrence of var**e by r**e * m**e, then reduce.
 
@@ -732,19 +731,33 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
     Monomials carry absolute (possibly negative) q-exponents; duplicates are
     summed and terms outside the caps are dropped.
     """
-    floor = 0
     entries = [(_as_coeff(c), m) for c, m in entries]
-    nvars = table.nvars
-    for c, m in entries:
-        if len(m.vexps) != nvars:
-            raise VarTableMismatch("monomial width does not match table")
-        if c and m.qexp < floor:
-            floor = m.qexp
+    if any(len(m.vexps) != table.nvars for _, m in entries):
+        raise VarTableMismatch("monomial width does not match table")
+    floor = min((m.qexp for c, m in entries if c), default=0)
+    return from_rows([(m.vexps, m.qexp - floor, (1,), c)
+                      for c, m in entries if c], caps_, table, floor)
+
+
+def from_rows(parts: Iterable[tuple[tuple, int, Sequence[int], Scalar]],
+              caps_: TruncationSpec, table: VarTable = DEFAULT_TABLE,
+              floor: int = 0) -> Series:
+    """The series q^floor * sum scale * q^off * row(q) * v^vexps of the
+    parts (vexps, off >= 0, int row, int | Fraction scale) at caps_, added
+    over the lcm of the scales' denominators: the one constructor builders
+    place int rows through.  Each row is cut at the window top before it is
+    placed, so a part wholly above the top costs nothing; _build drops the
+    parts outside a variable cap."""
+    stop = caps_.qmax - floor + 1
+    kept = [(ve, off, row[:stop - off], scale)
+            for ve, off, row, scale in parts if off < stop]
+    den = lcm(*[p[3].denominator for p in kept])
     rows: dict = {}
-    for c, m in entries:
-        if c:
-            _add_at(rows, m.vexps, m.qexp - floor, (c,))
-    return Series._build(table, caps_, floor, *_over_den(rows))
+    for ve, off, row, scale in kept:
+        if row:
+            _add_at(rows, ve, off, row,
+                    scale.numerator * (den // scale.denominator))
+    return Series._build(table, caps_, floor, rows, den)
 
 
 def sum_series(parts: Iterable[Series]) -> Series:
@@ -829,7 +842,11 @@ def monomial_series(c: Scalar, qexp: int, vexps: dict,
         if e < 0:
             raise ValueError("non-q variables cannot carry negative exponents")
         ve[table.slot(name)] = e
-    return make_series([(c, Monomial(qexp, tuple(ve)))], caps_, table)
+    # one term needs no lcm or placement: _build cuts it at the top
+    c = _as_coeff(c)
+    return Series._build(table, caps_, qexp,
+                         {tuple(ve): (c.numerator,)} if c else {},
+                         c.denominator)
 
 
 def mono(qexp: int = 0, vexps: dict = None,
@@ -839,6 +856,35 @@ def mono(qexp: int = 0, vexps: dict = None,
     for name, e in (vexps or {}).items():
         ve[table.slot(name)] = e
     return Monomial(qexp, tuple(ve))
+
+
+# -- row maps ---------------------------------------------------------------------
+
+
+def dq(f: Series, x: str) -> Series:
+    """q-derivative of f with respect to x: the row at x^k becomes itself
+    minus itself shifted up by k powers of q, at x^(k-1)."""
+    i = f.table.slot(x)
+    rows: dict = {}
+    for ve, r in f.rows.items():
+        k = ve[i]
+        if k == 0:
+            continue
+        nv = list(ve)
+        nv[i] = k - 1
+        d = list(r)
+        d += [0] * k
+        d[k:] = map(sub, d[k:], r)
+        rows[tuple(nv)] = d
+    return Series._build(f.table, f.caps, f.qfloor, rows, f.den)
+
+
+def degree_window(s: Series, slots: tuple[int, ...], bound: int) -> Series:
+    """Keep only monomials of total degree <= bound in the given variable
+    slots; the caps stay."""
+    rows = {ve: r for ve, r in s.rows.items()
+            if sum(ve[i] for i in slots) <= bound}
+    return Series._lift_floor(s.table, s.caps, s.qfloor, rows, s.den)
 
 
 # -- equality mod caps ---------------------------------------------------------

@@ -11,8 +11,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .series import (
-    DEFAULT_TABLE, Monomial, Series, VariableNotFound, equals_mod_caps,
+    DEFAULT_TABLE, Monomial, VariableNotFound, equals_mod_caps,
 )
+from .series import degree_window as _restrict  # verify()'s degree window
 from .polynomials import MAX_ORDER, MAX_QMAX, OrderOutOfRange
 from .identities import (  # BindingViolation is re-exported
     BY_ID, REGISTRY, BindingViolation, garrett_candidates,
@@ -108,13 +109,6 @@ def _mono_text(m: Monomial) -> str:
             nm = DEFAULT_TABLE.names[j + 1]
             parts.append(nm if e == 1 else f"{nm}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _restrict(s: Series, slots: tuple[int, ...], bound: int) -> Series:
-    """Keep only monomials of total degree <= bound in the given slots."""
-    rows = {ve: r for ve, r in s.rows.items()
-            if sum(ve[i] for i in slots) <= bound}
-    return Series._lift_floor(s.table, s.caps, s.qfloor, rows, s.den)
 
 
 def registry():

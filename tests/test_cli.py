@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,20 @@ def test_eval_rq_is_direct_sum(capsys):
     code, out = run(["eval", "rq", "--n", "2", "--qmax", "8"], capsys)
     assert code == 0
     assert out.strip() == "1 + q^3 + q^4 + q^5 + q^6 + q^7 + 2*q^8"
+
+
+def test_eval_rq_at_a_high_power_is_bounded(capsys):
+    # sum q^(n^2 + Kn)/(q;q)_n is 1 through q^K; q^K is cut at the window
+    # top before a row is placed, so neither time nor memory grows with K
+    tracemalloc.start()
+    try:
+        code, out = run(["eval", "rq", "--n", "10000000", "--qmax", "5"],
+                         capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.strip() == "1"
+    assert peak < 5_000_000
 
 
 def test_eval_garrett(capsys):

@@ -349,6 +349,26 @@ def test_phi_requires_certificate():
         phi([qp(-1) * var("x")], [], qp(1) * var("y"), C)
 
 
+@pytest.mark.parametrize("build, m", [
+    (lambda: qp(-3), 3), (lambda: one(caps_=C), 0), (lambda: 2 * qp(-3), None),
+    (lambda: qp(-1) / 2, None), (lambda: -qp(-2), None), (lambda: qp(2), None),
+    (lambda: qp(-3) * var("x"), None), (lambda: qp(-3) + qp(-1), None),
+    (lambda: zero(caps_=C), None),
+])
+def test_terminating_parameter_certificate(build, m):
+    assert qfunctions._as_neg_q_power(build()) == m
+
+
+@pytest.mark.parametrize("build, ok", [
+    (lambda: var("x"), True), (lambda: qp(1), True),
+    (lambda: qp(-1) * var("x"), True), (lambda: zero(caps_=C), True),
+    (lambda: one(caps_=C), False), (lambda: qp(-1), False),
+    (lambda: var("x") + Fraction(1, 2), False),
+])
+def test_weight_certificate(build, ok):
+    assert qfunctions._weight_certificate(build()) is ok
+
+
 def test_phi_nonunit_lower_parameter():
     from qsw.series import DivisionByNonUnit
     with pytest.raises(DivisionByNonUnit):

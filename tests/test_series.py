@@ -1,21 +1,24 @@
 """Core series-ring behaviour: construction, arithmetic, Laurent floors,
 truncation, substitution, comparison, and rendering."""
 
+import ast
 import json
 import math
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import qsw
 from qsw.operators import dq
 from qsw.qfunctions import phi
 from qsw.series import (
     DEFAULT_TABLE, DivisionByNonUnit, Monomial, Series, TruncationSpec,
     VarTable, VarTableMismatch, VariableNotFound, caps, constant,
-    equals_mod_caps, make_series, mono, one, q_power, sum_series, variable,
-    zero,
+    equals_mod_caps, from_rows, make_series, mono, monomial_series, one,
+    q_power, sum_series, variable, zero,
 )
 
 Q = Fraction
@@ -1021,3 +1024,53 @@ def test_reciprocal_builds_no_fraction(monkeypatch):
     for g, w in zip(got, want):
         assert g == w
         assert g.json_text() == w.json_text()
+
+
+# -- the one row constructor and the layout boundary ---------------------------
+
+
+_scale_st = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4))
+_part_st = st.tuples(
+    st.fixed_dictionaries({"x": st.integers(0, 3), "y": st.integers(0, 2)}),
+    st.integers(0, 12), st.lists(st.integers(-3, 3), max_size=6), _scale_st)
+
+
+@settings(max_examples=200, deadline=None)
+@example([({"x": 0, "y": 0}, 10 ** 12, [1], 1)], 0, 5, 1)  # far above the top
+@example([({"x": 0, "y": 0}, 0, [1, 2], Q(1, 2)),
+          ({"x": 0, "y": 0}, 1, [2], Q(-1, 3))], 0, 4, 1)  # lcm 6, gcd 2 out
+@example([({"x": 2, "y": 0}, 0, [1], 1)], -2, 3, 1)  # outside the x-cap
+@example([({"x": 1, "y": 0}, 3, [1, -1], 2)], 4, 8, 2)  # a positive floor
+@example([({"x": 0, "y": 1}, 1, [0, 5], 1)], -3, -1, 2)  # a negative top
+@given(st.lists(_part_st, max_size=5), st.integers(-6, 6),
+       st.integers(-4, 12), st.integers(0, 3))
+def test_from_rows_matches_its_terms_one_at_a_time(parts, floor, qmax, xcap):
+    c = TruncationSpec(qmax, caps(0, x=xcap).vcaps)
+    got = from_rows([(mono(0, v).vexps, off, row, scale)
+                     for v, off, row, scale in parts], c, DEFAULT_TABLE, floor)
+    terms = [monomial_series(scale * n, floor + off + i, v, caps_=c)
+             for v, off, row, scale in parts for i, n in enumerate(row)]
+    want = sum_series([zero(caps_=c)] + terms)
+    assert got == want and got.caps == want.caps
+    assert got.json_text() == want.json_text()
+
+
+def test_only_series_knows_the_row_layout():
+    """No qsw module but series reads the stored rows or den, reaches a
+    private of the kernel, or imports an underscore name from it."""
+    forbidden = {"rows", "den", "_add_at"} | {
+        n for n in vars(Series) if n.startswith("_") and not n.startswith("__")}
+    found = []
+    for path in sorted(Path(qsw.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in forbidden:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").split(".")[-1] == "series":
+                found += [f"{path.name}:{node.lineno} imports {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert not found
