@@ -30,7 +30,7 @@ from operator import mul
 from typing import Callable, Optional
 
 from .series import (
-    DEFAULT_TABLE, Series, TruncationSpec, VarTable, caps, constant,
+    DEFAULT_TABLE, Series, TruncationSpec, caps, constant,
     make_series, mono, monomial_series, one, q_power, sum_series, variable,
 )
 from .qfunctions import (
@@ -40,6 +40,7 @@ from .qfunctions import (
 from .operators import OperatorContext, dq_pow, leibniz_rhs, rr_op
 from .polynomials import _gauss_form, sw_classic, sw_star, sw_star_op
 
+# the variable table of every case and side
 TABLE = DEFAULT_TABLE
 # random bindings drawn per identity with free parameters, unless set
 TRIALS = 5
@@ -54,7 +55,6 @@ class Env:
     bindings: dict
     convention: Optional[str]
     ints: dict = field(default_factory=dict)
-    table: VarTable = TABLE
     # values one side reuses across its cases (see reuse); verify() gives
     # each side its own dict, so the two sides still share nothing
     memo: Optional[dict] = field(default=None, repr=False, compare=False)
@@ -71,57 +71,57 @@ class Env:
 
     # series shorthands, all at self.caps
     def one(self):
-        return one(self.table, self.caps)
+        return one(TABLE, self.caps)
 
     def qpow(self, e):
-        return q_power(e, self.table, self.caps)
+        return q_power(e, TABLE, self.caps)
 
     def var(self, name):
-        return variable(name, self.table, self.caps)
+        return variable(name, TABLE, self.caps)
 
     def base(self, name):
         """One-term value (c, Monomial) of name: the variable, or its bound
         value c*q^d."""
         bv = self.bindings.get(name)
         if bv is None:
-            return 1, mono(0, {name: 1}, self.table)
+            return 1, mono(0, {name: 1}, TABLE)
         c, d = bv if isinstance(bv, tuple) else (bv, 0)
-        return c, mono(d, {}, self.table)
+        return c, mono(d, {}, TABLE)
 
     def sym(self, name):
         """Variable, or its bound value when the case binds it."""
-        return make_series([self.base(name)], self.caps, self.table)
+        return make_series([self.base(name)], self.caps, TABLE)
 
     def syms(self, names: str):
         """Product of the one-letter symbols in names, e.g. "az" -> a*z."""
         return reduce(mul, map(self.sym, names))
 
     def pochn(self, args, n):
-        return poch(args, n, self.caps, self.table)
+        return poch(args, n, self.caps, TABLE)
 
     def pochinf(self, args, base=1):
-        return poch(args, INFINITY, self.caps, self.table, base=base)
+        return poch(args, INFINITY, self.caps, TABLE, base=base)
 
     def pochinf_inv(self, args, base=1):
-        return poch_inf_inv(args, self.caps, self.table, base=base)
+        return poch_inf_inv(args, self.caps, TABLE, base=base)
 
     def qfact_inv(self, n):
-        return qfact_inv(n, self.caps, self.table)
+        return qfact_inv(n, self.caps, TABLE)
 
     def inflated(self, dq: int = 0, **dvars: int) -> "Env":
         """Copy of this env with widened caps (working precision)."""
         vc = list(self.caps.vcaps)
         for name, d in dvars.items():
-            vc[self.table.slot(name)] += d
+            vc[TABLE.slot(name)] += d
         return replace(self, caps=TruncationSpec(self.caps.qmax + dq, tuple(vc)))
 
     def vcap(self, name) -> int:
-        return self.caps.vcaps[self.table.slot(name)]
+        return self.caps.vcaps[TABLE.slot(name)]
 
     def caps_dict(self) -> dict:
         return {
             "qMax": self.caps.qmax,
-            "varCaps": {self.table.names[j + 1]: c
+            "varCaps": {TABLE.names[j + 1]: c
                         for j, c in enumerate(self.caps.vcaps)},
             "sumOrder": self.order,
         }
@@ -303,7 +303,7 @@ def _poch_sum(e: Env, u: Series, weight, kernel, up=(), down=()) -> Series:
     """sum_k q^weight(k) u^k (up; q)_k / (down; q)_k kernel(k) / (q;q)_k at
     e.caps, by the weighted sum of qfunctions: kernel(k) is built only for
     the k that sum reaches before its certified stop."""
-    ratios = _poch_ratios(up, down, e.caps, e.table)
+    ratios = _poch_ratios(up, down, e.caps, TABLE)
     return _qexp_sum(u, e.caps, weight,
                      factors=(r * kernel(k) for k, r in enumerate(ratios)))
 
@@ -318,15 +318,15 @@ def _garrett_form(e: Env, k: int, first, second) -> Series:
     """
     s = k * (k - 1) // 2
     w = e.inflated(dq=s)
-    body = garrett_a(k, w.caps, w.table) * first(w) \
-        - garrett_b(k, w.caps, w.table) * second(w)
+    body = garrett_a(k, w.caps, TABLE) * first(w) \
+        - garrett_b(k, w.caps, TABLE) * second(w)
     return e.qpow(-s) * body
 
 
 def _garrett_rq(e: Env, k: int) -> Series:
     """Garrett's expansion of sum q^(n^2+kn)/(q;q)_n with its printed sign:
     q^(-C(k,2)) (a_k(q) R_q(1) - b_k(q) R_q(q))."""
-    return _garrett_form(e, k, lambda w: rq(1, w.caps, w.table),
+    return _garrett_form(e, k, lambda w: rq(1, w.caps, TABLE),
                          lambda w: rq(w.qpow(1)))
 
 
@@ -397,7 +397,7 @@ _ident(
 _ident(
     id="I-QBINTHM",
     description="q-binomial theorem: 1phi0(a; q, z) = (az;q)inf / (z;q)inf",
-    build_lhs=lambda e: phi([e.var("a")], [], e.var("z"), e.caps, e.table),
+    build_lhs=lambda e: phi([e.var("a")], [], e.var("z"), e.caps, TABLE),
     build_rhs=lambda e: e.pochinf([e.var("a") * e.var("z")])
     / e.pochinf([e.var("z")]),
     qmax=30, var_caps={"a": 10, "z": 10},
@@ -429,9 +429,9 @@ def _sw_arg(e):
 _ident(
     id="I-GF1",
     description="generating function sum S_n(x;q) t^n via 0phi1",
-    build_lhs=_gf_lhs(lambda e, n: sw_classic(n, e.caps, e.table), "t"),
+    build_lhs=_gf_lhs(lambda e, n: sw_classic(n, e.caps, TABLE), "t"),
     build_rhs=lambda e: e.pochinf_inv([e.var("t")])
-    * phi([], [0], _sw_arg(e), e.caps, e.table),
+    * phi([], [0], _sw_arg(e), e.caps, TABLE),
     window=("t",),
 )
 
@@ -439,9 +439,9 @@ _ident(
     id="I-GF2",
     description="alternating generating function of S_n(x;q) via 0phi2",
     build_lhs=_gf_lhs(lambda e, n: (-1) ** n * e.qpow(n * (n - 1) // 2)
-                      * sw_classic(n, e.caps, e.table), "t"),
+                      * sw_classic(n, e.caps, TABLE), "t"),
     build_rhs=lambda e: e.pochinf([e.var("t")])
-    * phi([], [0, e.var("t")], _sw_arg(e), e.caps, e.table),
+    * phi([], [0, e.var("t")], _sw_arg(e), e.caps, TABLE),
     window=("t",),
 )
 
@@ -449,9 +449,9 @@ _ident(
     id="I-GF3",
     description="(a;q)_n-weighted generating function of S_n(x;q) via 1phi2",
     build_lhs=_gf_lhs(lambda e, n: e.pochn([e.var("a")], n)
-                      * sw_classic(n, e.caps, e.table), "t"),
+                      * sw_classic(n, e.caps, TABLE), "t"),
     build_rhs=lambda e: e.pochinf([e.syms("at")]) / e.pochinf([e.var("t")])
-    * phi([e.var("a")], [0, e.syms("at")], _sw_arg(e), e.caps, e.table),
+    * phi([e.var("a")], [0, e.syms("at")], _sw_arg(e), e.caps, TABLE),
     window=("t",),
 )
 
@@ -473,7 +473,7 @@ def _leibniz_sweep(cfg, rng):
 
 def _spec_poly(e, key):
     """sum c q^i x^j over the case's random (c, i, j) triples."""
-    return sum_series(monomial_series(c, i, {"x": j}, e.table, e.caps)
+    return sum_series(monomial_series(c, i, {"x": j}, TABLE, e.caps)
                       for c, i, j in e.ints[key])
 
 
@@ -504,7 +504,7 @@ _ident(
 
 def _dq4_rhs(e):
     n, k = e.ints["n"], e.ints["k"]
-    xkn = monomial_series(1, 0, {"x": k - n}, e.table, e.caps)
+    xkn = monomial_series(1, 0, {"x": k - n}, TABLE, e.caps)
     return e.pochn([e.qpow(k - n + 1)], n) * xkn
 
 
@@ -512,7 +512,7 @@ _ident(
     id="I-DQ-4",
     description="closed form for D_q^n x^k",
     build_lhs=_dq_image(lambda w: monomial_series(
-        1, 0, {"x": w.ints["k"]}, w.table, w.caps)),
+        1, 0, {"x": w.ints["k"]}, TABLE, w.caps)),
     build_rhs=_dq4_rhs,
     sweep=lambda cfg, rng: [{"n": n, "k": k}
                             for k in range(9) for n in range(k + 1)],
@@ -558,9 +558,9 @@ def _dq_sum(e, weight, sign=1, up=(), down=()) -> Series:
         w = replace(e, caps=work)
         a, b = sign * w.var("a"), w.var("b")
         ratios = _poch_ratios([w.syms(s) for s in up],
-                              [w.syms(s) for s in down], work, w.table)
+                              [w.syms(s) for s in down], work, TABLE)
         return (a ** k * b ** (n - k) * r for k, r in enumerate(ratios))
-    return _qbinom_sum(n, weight, factors, e.caps, e.table)
+    return _qbinom_sum(n, weight, factors, e.caps, TABLE)
 
 
 def _dq7_rhs(e):
@@ -647,7 +647,7 @@ _ident(
 _ident(
     id="I-RR1",
     description="Rogers-Ramanujan: R_q(1) = 1/(q,q^4;q^5)inf",
-    build_lhs=lambda e: rq(1, e.caps, e.table),
+    build_lhs=lambda e: rq(1, e.caps, TABLE),
     build_rhs=lambda e: e.pochinf([e.qpow(1), e.qpow(4)], base=5)
     .reciprocal(),
     qmax=60,
@@ -682,7 +682,7 @@ _ident(
     id="I-GARRETT",
     description="Garrett expansion of R_q(q^k) under the measured sign "
                 "convention",
-    build_lhs=lambda e: rq_at_power(e.ints["k"], e.caps, e.table),
+    build_lhs=lambda e: rq_at_power(e.ints["k"], e.caps, TABLE),
     build_rhs=_garrett_rhs,
     sweep=lambda cfg, rng: [{"k": k} for k in range(7)],
     qmax=40, uses_garrett=True,
@@ -701,7 +701,7 @@ def _poch_rhs(a):
     """(ax;q)inf 0phi2(-; ax, 0; q, qay), the image of (ax;q)inf (T4-POCH)."""
     return lambda e: e.pochinf([e.syms(a + "x")]) \
         * phi([], [e.syms(a + "x"), 0], e.qpow(1) * e.syms(a + "y"),
-              e.caps, e.table)
+              e.caps, TABLE)
 
 
 def _ratio_rhs(u, v, a=lambda e: e.var("a")):
@@ -710,7 +710,7 @@ def _ratio_rhs(u, v, a=lambda e: e.var("a")):
     def build(e):
         a_, us = a(e), e.syms(u)
         return e.pochinf([a_ * us]) * e.pochinf_inv([us]) \
-            * phi([a_], [a_ * us, 0], e.qpow(1) * e.syms(v), e.caps, e.table)
+            * phi([a_], [a_ * us, 0], e.qpow(1) * e.syms(v), e.caps, TABLE)
     return build
 
 
@@ -740,7 +740,7 @@ def _rq_sum_rhs(a_, b_, kernel=_rq_kernel):
 
 def _case_sw_star(e, n):
     """S*_n(x, y) at the case's values of x and y."""
-    return _gauss_form(n, e.caps, e.table, e.base("x"), e.base("y"),
+    return _gauss_form(n, e.caps, TABLE, e.base("x"), e.base("y"),
                        lambda k: k * k)
 
 
@@ -751,7 +751,7 @@ def _sriaga_coeff(e, n):
 
 def _rsgf_coeff(e, n):
     """S*_n(x, y) r_n(a, b) / (q;q)_n, at the case's values of y and b."""
-    return _case_sw_star(e, n) * _gauss_form(n, e.caps, e.table, e.base("a"),
+    return _case_sw_star(e, n) * _gauss_form(n, e.caps, TABLE, e.base("a"),
                                      e.base("b"), lambda k: 0) \
         * e.qfact_inv(n)
 
@@ -775,8 +775,8 @@ _ident(
     id="T4-XN",
     description="R(yD_q){x^n} equals the bivariate Stieltjes-Wigert "
                 "polynomial",
-    build_lhs=lambda e: sw_star_op(e.ints["n"], e.caps, e.table),
-    build_rhs=lambda e: sw_star(e.ints["n"], e.caps, e.table),
+    build_lhs=lambda e: sw_star_op(e.ints["n"], e.caps, TABLE),
+    build_rhs=lambda e: sw_star(e.ints["n"], e.caps, TABLE),
     sweep=_range_sweep("n", 10),
 )
 
@@ -790,7 +790,7 @@ _ident(
 _ident(
     id="T4-GF",
     description="sum S*_n(x,y) z^n/(q;q)_n = R_q(zy)/(zx;q)inf",
-    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, e.table)
+    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, TABLE)
                       * e.qfact_inv(n), "z"),
     build_rhs=_invpoch_rhs("z"),
     window=("z",),
@@ -807,7 +807,7 @@ _ident(
     id="T4-ALTGF",
     description="alternating sum of S*_n(x,y) z^n/(q;q)_n via 0phi2",
     build_lhs=_gf_lhs(lambda e, n: (-1) ** n * e.qpow(n * (n - 1) // 2)
-                      * sw_star(n, e.caps, e.table) * e.qfact_inv(n), "z"),
+                      * sw_star(n, e.caps, TABLE) * e.qfact_inv(n), "z"),
     build_rhs=_poch_rhs("z"),
     window=("z",),
 )
@@ -905,7 +905,7 @@ _ident(
     id="T4-ABGF",
     description="(a;q)_n/(b;q)_n-weighted generating function of S*_n "
                 "(q-monomial bindings)",
-    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, e.table)
+    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, TABLE)
                       * e.pochn([e.sym("a")], n) / e.pochn([e.sym("b")], n)
                       * e.qfact_inv(n), "z"),
     build_rhs=_t4abgf_rhs,
@@ -939,7 +939,7 @@ def _opprod_rhs(a_, b_):
         return e.pochinf([a * x]) * e.pochinf([b * x]) * _poch_sum(
             e, -(e.qpow(1) * a * y), lambda k: 3 * (k * (k - 1) // 2),
             lambda k: phi([], [b * e.qpow(k) * x, 0],
-                          e.qpow(2 * k + 1) * b * y, e.caps, e.table),
+                          e.qpow(2 * k + 1) * b * y, e.caps, TABLE),
             down=[a * x, b * x])
     return build
 
@@ -948,17 +948,17 @@ def _altmehler_coeff(e, n):
     """(-1)^n q^C(n,2) S*_n(x, y) S*_n(a, q^(-n) b) / (q;q)_n.  The second
     family is sum_k [n k]_q q^(k(k-n)) a^(n-k) b^k; with q^C(n,2) in its
     weight every power of q is non-negative, so nothing is widened."""
-    swl = _gauss_form(n, e.caps, e.table, e.base("a"), e.base("b"),
+    swl = _gauss_form(n, e.caps, TABLE, e.base("a"), e.base("b"),
                       lambda k: n * (n - 1) // 2 + k * (k - n))
-    return (-1) ** n * sw_star(n, e.caps, e.table, "x", "y") * swl \
+    return (-1) ** n * sw_star(n, e.caps, TABLE, "x", "y") * swl \
         * e.qfact_inv(n)
 
 
 _ident(
     id="T5-MEHLER",
     description="Mehler-type bilinear generating function for S*_n",
-    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, e.table, "x", "y")
-                      * sw_star(n, e.caps, e.table, "w", "z")
+    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, TABLE, "x", "y")
+                      * sw_star(n, e.caps, TABLE, "w", "z")
                       * e.qfact_inv(n), "t"),
     build_rhs=_mehler_rhs,
     window=("t",), qmax=20, deg=6,
@@ -997,7 +997,7 @@ def _rogers_lhs(alternating):
                 return (-1) ** n * e.qpow(n * (n - 1) // 2) * tv ** n
             return tv ** n
         return sum_series(
-            sw_star(n + m, e.caps, e.table) * tpow(n) * sv ** m
+            sw_star(n + m, e.caps, TABLE) * tpow(n) * sv ** m
             * e.qfact_inv(n) * e.qfact_inv(m)
             for n in range(e.order + 1) for m in range(e.order + 1 - n))
     return build
@@ -1012,7 +1012,7 @@ _ident(
                 "1phi2",
     build_lhs=_rogers_lhs(alternating=True),
     build_rhs=_ratio_rhs("sx", "sy", a=lambda e: constant(
-        e.bindings["t"] / e.bindings["s"], e.table, e.caps)),
+        e.bindings["t"] / e.bindings["s"], TABLE, e.caps)),
     window=("x", "y"), qmax=20, deg=6,
     **_TS,
 )

@@ -13,8 +13,9 @@ A Series is stored row-major, the recursive dense layout: one dense q-row
 of numerators per variable part, rows[vexps][qrel] the numerator at
 q^(qfloor + qrel) vexps.  Every operation works a row at a time: the caps
 are checked once per row, the window top slices each row, a sum adds rows
-at an offset, a product by one term shifts and scales whole rows, and D_q
-maps the row at x^k to itself minus itself shifted up by k powers of q.
+at an offset, a product by a few terms adds whole rows, each shifted and
+scaled by a term, and D_q maps the row at x^k to itself minus itself
+shifted up by k powers of q.
 This module alone reads or writes rows and den.  Every builder elsewhere
 places its int rows through from_rows, the one row constructor, which cuts
 each row at the window top before placing it; D_q (dq) and the degree
@@ -41,9 +42,11 @@ is multiplied as ints, the products add packed per output row, and an
 output row is its slots, read once below the window top.  A slot holds
 bits(max|a|) + bits(max|b|) + bits(terms of the smaller operand) + 1
 bits, since an output slot sums at most one product per term of the
-smaller operand.  A product whose smaller operand has at most 3 terms adds
-each row of the other operand, shifted and scaled by each of its terms,
-which measured faster there.
+smaller operand.  A product whose smaller operand has at most 3 terms, one
+term included, adds each row of the other operand, shifted and scaled by
+each of its terms, which measured faster there.  Both paths keep to the
+caps and the window top, so a product ends by dropping trailing zeros and
+cancelled rows and lifting its floor, with no second pass of _build.
 
 Every sum of series is one n-ary sum, sum_series: it reads its parts once
 as a stream and adds their rows into one dict, padding the rows only when
@@ -195,7 +198,8 @@ def _trim(row, stop: int) -> tuple:
     n = max(0, min(len(row), stop))
     while n and not row[n - 1]:
         n -= 1
-    return tuple(row[:n])
+    # a tuple kept whole is returned as it is, a list kept whole copied once
+    return tuple(row if n == len(row) else row[:n])
 
 
 def _lead(row) -> int:
@@ -389,18 +393,24 @@ class Series:
         mcaps = self.caps.meet(g.caps)
         if mcaps.qmax != floor + qmax:
             mcaps = TruncationSpec(floor + qmax, mcaps.vcaps)
-        na, nb = self._nterms(), g._nterms()
-        if nb == 1:
-            return self._times_term(g, floor, qmax, mcaps)
-        if na == 1:
-            return g._times_term(self, floor, qmax, mcaps)
+        na = self._nterms()
         if na <= 3:
             rows = g._loop_product(self, qmax, mcaps.vcaps)
-        elif nb <= 3:
+        elif (nb := g._nterms()) <= 3:
             rows = self._loop_product(g, qmax, mcaps.vcaps)
         else:
             rows = self._packed_product(g, qmax, mcaps.vcaps, min(na, nb))
-        return Series._build(self.table, mcaps, floor, rows, self.den * g.den)
+        # both paths keep to the caps and the top: only trailing zeros and
+        # cancelled rows remain to drop
+        out = {}
+        for ve, r in rows.items():
+            if not (r and r[-1]):
+                r = _trim(r, len(r))
+                if not r:
+                    continue
+            out[ve] = tuple(r)
+        return Series._lift_floor(self.table, mcaps, floor, out,
+                                  self.den * g.den)
 
     __rmul__ = __mul__
 
@@ -409,11 +419,15 @@ class Series:
         for g of few terms: each row of self, shifted and scaled by each
         term of g, is added into its output row."""
         acc: dict = {}
+        # a row of g at the zero variable part leaves self's parts where
+        # they are, inside vcaps unless the meet narrowed self's caps
+        narrowed = self.caps.vcaps != vcaps
         for vb, rb in g.rows.items():
             terms = [(qb, cb) for qb, cb in enumerate(rb[:qmax + 1]) if cb]
+            moved = any(vb)
             for va, ra in self.rows.items():
-                ve = tuple(map(add, va, vb))
-                if any(map(gt, ve, vcaps)):
+                ve = tuple(map(add, va, vb)) if moved else va
+                if (moved or narrowed) and any(map(gt, ve, vcaps)):
                     continue
                 for qb, cb in terms:
                     seg = ra[:qmax + 1 - qb]
@@ -476,36 +490,6 @@ class Series:
                 c.to_bytes(kb, "little", signed=True) for c in r)
             packed[ve] = (int.from_bytes(row, "little") ^ bias) - bias
         return packed
-
-    def _times_term(self, t: "Series", floor: int, qmax: int,
-                    mcaps: TruncationSpec) -> "Series":
-        """self times the one-term series t, as __mul__ has set it up.
-
-        Shifts each row by t's term and scales it once, dropping what
-        leaves the relative window qmax or a variable cap of mcaps.
-        """
-        ((vt, rt),) = t.rows.items()
-        qt = len(rt) - 1
-        c = rt[qt]
-        stop = qmax - qt + 1
-        pad = (0,) * qt
-        vcaps = mcaps.vcaps
-        moved = any(vt)
-        check = moved or self.caps.vcaps != vcaps
-        rows = {}
-        for ve, r in self.rows.items():
-            if moved:
-                ve = tuple(map(add, ve, vt))
-            if check and any(map(gt, ve, vcaps)):
-                continue
-            r = _trim(r, stop)
-            if not r:
-                continue
-            if c != 1:
-                r = tuple(map(neg, r) if c == -1 else map(mul, repeat(c), r))
-            rows[ve] = pad + r
-        return Series._lift_floor(self.table, mcaps, floor, rows,
-                                  self.den * t.den)
 
     def __pow__(self, n: int) -> "Series":
         if not isinstance(n, int) or n < 0:

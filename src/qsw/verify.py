@@ -16,7 +16,7 @@ from .series import (
 from .series import degree_window as _restrict  # verify()'s degree window
 from .polynomials import MAX_ORDER, MAX_QMAX, OrderOutOfRange
 from .identities import (  # BindingViolation is re-exported
-    BY_ID, REGISTRY, BindingViolation, garrett_candidates,
+    BY_ID, REGISTRY, TABLE, BindingViolation, garrett_candidates,
 )
 
 
@@ -202,7 +202,7 @@ def verify(ident: str, cfg: VerifyConfig = VerifyConfig()) -> Report:
         except OrderOutOfRange as exc:  # a setting, not a failed identity
             raise InvalidRequest(f"{spec.id}: {exc}") from None
         if spec.window is not None:
-            slots = tuple(env.table.slot(v) for v in spec.window)
+            slots = tuple(TABLE.slot(v) for v in spec.window)
             lhs = _restrict(lhs, slots, env.order)
             rhs = _restrict(rhs, slots, env.order)
         good, w = equals_mod_caps(lhs, rhs)

@@ -40,7 +40,7 @@ def test_registry_builders_construct_on_shared_table():
         env = spec.cases(FAST, conv)[0]
         lhs = spec.build_lhs(env)
         rhs = spec.build_rhs(env)
-        assert lhs.table == rhs.table == env.table
+        assert lhs.table == rhs.table == identities.TABLE
 
 
 def test_unknown_identity():
@@ -377,7 +377,7 @@ def test_window_truncation_stability(ident):
     cfgN2 = VerifyConfig(qmax=10, deg=4, sum_order=5, trials=1)
     envN = spec.cases(cfgN, conv)[0]
     envN2 = spec.cases(cfgN2, conv)[0]
-    slots = tuple(envN.table.slot(v) for v in spec.window)
+    slots = tuple(identities.TABLE.slot(v) for v in spec.window)
     lhsN = _restrict(spec.build_lhs(envN), slots, envN.order)
     lhsN2 = _restrict(spec.build_lhs(envN2), slots, envN.order)
     ok, w = equals_mod_caps(lhsN, lhsN2)

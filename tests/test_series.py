@@ -450,6 +450,13 @@ def _assert_same_product(got, want):
          make_series([(Q(1, 2), mono(-1)), (3, mono(2))], caps(4)))
 @example(make_series([(Q(2, 3), mono(0))], C),
          make_series([(Q(3, 2), mono(1)), (Q(1, 2), mono(2))], C))
+# a pure-q one-term operand with the narrower x-cap: the unmoved x^3 row
+# of the other operand must still be tested against the meet and dropped
+@example(make_series([(1, mono(1))], caps(5, x=1)),
+         make_series([(1, mono(0)), (1, mono(0, {"x": 3}))], caps(5, x=3)))
+# (x + y)(y - x) cancels its whole xy row, which must not be stored
+@example(make_series([(1, mono(0, {"x": 1})), (1, mono(0, {"y": 1}))], C),
+         make_series([(1, mono(0, {"y": 1})), (-1, mono(0, {"x": 1}))], C))
 @given(laurent_series_st(), laurent_series_st())
 def test_mul_matches_schoolbook_fraction_product(f, g):
     _assert_same_product(f * g, _schoolbook_mul(f, g))
