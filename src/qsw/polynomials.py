@@ -1,18 +1,20 @@
 """Stieltjes-Wigert polynomial families and generalized Rogers-Szego
 polynomials.
 
-sw_star is the canonical direct-sum construction; sw_star_op realizes the
-same polynomial as the Rogers-Ramanujan operator image of x^n, giving an
+Every family is one Gaussian form sum_k [n k]_q q^weight(k) u^(n-k) v^k
+over one-term bases u, v = (c, Monomial), each with a q-exponent >= 0
+(_gauss_form): sw_star uses (1, x) and (1, y) with weight k^2,
+rogers_szego (1, a) and (1, b) with weight 0, and the classical S_n(x; q)
+is S*_n(1, -x; q)/(q;q)_n, the bases (1, 1) and (-1, x).  sw_star_op
+realizes S*_n as the Rogers-Ramanujan operator image of x^n, giving an
 independent cross-check path.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .series import DEFAULT_TABLE, Series, TruncationSpec, VarTable, \
-    from_rows, mono, monomial_series, q_power
-from .qfunctions import phi, qbinom_coeffs, qfact_inv
+    from_rows, mono, monomial_series
+from .qfunctions import qbinom_coeffs, qfact_inv
 from .operators import OperatorContext, rr_op
 
 MAX_ORDER = 64
@@ -30,29 +32,14 @@ def _check_order(n: int):
         raise OrderOutOfRange(f"order must be in 0..{MAX_ORDER}")
 
 
-def sw_classic(n: int, caps: TruncationSpec,
-               table: VarTable = DEFAULT_TABLE, x: str = "x") -> Series:
-    """Classical Stieltjes-Wigert polynomial S_n(x; q).
-
-    Built as 1/(q;q)_n times the terminating 1-phi-1 with upper parameter
-    q^(-n) and argument -q^(n+1) x.  The argument is built with its window
-    top at least n + 1, so it survives until phi's weight lowers its
-    q-exponent again.
-    """
-    _check_order(n)
-    z = monomial_series(-1, n + 1, {x: 1}, table,
-                        replace(caps, qmax=max(caps.qmax, n + 1)))
-    return phi([q_power(-n, table, caps)], [0], z, caps, table) \
-        * qfact_inv(n, caps, table)
-
-
 def _gauss_form(n: int, caps: TruncationSpec, table: VarTable, u, v,
                 weight) -> Series:
     """sum_k [n k]_q q^weight(k) u^(n-k) v^k at caps, for one-term bases
-    u, v = (c, Monomial): (1, x) for a variable x, (c, q^d) for a bound
-    value, d >= 0, and weight(k) >= 0.  Each k the caps admit is one row
-    part: the row of [n k]_q at its least q-exponent, scaled by
-    cu^(n-k) cv^k; a k the caps drop computes no row."""
+    u, v = (c, Monomial) of q-exponent >= 0 and weight(k) >= 0: (1, x) for
+    a variable x, (c, q^d) for a bound value, and (1, 1), (-1, x) for
+    S_n(x; q).  Each k the caps admit is one row part: the row of [n k]_q
+    at its least q-exponent, scaled by cu^(n-k) cv^k; a k the caps drop
+    computes no row."""
     _check_order(n)
     (cu, mu), (cv, mv) = u, v
     parts = []
@@ -70,6 +57,16 @@ def sw_star(n: int, caps: TruncationSpec, table: VarTable = DEFAULT_TABLE,
     sum_k [n k]_q q^(k^2) x^(n-k) y^k (homogeneous of degree n)."""
     return _gauss_form(n, caps, table, (1, mono(0, {x: 1}, table)),
                        (1, mono(0, {y: 1}, table)), lambda k: k * k)
+
+
+def sw_classic(n: int, caps: TruncationSpec,
+               table: VarTable = DEFAULT_TABLE, x: str = "x") -> Series:
+    """Classical Stieltjes-Wigert polynomial
+    S_n(x; q) = S*_n(1, -x; q)/(q;q)_n
+              = sum_k [n k]_q q^(k^2) (-x)^k / (q;q)_n."""
+    return _gauss_form(n, caps, table, (1, mono(0, table=table)),
+                       (-1, mono(0, {x: 1}, table)), lambda k: k * k) \
+        * qfact_inv(n, caps, table)
 
 
 def sw_star_op(n: int, caps: TruncationSpec, table: VarTable = DEFAULT_TABLE,

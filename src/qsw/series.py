@@ -322,13 +322,15 @@ class Series:
 
     def coeff(self, m: Monomial):
         """Coefficient of a monomial (absolute q-exponent); 0 outside caps."""
+        if len(m.vexps) != self.table.nvars:
+            raise VarTableMismatch("monomial width does not match table")
         qrel = m.qexp - self.qfloor
         if qrel < 0 or m.qexp > self.caps.qmax \
                 or not self.caps.admits(m.vexps):
-            return Fraction(0)
+            return 0
         r = self.rows.get(m.vexps, ())
         n = r[qrel] if qrel < len(r) else 0
-        return _value(n, self.den) if n else Fraction(0)
+        return _value(n, self.den) if n else 0
 
     def constant_term(self):
         """Coefficient at the all-zero monomial relative to the floor."""

@@ -1,14 +1,19 @@
 """Stieltjes-Wigert and Rogers-Szego polynomial families."""
 
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qsw.identities import BY_ID
 from qsw.series import (
-    DEFAULT_TABLE, Monomial, caps, equals_mod_caps, make_series, mono, one,
-    q_power, variable,
+    DEFAULT_TABLE, Monomial, caps, equals_mod_caps, make_series, mono,
+    monomial_series, one, q_power, variable,
 )
-from qsw.qfunctions import poch_inf_inv, qbinom_coeffs, qfact_inv
+from qsw.qfunctions import phi, poch_inf_inv, qbinom_coeffs, qfact_inv
+from qsw.verify import VerifyConfig
 from qsw.polynomials import (
     _gauss_form, rogers_szego, sw_classic, sw_star, sw_star_op,
 )
@@ -38,8 +43,47 @@ def test_sw_classic_constant_coefficient():
             assert f.coeff(mono(e)) == g.coeff(mono(e))
 
 
+def _sw_by_phi(n, c):
+    """Reference S_n(x;q): the terminating 1phi1 with upper parameter q^-n
+    and argument -q^(n+1) x, built at a window top of at least n + 1 so
+    that it survives until phi's weight lowers its q-exponent, times
+    1/(q;q)_n."""
+    z = monomial_series(-1, n + 1, {"x": 1}, DEFAULT_TABLE,
+                        replace(c, qmax=max(c.qmax, n + 1)))
+    return phi([q_power(-n, DEFAULT_TABLE, c)], [0], z, c) * qfact_inv(n, c)
+
+
+@pytest.mark.parametrize("top, xcap", [(200, 8), (12, 3), (5, 1)]
+                         + [(top, 8) for top in range(5)])
+def test_sw_classic_matches_phi_construction(top, xcap):
+    c = caps(top, x=xcap)
+    for n in range(41):
+        got, want = sw_classic(n, c), _sw_by_phi(n, c)
+        assert got == want and got.caps == want.caps, n
+
+
+def test_sw_generating_functions_do_not_build_through_phi(monkeypatch):
+    # the left sides of I-GF1..3 (sums of S_n) must not share phi with their
+    # right sides: with every module binding of phi replaced by one that
+    # raises, the left sides still build and the right sides do not
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi called")
+    for name, mod in list(sys.modules.items()):
+        if name == "qsw" or name.startswith("qsw."):
+            for binding, value in list(vars(mod).items()):
+                if value is phi:
+                    monkeypatch.setattr(mod, binding, refuse)
+    for ident in ("I-GF1", "I-GF2", "I-GF3"):
+        spec = BY_ID[ident]
+        for env in spec.cases(VerifyConfig(qmax=12), None):
+            assert not spec.build_lhs(env).is_zero(), ident
+            with pytest.raises(AssertionError, match="phi called"):
+                spec.build_rhs(env)
+
+
 def test_sw_classic_window_below_its_degree():
-    # the argument -q^(n+1) x must survive a window top below n + 1
+    # a window top below a row's least q-exponent k^2 builds no row for
+    # that k, and the result is still the wide one truncated at its caps
     for n in range(4):
         wide = sw_classic(n, caps(12))
         for top in range(5):

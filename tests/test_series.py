@@ -183,6 +183,21 @@ def test_coeff_geometric():
     assert f.coeff(mono(2)) == 1
 
 
+def test_coeff_integral_values_are_ints():
+    # an integral coefficient is an int, a zero or out-of-window one too
+    f = var("x") + Q(1, 2) * qp(1)
+    got = [f.coeff(m) for m in (mono(0, {"x": 1}), mono(3), mono(9),
+                                mono(-1), mono(0, {"x": 9}))]
+    assert got == [1, 0, 0, 0, 0]
+    assert all(type(c) is int for c in got)
+    assert type(f.coeff(mono(1))) is Fraction
+
+
+def test_coeff_rejects_a_monomial_of_another_width():
+    with pytest.raises(VarTableMismatch):
+        var("x").coeff(Monomial(0, (1,)))
+
+
 def test_substitute_scale_by_q():
     x = var("x")
     s = (x * x).substitute("x", 1, mono(1, {"x": 1}))
