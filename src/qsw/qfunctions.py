@@ -5,9 +5,13 @@ q-exponential, all as exact truncated series.
 The pure-q rows (Gaussian binomials, (q;q)_n, 1/(q;q)_n, Garrett's a_k and
 b_k) are int coefficient tuples; _dense and the Garrett polynomials place
 them through series.from_rows, which cuts each at the window top, with no
-monomial objects.  The weighted sums _qexp_sum and _qbinom_sum, which build
-the q-exponentials, phi, R(yD_q) and the identities' sums, stream their
-terms into one series.sum_series, so the running total is never copied.
+monomial objects.  A Pochhammer product takes one pass of
+series.times_binomials per argument, which multiplies by every factor
+1 - a q^(base k) in int rows, with the infinite product truncated at
+qmax // base + 1 factors.  The weighted sums _qexp_sum and _qbinom_sum,
+which build the q-exponentials, phi, R(yD_q) and the identities' sums,
+stream their terms into one series.sum_series, so the running total is
+never copied.
 The termination and weight certificates are Series comparisons and
 truncations; nothing here reads the stored rows.
 """
@@ -24,7 +28,7 @@ from typing import Sequence, Union
 
 from .series import (
     DEFAULT_TABLE, Scalar, Series, TruncationSpec, VarTable, constant,
-    from_rows, one, q_power, sum_series, zero,
+    from_rows, one, q_power, sum_series, times_binomials, zero,
 )
 
 INFINITY = math.inf
@@ -50,8 +54,10 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
          table: VarTable = DEFAULT_TABLE, base: int = 1) -> Series:
     """Multiple q-shifted factorial (a1, ..., am; q^base)_count.
 
-    count is a non-negative integer or INFINITY.  The infinite product is
-    truncated at k = qmax // base; all later factors are units modulo the
+    count is a non-negative integer or INFINITY.  Each argument a takes one
+    pass of series.times_binomials over the factors 1 - a q^(base k),
+    k < count.  The infinite product is truncated at qmax // base + 1
+    factors, k <= qmax // base; all later factors are units modulo the
     ideal, which requires every argument to be an ordinary series.
     """
     if base < 1:
@@ -67,8 +73,8 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
         if infinite and s.qfloor < 0:
             raise NegativeQOrderInInfiniteProduct(
                 "infinite product argument has negative q-order")
-        for k in range(count):
-            result = result * (one(table, caps) - s * q_power(base * k, table, caps))
+        result = times_binomials(result, s, range(0, base * count, base),
+                                 caps)
     return result
 
 

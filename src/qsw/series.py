@@ -18,9 +18,10 @@ scaled by a term, and D_q maps the row at x^k to itself minus itself
 shifted up by k powers of q.
 This module alone reads or writes rows and den.  Every builder elsewhere
 places its int rows through from_rows, the one row constructor, which cuts
-each row at the window top before placing it; D_q (dq) and the degree
-window (degree_window) are row maps here too, and other modules see a
-Series only through its operations.
+each row at the window top before placing it; D_q (dq), the degree
+window (degree_window) and the product by binomials 1 - s q^k
+(times_binomials, which builds every q-Pochhammer product) are row maps
+here too, and other modules see a Series only through its operations.
 
 Coefficients are exact rationals, stored as one integer polynomial over one
 denominator (the form of FLINT's fmpq_poly): int numerators and a den >= 1
@@ -863,6 +864,96 @@ def dq(f: Series, x: str) -> Series:
         d[k:] = map(sub, d[k:], r)
         rows[tuple(nv)] = d
     return Series._build(f.table, f.caps, f.qfloor, rows, f.den)
+
+
+class _Moves(dict):
+    """vexps v -> v + u, or None outside vcaps, each formed on first use."""
+
+    def __init__(self, u: tuple, vcaps: tuple):
+        super().__init__()
+        self.u, self.vcaps = u, vcaps
+
+    def __missing__(self, v):
+        w = tuple(map(add, v, self.u))
+        w = self[v] = None if any(map(gt, w, self.vcaps)) else w
+        return w
+
+
+def times_binomials(f: Series, s: Series, shifts: Iterable[int],
+                    caps_: TruncationSpec) -> Series:
+    """f * prod_{k in shifts} (1 - s q^k) for shifts k >= 0, one pass over
+    int rows per binomial.  Each binomial is read at caps_, as
+    one(caps_) - s * q_power(k, caps_), so the result equals the left fold
+    of * by the binomials in value, window and stored form.
+
+    The running product is int rows over one den, indexed from the least
+    floor the fold can reach.  A binomial scales every row by s.den; then,
+    for every term c q^j v^u of s, it subtracts each row at v, shifted up
+    by j + k and scaled by c, from the row at v + u; then it divides out
+    the gcd when den is not 1.  Parts outside the caps and entries above
+    the window top are never formed.  The window is the fold's: a binomial
+    is known through min(top of s, top of caps_ + s.qfloor) above its
+    floor min(0, least exponent), and a product of floors a, b and tops
+    A, B is known through min(A + b, B + a), its floor then lifted to
+    min(0, least exponent).
+    """
+    f._same_table(s)
+    shifts = list(shifts)
+    if not shifts:
+        return f
+    bcaps = caps_.meet(s.caps)
+    btop = min(bcaps.qmax, caps_.qmax + s.qfloor)
+    vcaps = f.caps.meet(bcaps).vcaps
+    # the least exponent of s inside the binomial's caps sets its floor
+    lead = min((_lead(r) for u, r in s.rows.items() if bcaps.admits(u)),
+               default=None)
+    floors = [min(0, s.qfloor + lead + k)
+              if lead is not None and s.qfloor + lead + k <= btop else 0
+              for k in shifts]
+    base = f.qfloor + sum(floors)
+    pad = [0] * (f.qfloor - base)
+    rows = {v: pad + list(r) for v, r in f.rows.items()
+            if not any(map(gt, v, vcaps))}
+    terms = [([(s.qfloor + j, c) for j, c in enumerate(r) if c],
+              _Moves(u, vcaps))
+             for u, r in s.rows.items() if not any(map(gt, u, vcaps))]
+    sden, den = s.den, f.den
+    top, floor = f.caps.qmax, f.qfloor
+    for k, bfloor in zip(shifts, floors):
+        top = min(top + bfloor, btop + floor)
+        n = max(0, top - base + 1)  # the entries kept: indices below n
+        # the binomial's 1, over the den of s
+        new = {v: [sden * c for c in r[:n]] if sden != 1 else r[:n]
+               for v, r in rows.items()}
+        for qterms, target in terms:
+            for v, r in rows.items():
+                w = target[v]
+                if w is None:
+                    continue
+                for j, c in qterms:
+                    d = j + k
+                    lo = -d if d < 0 else 0
+                    seg = r[lo:max(lo, n - d)]
+                    if seg:
+                        _add_at(new, w, lo + d, seg, -c)
+        rows = new
+        den *= sden
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows.values()))
+            if g != 1:
+                rows = {v: [c // g for c in r] for v, r in rows.items()}
+                den //= g
+        # the fold lifts each product's floor to its least exponent
+        if floor + bfloor < 0:
+            floor = min([0] + [base + _lead(r) for r in rows.values()
+                               if any(r)])
+        else:
+            floor = 0
+    # an unchanged window keeps f's caps object, which sums test first
+    wcaps = f.caps
+    if (top, vcaps) != (wcaps.qmax, wcaps.vcaps):
+        wcaps = TruncationSpec(top, vcaps)
+    return Series._build(f.table, wcaps, base, rows, den)
 
 
 def degree_window(s: Series, slots: tuple[int, ...], bound: int) -> Series:

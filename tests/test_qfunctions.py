@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 import qsw.qfunctions as qfunctions
 from qsw.polynomials import MAX_QMAX
 from qsw.series import (
-    DEFAULT_TABLE, Monomial, caps, constant, equals_mod_caps, make_series,
-    mono, one, q_power, variable, zero,
+    DEFAULT_TABLE, Monomial, Series, VarTable, VarTableMismatch, caps,
+    constant, equals_mod_caps, make_series, mono, one, q_power, variable,
+    zero,
 )
 from qsw.qfunctions import (
     INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries,
@@ -81,6 +82,91 @@ def test_poch_inf_rejects_laurent_arg():
         poch([qp(-1)], INFINITY, C)
     with pytest.raises(NegativeQOrderInInfiniteProduct):
         poch_inf_inv([qp(-2) * var("x")], C)
+
+
+def _poch_by_factors(args, count, caps, table=DEFAULT_TABLE, base=1):
+    """The reference product: the left fold of * by every factor
+    1 - a q^(base k), each factor formed as a Series of its own."""
+    infinite = count is INFINITY
+    if infinite:
+        count = caps.qmax // base + 1
+    result = one(table, caps)
+    for a in args:
+        s = qfunctions._coerce(a, table, caps)
+        if infinite and s.qfloor < 0:
+            raise NegativeQOrderInInfiniteProduct(
+                "infinite product argument has negative q-order")
+        for k in range(count):
+            result = result * (one(table, caps) - s * q_power(base * k, table, caps))
+    return result
+
+
+_poch_scalar = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _poch_inputs(draw):
+    """(args, count, caps, base) of every kind poch accepts: int, Fraction
+    and zero arguments; one- and multi-term series at the product's caps,
+    at narrower or at wider ones; Laurent series when the count is finite;
+    one to three arguments; counts 0, finite and INFINITY."""
+    c = caps(draw(st.integers(0, 12)), default=3)
+    count = draw(st.one_of(st.integers(0, 6), st.just(INFINITY)))
+    low = 0 if count is INFINITY else -4
+    windows = (c, caps(4, default=3, x=1), caps(20, default=4))
+
+    def arg():
+        if draw(st.booleans()):
+            return draw(_poch_scalar)
+        at = draw(st.sampled_from(windows))
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+            st.integers(low, 6), st.integers(0, 2), st.integers(0, 1)),
+            max_size=4))
+        return make_series([(k, mono(i, {"x": j, "a": h}))
+                            for k, i, j, h in terms], at)
+    args = [arg() for _ in range(draw(st.integers(1, 3)))]
+    return args, count, c, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@example(([var("x")], 0, C, 1))  # count 0: f itself, caps untouched
+@example(([0, zero(caps_=C)], 5, C, 1))  # zero arguments
+@example(([make_series([(1, mono(15, {"x": 1}))], caps(20))], INFINITY, C,
+          1))  # an argument wholly above the window top
+@example(([Fraction(1, 3)], INFINITY, caps(300), 1))  # den 3 per factor
+@example(([make_series([(1, mono(-3, {"z": 1}))], C)], 5, C,
+          1))  # a Laurent argument z q^-3: the floors move the top
+@example(([make_series([(2, mono(1, {"x": 1})), (1, mono(0, {"a": 1}))],
+                       caps(6, x=1))], 4, C, 2))  # narrower argument caps
+@given(_poch_inputs())
+def test_poch_matches_factor_by_factor_products(inputs):
+    args, count, c, base = inputs
+    got, want = poch(args, count, c, base=base), \
+        _poch_by_factors(args, count, c, base=base)
+    assert got == want and got.caps == want.caps
+
+
+def test_poch_builds_no_series_product(monkeypatch):
+    x, a = var("x"), var("a")
+    cases = [([x], 6), ([x * qp(2) - a + Fraction(1, 2)], 4),
+             ([Fraction(1, 2), a], INFINITY)]
+    want = [_poch_by_factors(args, n, C) for args, n in cases]
+
+    def refuse(*_):
+        raise AssertionError("poch formed a Series product or q-power")
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    monkeypatch.setattr(Series, "__sub__", refuse)
+    monkeypatch.setattr(qfunctions, "q_power", refuse)
+    got = [poch(args, n, C) for args, n in cases]
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_poch_rejects_an_argument_over_another_table():
+    other = VarTable(("q", "y", "x", "z", "t", "s", "w", "a", "b"))
+    with pytest.raises(VarTableMismatch):
+        poch([variable("x", other, C)], 3, C)
 
 
 def test_poch_inf_inv_matches_reciprocal():
