@@ -8,6 +8,19 @@ cases of one call reuse a case-independent value (Env.reuse, e.g. the
 R_q(q^m) kernel of the Garrett forms); that memo belongs to one side of
 one call.
 
+The left sides of the Garrett forms (T4-BY1, T4-2PROD, T4-SRIAGA-YZ1,
+T4-RSGF-BZY1) and of the Rogers formulas (T6-ROGERS, T6-ROGERS-ALT) are
+built that way once per call, with the names a case binds left formal,
+and every case substitutes its rationals into that formal series
+(_bind_late).  The formal build widens each such name's cap to a derived
+bound on its degree, declared in Params.degrees: x-cap + isqrt(qmax) for
+a name that enters only beside x (_beside_x), isqrt(qmax) for y, whose
+y^k carries q^(k^2) (_q_square), and the sum order for t and s
+(_sum_order).  The Garrett right sides stay per case, since their kernel
+R_q(q^m by) is Garrett's expansion only at by = 1, and so does T4-ABGF,
+whose q-monomial bindings c q^d bound the a-degree by qmax/d, not by a
+cap.
+
 Each right-hand formula is written once, as a builder over one-letter
 parameter names; registry entries that are specialisations of a formula
 (a -> az, b -> bz, ...) call the same builder with other names.
@@ -162,12 +175,18 @@ class Params:
     bound to a nonzero rational, or to a q-monomial c*q^d (c != 0, d >= 1)
     when monomial, and the values differ when distinct.  inverse names the
     parameter tied to them by inverse * prod(names) = 1, derived unless
-    bound too.  No other name may be bound."""
+    bound too.  No other name may be bound.
+
+    degrees pairs bound names with a derived bound on their degree in the
+    left side (_beside_x, _q_square, _sum_order); an identity that
+    declares them builds its left side once per call with those names
+    formal, and binds each case late (_bind_late)."""
 
     names: tuple
     inverse: Optional[str] = None
     distinct: bool = False
     monomial: bool = False
+    degrees: tuple = ()
 
     def draw(self, ident: str, rng, trials: int) -> list[dict]:
         """trials distinct random bindings: per name a rational, then a
@@ -256,7 +275,67 @@ REGISTRY: list[IdentitySpec] = []
 
 
 def _ident(**kw) -> None:
+    degrees = kw.get("params", Params(())).degrees
+    if degrees:
+        kw["build_lhs"] = _bind_late(kw["build_lhs"], degrees)
     REGISTRY.append(IdentitySpec(**kw))
+
+
+# -- late binding ------------------------------------------------------------------
+
+
+def _beside_x(e: Env) -> int:
+    """Degree bound of a name that enters only beside x, and the order of
+    the bound-z sums.  The degree of b in a term of (bx;q)inf is that
+    term's x-degree, and an R(yD_q) operand is built with isqrt(qmax)
+    more x (_rr_image).  A sum over n of S*_n(x, y) z^n with z bound has
+    no surviving term past n = x-cap + isqrt(qmax), since the x-degree
+    n-k of S*_n is capped and its y^k carries q^(k^2); z^n and the b^k
+    of r_n(a, b), k <= n, stop there too."""
+    return e.vcap("x") + math.isqrt(e.caps.qmax)
+
+
+def _q_square(e: Env) -> int:
+    """Degree bound of y, whose y^k carries q^(k^2) in R(yD_q) and in
+    S*_n(x, y): a term with k > isqrt(qmax) is above the window top."""
+    return math.isqrt(e.caps.qmax)
+
+
+def _sum_order(e: Env) -> int:
+    """Degree bound of t and s in the Rogers sums, whose terms t^n s^m
+    have n + m <= order."""
+    return e.order
+
+
+def _bind_late(build, degrees):
+    """Left side build(e) at the case's rational bindings, by one formal
+    build per call and one substitution per case.
+
+    The formal build is build at e with the bound names of degrees left
+    formal, each cap widened to max(cap, bound(e)); bound(e) bounds the
+    name's degree in the value, so the formal value keeps every term
+    that a bound one would.  It is stored in the side's memo (Env.reuse),
+    keyed by the formal caps, order, ints and the bindings left in place.
+    Each case substitutes its values into it in one row pass
+    (Series.substitute) and truncates the result to e.caps, which gives
+    build(e) in value, window and stored form."""
+    def late(e: Env) -> Series:
+        bounds = {name: bound(e) for name, bound in degrees
+                  if name in e.bindings}
+        vc = list(e.caps.vcaps)
+        for name, d in bounds.items():
+            i = TABLE.slot(name)
+            vc[i] = max(vc[i], d)
+        fcaps = TruncationSpec(e.caps.qmax, tuple(vc))
+        left = {k: v for k, v in e.bindings.items() if k not in bounds}
+        key = ("formal", fcaps, e.order, tuple(sorted(e.ints.items())),
+               tuple(sorted(left.items())))
+        formal = e.reuse(key, lambda: build(replace(e, caps=fcaps,
+                                                    bindings=left)))
+        return formal.substitute({name: e.base(name) for name in bounds}) \
+            .truncate(e.caps)
+    late.__wrapped__ = build
+    return late
 
 
 # -- shared combinators -----------------------------------------------------------
@@ -756,20 +835,17 @@ def _rsgf_coeff(e, n):
         * e.qfact_inv(n)
 
 
-def _bound_z_order(e):
-    """Last n with a surviving term when z is a bound constant: the x-degree
-    n-k of S*_n is capped and its y^k term carries q^(k^2)."""
-    return e.vcap("x") + math.isqrt(e.caps.qmax)
-
-
 # R(yD_q) images shared by an R_q-weighted form and its Garrett form
 _ratio_image = _rr_image(
     lambda w: w.pochinf([w.syms("ax")]) / w.pochinf([w.syms("bx")]))
 _two_inv_image = _rr_image(
     lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]))
 # case generation of the by = 1 Garrett forms and of the Rogers formulas
-_BY1 = dict(params=Params(("y",), inverse="b"), uses_garrett=True)
-_TS = dict(params=Params(("t", "s"), distinct=True))
+_BY1 = dict(params=Params(("y",), inverse="b",
+                          degrees=(("y", _q_square), ("b", _beside_x))),
+            uses_garrett=True)
+_TS = dict(params=Params(("t", "s"), distinct=True,
+                         degrees=(("t", _sum_order), ("s", _sum_order))))
 
 _ident(
     id="T4-XN",
@@ -848,9 +924,11 @@ _ident(
 _ident(
     id="T4-SRIAGA-YZ1",
     description="yz=1 Garrett form of the Srivastava-Agarwal representation",
-    build_lhs=_gf_lhs(_sriaga_coeff, "z", _bound_z_order),
+    build_lhs=_gf_lhs(_sriaga_coeff, "z", _beside_x),
     build_rhs=_ratio_rq_rhs("az", "z", _garrett_kernel),
-    params=Params(("z",), inverse="y"), uses_garrett=True,
+    params=Params(("z",), inverse="y",
+                  degrees=(("z", _beside_x), ("y", _q_square))),
+    uses_garrett=True,
 )
 
 _ident(
@@ -880,9 +958,12 @@ _ident(
     id="T4-RSGF-BZY1",
     description="bzy=1 Garrett form of the mixed Rogers-Szego generating "
                 "function",
-    build_lhs=_gf_lhs(_rsgf_coeff, "z", _bound_z_order),
+    build_lhs=_gf_lhs(_rsgf_coeff, "z", _beside_x),
     build_rhs=_rq_sum_rhs("az", "bz", _garrett_kernel),
-    params=Params(("z", "y"), inverse="b"), uses_garrett=True,
+    params=Params(("z", "y"), inverse="b",
+                  degrees=(("z", _beside_x), ("y", _q_square),
+                           ("b", _beside_x))),
+    uses_garrett=True,
 )
 
 

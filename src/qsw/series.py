@@ -427,6 +427,10 @@ class Series:
         narrowed = self.caps.vcaps != vcaps
         for vb, rb in g.rows.items():
             terms = [(qb, cb) for qb, cb in enumerate(rb[:qmax + 1]) if cb]
+            # one term of g gives each row of self an output row of its
+            # own, placed as a tuple in one step
+            pad = (0,) * terms[0][0] if len(g.rows) == len(terms) == 1 \
+                else None
             moved = any(vb)
             for va, ra in self.rows.items():
                 ve = tuple(map(add, va, vb)) if moved else va
@@ -434,8 +438,13 @@ class Series:
                     continue
                 for qb, cb in terms:
                     seg = ra[:qmax + 1 - qb]
-                    if seg:
+                    if not seg:
+                        continue
+                    if pad is None:
                         _add_at(acc, ve, qb, seg, cb)
+                    else:
+                        acc[ve] = pad + (seg if cb == 1 else
+                                         tuple(map(mul, repeat(cb), seg)))
         return acc
 
     def _packed_product(self, g: "Series", qmax: int, vcaps: tuple,
@@ -594,42 +603,83 @@ class Series:
         return Series._build(self.table, TruncationSpec(qmax, self.caps.vcaps),
                              0, self.rows, self.den)
 
-    def substitute(self, var: str, r: Scalar, m: Monomial) -> "Series":
+    def substitute(self, var, r: Scalar = None,
+                   m: Monomial = None) -> "Series":
         """Replace every occurrence of var**e by r**e * m**e, then reduce.
+
+        var may also be a dict {name: (r, m)}: the names are replaced in
+        its order, each in the series the earlier ones left, in one row
+        pass over one den, so the result equals the left fold of one-name
+        substitutes in value, window and stored form.  A one-name call is
+        the dict {var: (r, m)}.
 
         The replacement monomial may carry a negative q-exponent p: an
         unknown q^a var^e (a above the top, e <= var's cap) lands at a + e*p,
         so the top moves down by cap*|p| and the floor by the lowest key.
         It may carry another variable v as v^k: an unknown var^e (e above
-        var's cap) lands at v^(e*k), so v's cap drops below (cap + 1)*k.
-        For r = rn/rd and E the top exponent of var present, the row at
-        var^e is scaled by rn^e rd^(E-e) and den by rd^E.
+        var's cap) lands at v^(e*k), so v's cap drops below (cap + 1)*k, and
+        a row outside that cap is dropped there, before a later name moves
+        it.  A row dropped at an earlier top stays above every later one,
+        so the top is applied once, at the end.  For r = rn/rd and E the
+        top exponent of var the row map reaches, the row at var^e is scaled
+        by rn^e rd^(E-e) and den by rd^E.
         """
-        i = self.table.slot(var)
-        r = _as_coeff(r)
-        rn, rd = r.numerator, r.denominator
-        top_e = max((ve[i] for ve in self.rows), default=0)
-        # negative replacement exponents lower the rows, the floor and the top
-        low = min(0, m.qexp * top_e)
-        acc: dict = {}
+        subs = {var: (r, m)} if isinstance(var, str) else var
+        top, vcaps = self.caps.qmax, self.caps.vcaps
+        # per name (slot, r, p, the vexps that move, the caps a row must
+        # meet first: those of the name before, when it moved rows; _build
+        # applies the last name's)
+        steps, check = [], None
+        for name, (r, m) in subs.items():
+            i = self.table.slot(name)
+            cap = vcaps[i]
+            top += min(0, m.qexp) * cap
+            new = tuple(vc if j == i or not k else min(vc, (cap + 1) * k - 1)
+                        for j, (vc, k) in enumerate(zip(vcaps, m.vexps)))
+            moved = m.vexps if any(m.vexps) else None
+            steps.append((i, _as_coeff(r), m.qexp, moved, check))
+            check = new if moved else None
+            vcaps = new
+        # the place of each row after every step, and the exponent each
+        # name has there
+        placed = []
+        tops = [0] * len(steps)
         for ve, row in self.rows.items():
-            e = ve[i]
-            if e:
-                nv = list(ve)
-                nv[i] = 0
-                for j, me in enumerate(m.vexps):
-                    if me:
-                        nv[j] += e * me
-                ve = tuple(nv)
-            _add_at(acc, ve, e * m.qexp - low, row,
-                    rn ** e * rd ** (top_e - e))
-        cap = self.caps.vcaps[i]
-        top = self.caps.qmax + min(0, m.qexp) * cap
-        vcaps = tuple(vc if j == i or not k else min(vc, (cap + 1) * k - 1)
-                      for j, (vc, k) in enumerate(zip(self.caps.vcaps,
-                                                      m.vexps)))
+            shift, es = 0, []
+            for s, (i, _, p, moved, check) in enumerate(steps):
+                if check is not None and any(map(gt, ve, check)):
+                    break
+                e = ve[i]
+                es.append(e)
+                if e:
+                    nv = list(ve)
+                    nv[i] = 0
+                    if moved:
+                        for j, me in enumerate(moved):
+                            if me:
+                                nv[j] += e * me
+                    ve = tuple(nv)
+                    shift += e * p
+                    if e > tops[s]:
+                        tops[s] = e
+            else:
+                placed.append((ve, shift, row, es))
+        # negative replacement exponents lower the rows, the floor and the top
+        low = min([0] + [shift for _, shift, _, _ in placed])
+        den = self.den
+        scales = []  # per step, the scale of the row at each exponent
+        for (_, r, _, _, _), t in zip(steps, tops):
+            rn, rd = r.numerator, r.denominator
+            scales.append([rn ** e * rd ** (t - e) for e in range(t + 1)])
+            den *= rd ** t
+        acc: dict = {}
+        for ve, shift, row, es in placed:
+            scale = 1
+            for sc, e in zip(scales, es):
+                scale *= sc[e]
+            _add_at(acc, ve, shift - low, row, scale)
         return Series._build(self.table, TruncationSpec(top, vcaps),
-                             self.qfloor + low, acc, self.den * rd ** top_e)
+                             self.qfloor + low, acc, den)
 
     # -- comparison ----------------------------------------------------------
 

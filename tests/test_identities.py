@@ -3,6 +3,7 @@ failure/independence paths."""
 
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -334,6 +335,61 @@ def test_garrett_kernel_built_once_per_side_and_call(monkeypatch):
     spec.build_rhs(env)
     spec.build_rhs(env)  # direct builds share no memo either
     assert built == Counter(dict.fromkeys(built, 2)) and set(built) <= ms
+
+
+LATE_BOUND = ("T4-BY1", "T4-2PROD", "T4-SRIAGA-YZ1", "T4-RSGF-BZY1",
+              "T6-ROGERS", "T6-ROGERS-ALT")
+
+
+def _cases(spec, cfg):
+    return spec.cases(cfg, selected_convention() if spec.uses_garrett
+                      else None)
+
+
+def test_late_bound_sides_are_the_declared_ones():
+    late = [s.id for s in registry() if hasattr(s.build_lhs, "__wrapped__")]
+    assert sorted(late) == sorted(LATE_BOUND)
+    # their right sides, and T4-ABGF's monomial bindings, stay per case
+    assert not any(hasattr(s.build_rhs, "__wrapped__") for s in registry())
+    assert not BY_ID["T4-ABGF"].params.degrees
+
+
+@pytest.mark.parametrize("cfg", [
+    VerifyConfig(), VerifyConfig(qmax=40, var_caps={"x": 3}),
+    VerifyConfig(var_caps={"x": 3, "y": 2})], ids=["defaults", "q40x3",
+                                                   "x3y2"])
+@pytest.mark.parametrize("ident", LATE_BOUND)
+def test_late_bound_side_equals_its_direct_build(ident, cfg):
+    # one formal build per call, then each case's values substituted,
+    # gives the stored form of the side built at the case's values
+    spec = BY_ID[ident]
+    memo: dict = {}
+    for env in _cases(spec, cfg):
+        late = spec.build_lhs(replace(env, memo=memo))
+        assert late.json_text() == spec.build_lhs.__wrapped__(env).json_text()
+    assert len(memo) == 1  # built once, at formal parameters
+
+
+@pytest.mark.parametrize("ident, name, cfg", [
+    *((i, "b", VerifyConfig()) for i in ("T4-BY1", "T4-2PROD",
+                                         "T4-RSGF-BZY1")),
+    *((i, "z", VerifyConfig()) for i in ("T4-SRIAGA-YZ1", "T4-RSGF-BZY1")),
+    *((i, "y", VerifyConfig(var_caps={"y": 2}))
+      for i in ("T4-BY1", "T4-2PROD", "T4-SRIAGA-YZ1", "T4-RSGF-BZY1")),
+    # in T6-ROGERS-ALT t^n carries q^C(n,2), so there the order bounds s
+    # alone tightly
+    *((i, n, VerifyConfig(sum_order=9)) for i, n in (
+        ("T6-ROGERS", "t"), ("T6-ROGERS", "s"), ("T6-ROGERS-ALT", "s"))),
+])
+def test_one_less_than_a_derived_degree_bound_changes_a_case(ident, name,
+                                                             cfg):
+    spec = BY_ID[ident]
+    direct = spec.build_lhs.__wrapped__
+    short = identities._bind_late(direct, tuple(
+        (n, (lambda e, b=b: b(e) - 1) if n == name else b)
+        for n, b in spec.params.degrees))
+    assert any(short(env).json_text() != direct(env).json_text()
+               for env in _cases(spec, cfg))
 
 
 def test_garrett_convention_resolution():

@@ -441,6 +441,41 @@ def laurent_series_st(draw):
         pcaps)
 
 
+# (name, r, p, (x, y, z exponents)): name -> r q^p x^i y^j z^k
+_binds = st.lists(st.tuples(st.sampled_from("xyz"), scalars,
+                            st.integers(-2, 2),
+                            st.tuples(*[st.integers(0, 2)] * 3)),
+                  min_size=1, max_size=3, unique_by=lambda b: b[0])
+
+
+@settings(max_examples=300, deadline=None)
+# a den != 1 operand; rows that cancel once both names are bound; a name
+# absent from the series; the zero series; and x moved into y past y's
+# cap, where the fold drops x^2 -> y^2 before y is bound
+@example(make_series([(Q(1, 2), mono(0, {"x": 1})),
+                      (Q(1, 3), mono(1, {"y": 2}))], C),
+         [("x", Q(2, 3), 0, (0, 0, 0)), ("y", Q(-3, 2), -1, (0, 0, 0))])
+@example(make_series([(1, mono(0, {"x": 1})), (-1, mono(0, {"y": 1}))], C),
+         [("x", 2, 0, (0, 0, 0)), ("y", 2, 0, (0, 0, 0))])
+@example(make_series([(1, mono(1, {"x": 1}))], C),
+         [("z", 3, -1, (0, 1, 0))])
+@example(zero(caps_=C), [("x", Q(1, 2), -2, (0, 1, 0)), ("y", 3, 0, (0, 0, 0))])
+@example(make_series([(1, mono(0, {"x": 1})), (1, mono(0, {"x": 2})),
+                      (1, mono(0, {"y": 1}))], caps(5, x=3, y=1)),
+         [("x", 1, 0, (0, 1, 0)), ("y", 2, 0, (0, 0, 0))])
+@given(laurent_series_st(), _binds)
+def test_substitute_of_several_names_is_the_fold_of_one_name_ones(f, binds):
+    subs = {name: (r, mono(p, dict(zip("xyz", k))))
+            for name, r, p, k in binds}
+    fold = f
+    for name, (r, m) in subs.items():
+        fold = fold.substitute(name, r, m)
+    got = f.substitute(subs)
+    assert got == fold
+    assert (got.caps, got.qfloor, got.den, got.rows) \
+        == (fold.caps, fold.qfloor, fold.den, fold.rows)
+
+
 def _assert_same_product(got, want):
     assert got == want
     assert got.json_text() == want.json_text()
