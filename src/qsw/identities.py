@@ -3,23 +3,18 @@
 Every entry pairs an independently-built left and right side: operator-image
 sides go through dq / rr_op machinery, closed-form sides through Pochhammer
 products, hypergeometric sums, and the Garrett polynomials.  Sides never
-share intermediate series values.  Within one side, verify() lets the
-cases of one call reuse a case-independent value (Env.reuse, e.g. the
-R_q(q^m) kernel of the Garrett forms); that memo belongs to one side of
-one call.
+share intermediate series values.
 
-The left sides of the Garrett forms (T4-BY1, T4-2PROD, T4-SRIAGA-YZ1,
-T4-RSGF-BZY1) and of the Rogers formulas (T6-ROGERS, T6-ROGERS-ALT) are
-built that way once per call, with the names a case binds left formal,
-and every case substitutes its rationals into that formal series
-(_bind_late).  The formal build widens each such name's cap to a derived
-bound on its degree, declared in Params.degrees: x-cap + isqrt(qmax) for
-a name that enters only beside x (_beside_x), isqrt(qmax) for y, whose
-y^k carries q^(k^2) (_q_square), and the sum order for t and s
-(_sum_order).  The Garrett right sides stay per case, since their kernel
-R_q(q^m by) is Garrett's expansion only at by = 1, and so does T4-ABGF,
-whose q-monomial bindings c q^d bound the a-degree by qmax/d, not by a
-cap.
+A side reuses work across the cases of one verify() call in one way only,
+declared at the side (_bind_late): it is built once per call with the
+names a case binds left formal, each cap widened to a derived bound on
+the name's degree, and each case substitutes its rationals into it.  Both
+sides of the Garrett forms (T4-BY1, T4-2PROD, T4-SRIAGA-YZ1, T4-RSGF-BZY1)
+and the left sides of the Rogers formulas (T6-ROGERS, T6-ROGERS-ALT) are
+built that way: the Garrett right sides read b, y and z through Env.sym
+and their kernel R_q(q^m by) does not read by, so only the identity, not
+the side, needs by = 1.  The other sides stay per case, for the reasons
+given at their entries.
 
 Each right-hand formula is written once, as a builder over one-letter
 parameter names; registry entries that are specialisations of a formula
@@ -43,8 +38,8 @@ from operator import mul
 from typing import Callable, Optional
 
 from .series import (
-    DEFAULT_TABLE, Series, TruncationSpec, caps, constant,
-    make_series, mono, monomial_series, one, q_power, sum_series, variable,
+    DEFAULT_TABLE, Series, TruncationSpec, caps, constant, mono,
+    monomial_series, one, q_power, sum_series,
 )
 from .qfunctions import (
     INFINITY, _poch_ratios, _qbinom_sum, _qexp_sum, eq_big, eq_small,
@@ -68,19 +63,9 @@ class Env:
     bindings: dict
     convention: Optional[str]
     ints: dict = field(default_factory=dict)
-    # values one side reuses across its cases (see reuse); verify() gives
-    # each side its own dict, so the two sides still share nothing
+    # formal values one late side reuses across its cases (_bind_late);
+    # verify() gives each side its own dict, so the two sides share nothing
     memo: Optional[dict] = field(default=None, repr=False, compare=False)
-
-    def reuse(self, key, build):
-        """build(), or the value an earlier call with the same key stored in
-        memo; key must name everything the value depends on.  Without a
-        memo (an Env built directly) every call builds."""
-        if self.memo is None:
-            return build()
-        if key not in self.memo:
-            self.memo[key] = build()
-        return self.memo[key]
 
     # series shorthands, all at self.caps
     def one(self):
@@ -88,9 +73,6 @@ class Env:
 
     def qpow(self, e):
         return q_power(e, TABLE, self.caps)
-
-    def var(self, name):
-        return variable(name, TABLE, self.caps)
 
     def base(self, name):
         """One-term value (c, Monomial) of name: the variable, or its bound
@@ -102,8 +84,12 @@ class Env:
         return c, mono(d, {}, TABLE)
 
     def sym(self, name):
-        """Variable, or its bound value when the case binds it."""
-        return make_series([self.base(name)], self.caps, TABLE)
+        """The variable, or its bound value c*q^d when the case binds it."""
+        bv = self.bindings.get(name)
+        if bv is None:
+            return monomial_series(1, 0, {name: 1}, TABLE, self.caps)
+        c, d = bv if isinstance(bv, tuple) else (bv, 0)
+        return monomial_series(c, d, {}, TABLE, self.caps)
 
     def syms(self, names: str):
         """Product of the one-letter symbols in names, e.g. "az" -> a*z."""
@@ -175,18 +161,12 @@ class Params:
     bound to a nonzero rational, or to a q-monomial c*q^d (c != 0, d >= 1)
     when monomial, and the values differ when distinct.  inverse names the
     parameter tied to them by inverse * prod(names) = 1, derived unless
-    bound too.  No other name may be bound.
-
-    degrees pairs bound names with a derived bound on their degree in the
-    left side (_beside_x, _q_square, _sum_order); an identity that
-    declares them builds its left side once per call with those names
-    formal, and binds each case late (_bind_late)."""
+    bound too.  No other name may be bound."""
 
     names: tuple
     inverse: Optional[str] = None
     distinct: bool = False
     monomial: bool = False
-    degrees: tuple = ()
 
     def draw(self, ident: str, rng, trials: int) -> list[dict]:
         """trials distinct random bindings: per name a rational, then a
@@ -275,9 +255,6 @@ REGISTRY: list[IdentitySpec] = []
 
 
 def _ident(**kw) -> None:
-    degrees = kw.get("params", Params(())).degrees
-    if degrees:
-        kw["build_lhs"] = _bind_late(kw["build_lhs"], degrees)
     REGISTRY.append(IdentitySpec(**kw))
 
 
@@ -285,19 +262,24 @@ def _ident(**kw) -> None:
 
 
 def _beside_x(e: Env) -> int:
-    """Degree bound of a name that enters only beside x, and the order of
-    the bound-z sums.  The degree of b in a term of (bx;q)inf is that
-    term's x-degree, and an R(yD_q) operand is built with isqrt(qmax)
-    more x (_rr_image).  A sum over n of S*_n(x, y) z^n with z bound has
-    no surviving term past n = x-cap + isqrt(qmax), since the x-degree
-    n-k of S*_n is capped and its y^k carries q^(k^2); z^n and the b^k
-    of r_n(a, b), k <= n, stop there too."""
+    """Degree bound of a name that enters only beside x or beside y, and
+    the order of the bound-z sums.  The degree of b in a term of (bx;q)inf
+    is that term's x-degree, and an R(yD_q) operand is built with
+    isqrt(qmax) more x (_rr_image).  A sum over n of S*_n(x, y) z^n with z
+    bound has no surviving term past n = x-cap + isqrt(qmax), since the
+    x-degree n-k of S*_n is capped and its y^k carries q^(k^2); z^n and
+    the b^k of r_n(a, b), k <= n, stop there too.  In the Garrett right
+    sides b and z enter only beside x, in (bx;q) and (zx;q) products at
+    the case's x-cap, or beside y, in y^k terms weighted by at least
+    q^(k^2), so k <= isqrt(qmax)."""
     return e.vcap("x") + math.isqrt(e.caps.qmax)
 
 
 def _q_square(e: Env) -> int:
-    """Degree bound of y, whose y^k carries q^(k^2) in R(yD_q) and in
-    S*_n(x, y): a term with k > isqrt(qmax) is above the window top."""
+    """Degree bound of y, whose y^k carries q^(k^2) in R(yD_q), in
+    S*_n(x, y) and in the Garrett right sides' sums (weights k^2 and
+    k(3k-1)/2): a term with k > isqrt(qmax) is above the window top.  The
+    kernel R_q(q^m by) of those sides does not read y (_garrett_kernel)."""
     return math.isqrt(e.caps.qmax)
 
 
@@ -307,18 +289,26 @@ def _sum_order(e: Env) -> int:
     return e.order
 
 
+# the names the Garrett forms and the Rogers formulas bind, with their bounds
+_BY1_BOUNDS = (("y", _q_square), ("b", _beside_x))
+_YZ1_BOUNDS = (("z", _beside_x), ("y", _q_square))
+_BZY1_BOUNDS = (("z", _beside_x), ("y", _q_square), ("b", _beside_x))
+_TS_BOUNDS = (("t", _sum_order), ("s", _sum_order))
+
+
 def _bind_late(build, degrees):
-    """Left side build(e) at the case's rational bindings, by one formal
-    build per call and one substitution per case.
+    """Side build(e) at the case's rational bindings, by one formal build
+    per call and one substitution per case.
 
     The formal build is build at e with the bound names of degrees left
-    formal, each cap widened to max(cap, bound(e)); bound(e) bounds the
-    name's degree in the value, so the formal value keeps every term
-    that a bound one would.  It is stored in the side's memo (Env.reuse),
-    keyed by the formal caps, order, ints and the bindings left in place.
-    Each case substitutes its values into it in one row pass
-    (Series.substitute) and truncates the result to e.caps, which gives
-    build(e) in value, window and stored form."""
+    formal (build reads them through Env.sym), each cap widened to
+    max(cap, bound(e)); bound(e) bounds the name's degree in the value, so
+    the formal value keeps every term that a bound one would.  It is stored
+    in the side's memo (Env.memo; without one, every call builds), keyed by
+    the formal caps, order, ints and the bindings left in place.  Each case
+    substitutes its values into it in one row pass (Series.substitute) and
+    truncates the result to e.caps, which gives build(e) in value, window
+    and stored form."""
     def late(e: Env) -> Series:
         bounds = {name: bound(e) for name, bound in degrees
                   if name in e.bindings}
@@ -330,11 +320,13 @@ def _bind_late(build, degrees):
         left = {k: v for k, v in e.bindings.items() if k not in bounds}
         key = ("formal", fcaps, e.order, tuple(sorted(e.ints.items())),
                tuple(sorted(left.items())))
-        formal = e.reuse(key, lambda: build(replace(e, caps=fcaps,
-                                                    bindings=left)))
-        return formal.substitute({name: e.base(name) for name in bounds}) \
+        memo = {} if e.memo is None else e.memo
+        if key not in memo:
+            memo[key] = build(replace(e, caps=fcaps, bindings=left))
+        return memo[key].substitute({name: e.base(name) for name in bounds}) \
             .truncate(e.caps)
     late.__wrapped__ = build
+    late.degrees = degrees
     return late
 
 
@@ -418,11 +410,11 @@ def _garrett_kernel(e: Env, m: int, v: Series) -> Series:
     """R_q(q^m v) at v = 1, which the bindings of the Garrett forms impose,
     for even m by Garrett's expansion over the Rogers-Ramanujan products:
     q^(-C(m,2)) (a_m(q)/(q,q^4;q^5)inf - b_m(q)/(q^2,q^3;q^5)inf).  Even m
-    makes the measured sign convention immaterial.  The value depends on
-    m and e.caps only, so a side builds it once per m (Env.reuse)."""
-    return e.reuse(("garrett", m, e.caps), lambda: _garrett_form(
+    makes the measured sign convention immaterial.  v is not read, so a
+    side built with b and y formal stays a formal series in them."""
+    return _garrett_form(
         e, m, lambda w: w.pochinf_inv([w.qpow(1), w.qpow(4)], base=5),
-        lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5)))
+        lambda w: w.pochinf_inv([w.qpow(2), w.qpow(3)], base=5))
 
 
 def _range_sweep(name, hi):
@@ -440,7 +432,7 @@ def _pair_sweep(hi):
 def _poch_split(n, k):
     """(a;q)_n (aq^n;q)_k, with n and k the named sweep integers."""
     def build(e):
-        a, n_, k_ = e.var("a"), e.ints[n], e.ints[k]
+        a, n_, k_ = e.sym("a"), e.ints[n], e.ints[k]
         return e.pochn([a], n_) * e.pochn([a * e.qpow(n_)], k_)
     return build
 
@@ -448,16 +440,16 @@ def _poch_split(n, k):
 _ident(
     id="I-POCH-1",
     description="finite q-shifted factorial as ratio of infinite products",
-    build_lhs=lambda e: e.pochn([e.var("a")], e.ints["n"]),
-    build_rhs=lambda e: e.pochinf([e.var("a")])
-    / e.pochinf([e.var("a") * e.qpow(e.ints["n"])]),
+    build_lhs=lambda e: e.pochn([e.sym("a")], e.ints["n"]),
+    build_rhs=lambda e: e.pochinf([e.sym("a")])
+    / e.pochinf([e.sym("a") * e.qpow(e.ints["n"])]),
     sweep=_range_sweep("n", 8),
 )
 
 _ident(
     id="I-POCH-2",
     description="index splitting rule for q-shifted factorials",
-    build_lhs=lambda e: e.pochn([e.var("a")], e.ints["n"] + e.ints["k"]),
+    build_lhs=lambda e: e.pochn([e.sym("a")], e.ints["n"] + e.ints["k"]),
     build_rhs=_poch_split("n", "k"),
     sweep=_pair_sweep(8),
 )
@@ -476,24 +468,24 @@ _ident(
 _ident(
     id="I-QBINTHM",
     description="q-binomial theorem: 1phi0(a; q, z) = (az;q)inf / (z;q)inf",
-    build_lhs=lambda e: phi([e.var("a")], [], e.var("z"), e.caps, TABLE),
-    build_rhs=lambda e: e.pochinf([e.var("a") * e.var("z")])
-    / e.pochinf([e.var("z")]),
+    build_lhs=lambda e: phi([e.sym("a")], [], e.sym("z"), e.caps, TABLE),
+    build_rhs=lambda e: e.pochinf([e.sym("a") * e.sym("z")])
+    / e.pochinf([e.sym("z")]),
     qmax=30, var_caps={"a": 10, "z": 10},
 )
 
 _ident(
     id="I-EQ-PROD",
     description="e_q(z) * (z;q)inf = 1",
-    build_lhs=lambda e: eq_small(e.var("z")) * e.pochinf([e.var("z")]),
+    build_lhs=lambda e: eq_small(e.sym("z")) * e.pochinf([e.sym("z")]),
     build_rhs=lambda e: e.one(),
 )
 
 _ident(
     id="I-EQBIG-PROD",
     description="E_q(z) = (-z;q)inf",
-    build_lhs=lambda e: eq_big(e.var("z")),
-    build_rhs=lambda e: e.pochinf([-e.var("z")]),
+    build_lhs=lambda e: eq_big(e.sym("z")),
+    build_rhs=lambda e: e.pochinf([-e.sym("z")]),
 )
 
 
@@ -502,14 +494,14 @@ _ident(
 
 def _sw_arg(e):
     """-qtx, the argument of the generating functions of S_n(x;q)."""
-    return -(e.qpow(1) * e.var("t") * e.var("x"))
+    return -(e.qpow(1) * e.sym("t") * e.sym("x"))
 
 
 _ident(
     id="I-GF1",
     description="generating function sum S_n(x;q) t^n via 0phi1",
     build_lhs=_gf_lhs(lambda e, n: sw_classic(n, e.caps, TABLE), "t"),
-    build_rhs=lambda e: e.pochinf_inv([e.var("t")])
+    build_rhs=lambda e: e.pochinf_inv([e.sym("t")])
     * phi([], [0], _sw_arg(e), e.caps, TABLE),
     window=("t",),
 )
@@ -519,18 +511,18 @@ _ident(
     description="alternating generating function of S_n(x;q) via 0phi2",
     build_lhs=_gf_lhs(lambda e, n: (-1) ** n * e.qpow(n * (n - 1) // 2)
                       * sw_classic(n, e.caps, TABLE), "t"),
-    build_rhs=lambda e: e.pochinf([e.var("t")])
-    * phi([], [0, e.var("t")], _sw_arg(e), e.caps, TABLE),
+    build_rhs=lambda e: e.pochinf([e.sym("t")])
+    * phi([], [0, e.sym("t")], _sw_arg(e), e.caps, TABLE),
     window=("t",),
 )
 
 _ident(
     id="I-GF3",
     description="(a;q)_n-weighted generating function of S_n(x;q) via 1phi2",
-    build_lhs=_gf_lhs(lambda e, n: e.pochn([e.var("a")], n)
+    build_lhs=_gf_lhs(lambda e, n: e.pochn([e.sym("a")], n)
                       * sw_classic(n, e.caps, TABLE), "t"),
-    build_rhs=lambda e: e.pochinf([e.syms("at")]) / e.pochinf([e.var("t")])
-    * phi([e.var("a")], [0, e.syms("at")], _sw_arg(e), e.caps, TABLE),
+    build_rhs=lambda e: e.pochinf([e.syms("at")]) / e.pochinf([e.sym("t")])
+    * phi([e.sym("a")], [0, e.syms("at")], _sw_arg(e), e.caps, TABLE),
     window=("t",),
 )
 
@@ -599,8 +591,8 @@ _ident(
 
 
 def _dq5_rhs(e):
-    a = e.var("a")
-    return a ** e.ints["n"] * e.pochinf_inv([a * e.var("x")])
+    a = e.sym("a")
+    return a ** e.ints["n"] * e.pochinf_inv([a * e.sym("x")])
 
 
 _ident(
@@ -613,10 +605,10 @@ _ident(
 
 
 def _dq6_rhs(e):
-    a = e.var("a")
+    a = e.sym("a")
     n = e.ints["n"]
     return (-1) ** n * a ** n * e.qpow(n * (n - 1) // 2) \
-        * e.pochinf([a * e.qpow(n) * e.var("x")])
+        * e.pochinf([a * e.qpow(n) * e.sym("x")])
 
 
 _ident(
@@ -635,7 +627,7 @@ def _dq_sum(e, weight, sign=1, up=(), down=()) -> Series:
 
     def factors(work):
         w = replace(e, caps=work)
-        a, b = sign * w.var("a"), w.var("b")
+        a, b = sign * w.sym("a"), w.sym("b")
         ratios = _poch_ratios([w.syms(s) for s in up],
                               [w.syms(s) for s in down], work, TABLE)
         return (a ** k * b ** (n - k) * r for k, r in enumerate(ratios))
@@ -647,7 +639,7 @@ def _dq7_rhs(e):
     # for odd n; cross-checked against dq_pow directly); its q^C(n,2) stays
     # inside the weight, so every term is ordinary and exact at e.caps
     n = e.ints["n"]
-    a, b, x = e.var("a"), e.var("b"), e.var("x")
+    a, b, x = e.sym("a"), e.sym("b"), e.sym("x")
     acc = _dq_sum(e, lambda k: n * (n - 1) // 2 + k * (k - n), down=["ax"])
     return (-1) ** n * e.pochinf([a * x]) * e.pochinf([b * e.qpow(n) * x]) \
         * acc
@@ -664,7 +656,7 @@ _ident(
 
 
 def _dq8_rhs(e):
-    a, b, x = e.var("a"), e.var("b"), e.var("x")
+    a, b, x = e.sym("a"), e.sym("b"), e.sym("x")
     return e.pochinf([a * x]) / e.pochinf([b * x]) \
         * _dq_sum(e, lambda k: k * (k - 1) // 2, -1, ["bx"], ["ax"])
 
@@ -680,7 +672,7 @@ _ident(
 
 
 def _dq9_rhs(e):
-    a, b, x = e.var("a"), e.var("b"), e.var("x")
+    a, b, x = e.sym("a"), e.sym("b"), e.sym("x")
     return e.pochinf_inv([a * x, b * x]) * _dq_sum(e, lambda k: 0, up=["bx"])
 
 
@@ -703,16 +695,16 @@ _ident(
 _ident(
     id="I-RQ-DIFFEQ",
     description="difference equation R_q(z) - R_q(qz) = qz R_q(q^2 z)",
-    build_lhs=lambda e: rq(e.var("z")) - rq(e.qpow(1) * e.var("z")),
-    build_rhs=lambda e: e.qpow(1) * e.var("z") * rq(e.qpow(2) * e.var("z")),
+    build_lhs=lambda e: rq(e.sym("z")) - rq(e.qpow(1) * e.sym("z")),
+    build_rhs=lambda e: e.qpow(1) * e.sym("z") * rq(e.qpow(2) * e.sym("z")),
     qmax=30, var_caps={"z": 10},
 )
 
 
 def _rqdqn_rhs(e):
     n = e.ints["n"]
-    a = e.var("a")
-    return a ** n * e.qpow(n * n) * rq(a * e.qpow(2 * n) * e.var("x"))
+    a = e.sym("a")
+    return a ** n * e.qpow(n * n) * rq(a * e.qpow(2 * n) * e.sym("x"))
 
 
 _ident(
@@ -783,7 +775,7 @@ def _poch_rhs(a):
               e.caps, TABLE)
 
 
-def _ratio_rhs(u, v, a=lambda e: e.var("a")):
+def _ratio_rhs(u, v, a=lambda e: e.sym("a")):
     """(au;q)inf/(u;q)inf 1phi2(a; au, 0; q, qv), the image of
     (az;q)inf/(z;q)inf under R(yD_q) in z (T4-RATIO: u = z, v = y)."""
     def build(e):
@@ -798,7 +790,7 @@ def _ratio_rq_rhs(a_, b_, kernel=_rq_kernel):
     (ax;q)inf/(bx;q)inf sum_k q^(k(3k-1)/2) (bx;q)_k (-ay)^k
     R_q(q^(2k)by) / ((ax;q)_k (q;q)_k), with R_q(q^m by) = kernel(e, m, by)."""
     def build(e):
-        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.sym("y")
+        a, b, x, y = e.syms(a_), e.syms(b_), e.sym("x"), e.sym("y")
         return e.pochinf([a * x]) * e.pochinf_inv([b * x]) * _poch_sum(
             e, -(a * y), lambda k: k * (3 * k - 1) // 2,
             lambda k: kernel(e, 2 * k, b * y), [b * x], [a * x])
@@ -810,7 +802,7 @@ def _rq_sum_rhs(a_, b_, kernel=_rq_kernel):
     1/(ax,bx;q)inf sum_i q^(i^2) (bx;q)_i (ay)^i R_q(q^(2i)by) / (q;q)_i,
     with R_q(q^m by) = kernel(e, m, by)."""
     def build(e):
-        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.sym("y")
+        a, b, x, y = e.syms(a_), e.syms(b_), e.sym("x"), e.sym("y")
         return e.pochinf_inv([a * x, b * x]) * _poch_sum(
             e, a * y, lambda i: i * i, lambda i: kernel(e, 2 * i, b * y),
             [b * x])
@@ -825,7 +817,7 @@ def _case_sw_star(e, n):
 
 def _sriaga_coeff(e, n):
     """S*_n(x, y) (a;q)_n / (q;q)_n, at the case's value of y."""
-    return _case_sw_star(e, n) * e.pochn([e.var("a")], n) * e.qfact_inv(n)
+    return _case_sw_star(e, n) * e.pochn([e.sym("a")], n) * e.qfact_inv(n)
 
 
 def _rsgf_coeff(e, n):
@@ -841,11 +833,8 @@ _ratio_image = _rr_image(
 _two_inv_image = _rr_image(
     lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]))
 # case generation of the by = 1 Garrett forms and of the Rogers formulas
-_BY1 = dict(params=Params(("y",), inverse="b",
-                          degrees=(("y", _q_square), ("b", _beside_x))),
-            uses_garrett=True)
-_TS = dict(params=Params(("t", "s"), distinct=True,
-                         degrees=(("t", _sum_order), ("s", _sum_order))))
+_BY1 = dict(params=Params(("y",), inverse="b"), uses_garrett=True)
+_TS = dict(params=Params(("t", "s"), distinct=True))
 
 _ident(
     id="T4-XN",
@@ -892,7 +881,7 @@ _ident(
     id="T4-RATIO",
     description="R(yD_q){(az;q)inf/(z;q)inf} via 1phi2",
     build_lhs=_rr_image(lambda w: w.pochinf([w.syms("az")])
-                        / w.pochinf([w.var("z")]), x="z"),
+                        / w.pochinf([w.sym("z")]), x="z"),
     build_rhs=_ratio_rhs("z", "y"),
 )
 
@@ -906,8 +895,9 @@ _ident(
 _ident(
     id="T4-BY1",
     description="by=1 Garrett form of R(yD_q){(ax;q)inf/(bx;q)inf}",
-    build_lhs=_ratio_image,
-    build_rhs=_ratio_rq_rhs("a", "b", _garrett_kernel),
+    build_lhs=_bind_late(_ratio_image, _BY1_BOUNDS),
+    build_rhs=_bind_late(_ratio_rq_rhs("a", "b", _garrett_kernel),
+                         _BY1_BOUNDS),
     **_BY1,
 )
 
@@ -924,10 +914,11 @@ _ident(
 _ident(
     id="T4-SRIAGA-YZ1",
     description="yz=1 Garrett form of the Srivastava-Agarwal representation",
-    build_lhs=_gf_lhs(_sriaga_coeff, "z", _beside_x),
-    build_rhs=_ratio_rq_rhs("az", "z", _garrett_kernel),
-    params=Params(("z",), inverse="y",
-                  degrees=(("z", _beside_x), ("y", _q_square))),
+    build_lhs=_bind_late(_gf_lhs(_sriaga_coeff, "z", _beside_x),
+                         _YZ1_BOUNDS),
+    build_rhs=_bind_late(_ratio_rq_rhs("az", "z", _garrett_kernel),
+                         _YZ1_BOUNDS),
+    params=Params(("z",), inverse="y"),
     uses_garrett=True,
 )
 
@@ -941,8 +932,9 @@ _ident(
 _ident(
     id="T4-2PROD",
     description="by=1 Garrett form of R(yD_q){1/(ax,bx;q)inf}",
-    build_lhs=_two_inv_image,
-    build_rhs=_rq_sum_rhs("a", "b", _garrett_kernel),
+    build_lhs=_bind_late(_two_inv_image, _BY1_BOUNDS),
+    build_rhs=_bind_late(_rq_sum_rhs("a", "b", _garrett_kernel),
+                         _BY1_BOUNDS),
     **_BY1,
 )
 
@@ -958,18 +950,18 @@ _ident(
     id="T4-RSGF-BZY1",
     description="bzy=1 Garrett form of the mixed Rogers-Szego generating "
                 "function",
-    build_lhs=_gf_lhs(_rsgf_coeff, "z", _beside_x),
-    build_rhs=_rq_sum_rhs("az", "bz", _garrett_kernel),
-    params=Params(("z", "y"), inverse="b",
-                  degrees=(("z", _beside_x), ("y", _q_square),
-                           ("b", _beside_x))),
+    build_lhs=_bind_late(_gf_lhs(_rsgf_coeff, "z", _beside_x),
+                         _BZY1_BOUNDS),
+    build_rhs=_bind_late(_rq_sum_rhs("az", "bz", _garrett_kernel),
+                         _BZY1_BOUNDS),
+    params=Params(("z", "y"), inverse="b"),
     uses_garrett=True,
 )
 
 
 def _t4abgf_rhs(e):
     a, b = e.sym("a"), e.sym("b")
-    x, y, z = e.var("x"), e.var("y"), e.var("z")
+    x, y, z = e.sym("x"), e.sym("y"), e.sym("z")
 
     def terms():
         prod = e.one()  # prod_{j<k} (a - b q^j)  ==  a^k (b/a; q)_k
@@ -982,6 +974,8 @@ def _t4abgf_rhs(e):
     return e.pochinf([a]) * e.pochinf_inv([z * x, b]) * sum_series(terms())
 
 
+# both sides per case: a and b are bound to q-monomials c*q^d, which bound
+# the a-degree by qmax/d, not by a cap
 _ident(
     id="T4-ABGF",
     description="(a;q)_n/(b;q)_n-weighted generating function of S*_n "
@@ -999,7 +993,7 @@ _ident(
 
 
 def _mehler_rhs(e):
-    t, w_, x, y, z = (e.var(v) for v in "twxyz")
+    t, w_, x, y, z = (e.sym(v) for v in "twxyz")
     return e.pochinf_inv([t * w_ * x]) * _poch_sum(
         e, t * y * z, lambda k: 2 * k * k,
         lambda k: rq(t * z * e.qpow(2 * k) * x)
@@ -1016,7 +1010,7 @@ def _opprod_rhs(a_, b_):
     # does not match the operator image (odd-n sign from the D_q^n image
     # of (ax;q)inf)
     def build(e):
-        a, b, x, y = e.syms(a_), e.syms(b_), e.var("x"), e.var("y")
+        a, b, x, y = e.syms(a_), e.syms(b_), e.sym("x"), e.sym("y")
         return e.pochinf([a * x]) * e.pochinf([b * x]) * _poch_sum(
             e, -(e.qpow(1) * a * y), lambda k: 3 * (k * (k - 1) // 2),
             lambda k: phi([], [b * e.qpow(k) * x, 0],
@@ -1086,23 +1080,26 @@ def _rogers_lhs(alternating):
 
 # T4-RATIO with a -> t/s, z -> sx, y -> sy.  The 1phi2 argument is qsy,
 # not qy: the operator differentiates x while the operand is a function of
-# sx, so every D_q carries a factor s
+# sx, so every D_q carries a factor s.  The right side stays per case: it
+# reads t/s as one value, which is no formal series in s
 _ident(
     id="T6-ROGERS-ALT",
     description="alternating Rogers-type double generating function via "
                 "1phi2",
-    build_lhs=_rogers_lhs(alternating=True),
+    build_lhs=_bind_late(_rogers_lhs(alternating=True), _TS_BOUNDS),
     build_rhs=_ratio_rhs("sx", "sy", a=lambda e: constant(
         e.bindings["t"] / e.bindings["s"], TABLE, e.caps)),
     window=("x", "y"), qmax=20, deg=6,
     **_TS,
 )
 
+# The right side stays per case: t and s enter beside x and y, so the sum
+# order does not bound their degree in it
 _ident(
     id="T6-ROGERS",
     description="Rogers-type double generating function as an R_q-weighted "
                 "sum",
-    build_lhs=_rogers_lhs(alternating=False),
+    build_lhs=_bind_late(_rogers_lhs(alternating=False), _TS_BOUNDS),
     build_rhs=_rq_sum_rhs("t", "s"),
     window=("x", "y"), qmax=20, deg=6,
     **_TS,

@@ -87,6 +87,9 @@ DEFAULT_NAMES = ("q", "x", "y", "z", "t", "s", "w", "a", "b")
 
 Scalar = Union[int, Fraction]
 
+# raised by every constructor and map that would break that invariant
+_NEGATIVE_VEXP = "non-q variables cannot carry negative exponents"
+
 # byte width of a packed q-slot -> the array format that moves it in C.
 # Packed ints are read little-endian, so the array paths (native order)
 # serve little-endian hosts only; other widths and hosts pack per slot.
@@ -631,6 +634,8 @@ class Series:
         # applies the last name's)
         steps, check = [], None
         for name, (r, m) in subs.items():
+            if min(m.vexps, default=0) < 0:
+                raise ValueError(_NEGATIVE_VEXP)
             i = self.table.slot(name)
             cap = vcaps[i]
             top += min(0, m.qexp) * cap
@@ -771,6 +776,8 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
     entries = [(_as_coeff(c), m) for c, m in entries]
     if any(len(m.vexps) != table.nvars for _, m in entries):
         raise VarTableMismatch("monomial width does not match table")
+    if any(min(m.vexps, default=0) < 0 for _, m in entries):
+        raise ValueError(_NEGATIVE_VEXP)
     floor = min((m.qexp for c, m in entries if c), default=0)
     return from_rows([(m.vexps, m.qexp - floor, (1,), c)
                       for c, m in entries if c], caps_, table, floor)
@@ -877,7 +884,7 @@ def monomial_series(c: Scalar, qexp: int, vexps: dict,
     ve = [0] * table.nvars
     for name, e in vexps.items():
         if e < 0:
-            raise ValueError("non-q variables cannot carry negative exponents")
+            raise ValueError(_NEGATIVE_VEXP)
         ve[table.slot(name)] = e
     # one term needs no lcm or placement: _build cuts it at the top
     c = _as_coeff(c)

@@ -12,7 +12,7 @@ import pytest
 import qsw
 from qsw.cli import main
 from qsw.identities import BY_ID, IdentitySpec
-from qsw.series import caps
+from qsw.series import caps, monomial_series
 from qsw.polynomials import MAX_ORDER, MAX_QMAX, sw_star
 from qsw.verify import MAX_TRIALS
 
@@ -70,6 +70,35 @@ def test_verify_failure_exits_1(capsys):
         assert "first mismatch" in out
     finally:
         del BY_ID["FIXTURE-CLI"]
+
+
+@pytest.fixture
+def perturbed_at_q3z2():
+    """I-EQBIG-PROD with q^3 z^2 added to its right side, where both sides
+    read 2 (z^2 q^(0+3) and z^2 q^(1+2) in (-z;q)inf)."""
+    base = BY_ID["I-EQBIG-PROD"]
+    BY_ID["FIXTURE-Q3Z2"] = IdentitySpec(
+        id="FIXTURE-Q3Z2",
+        description="fixture",
+        build_lhs=base.build_lhs,
+        build_rhs=lambda e: base.build_rhs(e)
+        + monomial_series(1, 3, {"z": 2}, caps_=e.caps),
+        qmax=10,
+    )
+    yield "FIXTURE-Q3Z2"
+    del BY_ID["FIXTURE-Q3Z2"]
+
+
+def test_a_fail_witness_renders_its_q_and_variable_parts(perturbed_at_q3z2,
+                                                         capsys):
+    code, out = run(["verify", perturbed_at_q3z2, "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)[0]["witness"] == {
+        "monomial": "q^3*z^2", "lhs": "2/1", "rhs": "3/1"}
+    code, out = run(["verify", perturbed_at_q3z2], capsys)
+    assert code == 1
+    assert out.startswith("FAIL FIXTURE-Q3Z2 (")
+    assert out.rstrip().endswith(" first mismatch at q^3*z^2: lhs=2/1 rhs=3/1")
 
 
 def test_verify_json_schema_and_determinism(capsys):

@@ -337,8 +337,11 @@ def test_garrett_kernel_built_once_per_side_and_call(monkeypatch):
     assert built == Counter(dict.fromkeys(built, 2)) and set(built) <= ms
 
 
-LATE_BOUND = ("T4-BY1", "T4-2PROD", "T4-SRIAGA-YZ1", "T4-RSGF-BZY1",
-              "T6-ROGERS", "T6-ROGERS-ALT")
+LATE_LHS = ("T4-BY1", "T4-2PROD", "T4-SRIAGA-YZ1", "T4-RSGF-BZY1",
+            "T6-ROGERS", "T6-ROGERS-ALT")
+LATE_RHS = ("T4-BY1", "T4-2PROD", "T4-SRIAGA-YZ1", "T4-RSGF-BZY1")
+LATE_SIDES = (*(pytest.param(i, "lhs", id=i) for i in LATE_LHS),
+              *(pytest.param(i, "rhs", id=f"{i}-rhs") for i in LATE_RHS))
 
 
 def _cases(spec, cfg):
@@ -346,28 +349,51 @@ def _cases(spec, cfg):
                       else None)
 
 
+def _side(spec, side):
+    return spec.build_lhs if side == "lhs" else spec.build_rhs
+
+
 def test_late_bound_sides_are_the_declared_ones():
-    late = [s.id for s in registry() if hasattr(s.build_lhs, "__wrapped__")]
-    assert sorted(late) == sorted(LATE_BOUND)
-    # their right sides, and T4-ABGF's monomial bindings, stay per case
-    assert not any(hasattr(s.build_rhs, "__wrapped__") for s in registry())
-    assert not BY_ID["T4-ABGF"].params.degrees
+    late = {side: sorted(s.id for s in registry()
+                         if hasattr(_side(s, side), "__wrapped__"))
+            for side in ("lhs", "rhs")}
+    assert late == {"lhs": sorted(LATE_LHS), "rhs": sorted(LATE_RHS)}
+    # the Rogers right sides and both sides of T4-ABGF (q-monomial
+    # bindings) stay per case
+    abgf = BY_ID["T4-ABGF"]
+    assert not any(hasattr(b, "__wrapped__")
+                   for b in (abgf.build_lhs, abgf.build_rhs))
+    # a late Garrett form binds both sides with the same bounds
+    for ident in LATE_RHS:
+        spec = BY_ID[ident]
+        assert spec.build_lhs.degrees == spec.build_rhs.degrees
 
 
 @pytest.mark.parametrize("cfg", [
     VerifyConfig(), VerifyConfig(qmax=40, var_caps={"x": 3}),
     VerifyConfig(var_caps={"x": 3, "y": 2})], ids=["defaults", "q40x3",
                                                    "x3y2"])
-@pytest.mark.parametrize("ident", LATE_BOUND)
-def test_late_bound_side_equals_its_direct_build(ident, cfg):
+@pytest.mark.parametrize("ident, side", LATE_SIDES)
+def test_late_bound_side_equals_its_direct_build(ident, side, cfg):
     # one formal build per call, then each case's values substituted,
     # gives the stored form of the side built at the case's values
-    spec = BY_ID[ident]
+    build = _side(BY_ID[ident], side)
     memo: dict = {}
-    for env in _cases(spec, cfg):
-        late = spec.build_lhs(replace(env, memo=memo))
-        assert late.json_text() == spec.build_lhs.__wrapped__(env).json_text()
+    for env in _cases(BY_ID[ident], cfg):
+        late = build(replace(env, memo=memo))
+        assert late.json_text() == build.__wrapped__(env).json_text()
     assert len(memo) == 1  # built once, at formal parameters
+
+
+def _one_less_changes_a_case(spec, late, name, cfg):
+    """Whether late, with name's degree bound lowered by one, differs from
+    the direct build in some case of spec at cfg."""
+    direct = late.__wrapped__
+    short = identities._bind_late(direct, tuple(
+        (n, (lambda e, b=b: b(e) - 1) if n == name else b)
+        for n, b in late.degrees))
+    return any(short(env).json_text() != direct(env).json_text()
+               for env in _cases(spec, cfg))
 
 
 @pytest.mark.parametrize("ident, name, cfg", [
@@ -384,12 +410,17 @@ def test_late_bound_side_equals_its_direct_build(ident, cfg):
 def test_one_less_than_a_derived_degree_bound_changes_a_case(ident, name,
                                                              cfg):
     spec = BY_ID[ident]
-    direct = spec.build_lhs.__wrapped__
-    short = identities._bind_late(direct, tuple(
-        (n, (lambda e, b=b: b(e) - 1) if n == name else b)
-        for n, b in spec.params.degrees))
-    assert any(short(env).json_text() != direct(env).json_text()
-               for env in _cases(spec, cfg))
+    assert _one_less_changes_a_case(spec, spec.build_lhs, name, cfg)
+
+
+# the right sides whose sums reach y^isqrt(qmax), by the weight i^2; those
+# weighted k(3k-1)/2 stop short of it, and no case there reaches the b or z
+# bound
+@pytest.mark.parametrize("ident", ["T4-2PROD", "T4-RSGF-BZY1"])
+def test_one_less_than_the_y_bound_changes_a_right_side(ident):
+    spec = BY_ID[ident]
+    assert _one_less_changes_a_case(spec, spec.build_rhs, "y",
+                                    VerifyConfig(var_caps={"y": 2}))
 
 
 def test_garrett_convention_resolution():

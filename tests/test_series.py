@@ -53,6 +53,22 @@ def test_make_series_drops_outside_caps():
     assert s.qfloor == 0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: monomial_series(1, 0, {"x": -1}, caps_=C),
+    lambda: make_series([(1, mono(0, {"x": -1}))], C),
+    lambda: (1 + var("x")).substitute("x", 1, mono(0, {"x": -1})),
+    lambda: (1 + var("x")).substitute("x", 1, mono(0, {"y": -1})),
+    lambda: (1 + var("x")).substitute({"x": (1, mono(1)),
+                                       "y": (1, mono(0, {"z": -2}))}),
+], ids=["monomial_series", "make_series", "substitute", "substitute-other",
+        "substitute-dict"])
+def test_no_entry_point_builds_a_negative_non_q_exponent(build):
+    # only q is Laurent: x^-1 would break the invariants every row map
+    # relies on (reciprocal's search for reachable parts never ends)
+    with pytest.raises(ValueError, match="cannot carry negative exponents"):
+        build()
+
+
 def test_reserved_q_and_unknown_variable():
     with pytest.raises(VariableNotFound):
         DEFAULT_TABLE.slot("nope")
