@@ -36,9 +36,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_cap(text: str):
     name, _, value = text.partition("=")
-    if not value:
-        raise argparse.ArgumentTypeError("expected var=N")
-    return name, int(value)
+    try:
+        return name, int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected var=N") from None
 
 
 def _parse_bind(text: str):

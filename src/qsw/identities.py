@@ -18,7 +18,11 @@ given at their entries.
 
 Each right-hand formula is written once, as a builder over one-letter
 parameter names; registry entries that are specialisations of a formula
-(a -> az, b -> bz, ...) call the same builder with other names.
+(a -> az, b -> bz, ...) call the same builder with other names.  A
+Pochhammer weight per index is declared as up and down names and read
+from one running ratio stream: up a in the left sides of I-GF3, T4-SRIAGA
+and T4-SRIAGA-YZ1, up a and down b in that of T4-ABGF, and bx and ax in
+the D_q^n closed forms of I-DQ-7/8/9 (_dq_rhs).
 
 Every working window is derived: an operator image widens only the
 differentiated variable, by the operator's order; Laurent-weighted sums
@@ -333,12 +337,20 @@ def _bind_late(build, degrees):
 # -- shared combinators -----------------------------------------------------------
 
 
-def _gf_lhs(coeff, z, nmax=lambda e: e.order):
-    """Left side sum_{n <= nmax(e)} coeff(e, n) z^n; z is a variable name,
-    replaced by its value when the case binds it."""
+def _gf_lhs(coeff, z, nmax=lambda e: e.order, up=(), down=()):
+    """Left side sum_{n <= nmax(e)} coeff(e, n) z^n (up; q)_n / (down; q)_n;
+    z is a variable name, replaced by its value when the case binds it, and
+    up and down name products such as "a".  The Pochhammer ratio of term n
+    is the n-th item of one running stream (_poch_ratios), read only when
+    the side declares parameters."""
     def build(e):
         zv = e.sym(z)
-        return sum_series(coeff(e, n) * zv ** n for n in range(nmax(e) + 1))
+        terms = (coeff(e, n) * zv ** n for n in range(nmax(e) + 1))
+        if up or down:
+            ratios = _poch_ratios([e.syms(s) for s in up],
+                                  [e.syms(s) for s in down], e.caps, TABLE)
+            terms = (t * r for t, r in zip(terms, ratios))
+        return sum_series(terms)
     return build
 
 
@@ -519,8 +531,8 @@ _ident(
 _ident(
     id="I-GF3",
     description="(a;q)_n-weighted generating function of S_n(x;q) via 1phi2",
-    build_lhs=_gf_lhs(lambda e, n: e.pochn([e.sym("a")], n)
-                      * sw_classic(n, e.caps, TABLE), "t"),
+    build_lhs=_gf_lhs(lambda e, n: sw_classic(n, e.caps, TABLE), "t",
+                      up=("a",)),
     build_rhs=lambda e: e.pochinf([e.syms("at")]) / e.pochinf([e.sym("t")])
     * phi([e.sym("a")], [0, e.syms("at")], _sw_arg(e), e.caps, TABLE),
     window=("t",),
@@ -620,29 +632,22 @@ _ident(
 )
 
 
-def _dq_sum(e, weight, sign=1, up=(), down=()) -> Series:
-    """sum_k [n k]_q q^weight(k) (sign a)^k b^(n-k) (up; q)_k / (down; q)_k
-    at e.caps, n = ints["n"]; up and down name products such as "bx"."""
-    n = e.ints["n"]
+def _dq_rhs(prefix, weight, sign=1, up=(), down=()):
+    """Right side prefix(e) sum_k [n k]_q q^weight(n, k) (sign a)^k b^(n-k)
+    (up; q)_k / (down; q)_k at e.caps, n = ints["n"]: the D_q^n closed
+    forms of I-DQ-7/8/9.  up and down name products such as "bx"."""
+    def build(e):
+        n = e.ints["n"]
 
-    def factors(work):
-        w = replace(e, caps=work)
-        a, b = sign * w.sym("a"), w.sym("b")
-        ratios = _poch_ratios([w.syms(s) for s in up],
-                              [w.syms(s) for s in down], work, TABLE)
-        return (a ** k * b ** (n - k) * r for k, r in enumerate(ratios))
-    return _qbinom_sum(n, weight, factors, e.caps, TABLE)
-
-
-def _dq7_rhs(e):
-    # the closed form needs a (-1)^n factor in front (the printed one fails
-    # for odd n; cross-checked against dq_pow directly); its q^C(n,2) stays
-    # inside the weight, so every term is ordinary and exact at e.caps
-    n = e.ints["n"]
-    a, b, x = e.sym("a"), e.sym("b"), e.sym("x")
-    acc = _dq_sum(e, lambda k: n * (n - 1) // 2 + k * (k - n), down=["ax"])
-    return (-1) ** n * e.pochinf([a * x]) * e.pochinf([b * e.qpow(n) * x]) \
-        * acc
+        def factors(work):
+            w = replace(e, caps=work)
+            a, b = sign * w.sym("a"), w.sym("b")
+            ratios = _poch_ratios([w.syms(s) for s in up],
+                                  [w.syms(s) for s in down], work, TABLE)
+            return (a ** k * b ** (n - k) * r for k, r in enumerate(ratios))
+        return prefix(e) * _qbinom_sum(n, lambda k: weight(n, k), factors,
+                                       e.caps, TABLE)
+    return build
 
 
 _ident(
@@ -650,37 +655,33 @@ _ident(
     description="D_q^n of (ax,bx;q)inf",
     build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])
                         * w.pochinf([w.syms("bx")])),
-    build_rhs=_dq7_rhs,
+    # the closed form needs a (-1)^n factor in front (the printed one fails
+    # for odd n; cross-checked against dq_pow directly); its q^C(n,2) stays
+    # inside the weight, so every term is ordinary and exact at e.caps
+    build_rhs=_dq_rhs(lambda e: (-1) ** e.ints["n"] * e.pochinf([e.syms("ax")])
+                      * e.pochinf([e.syms("bx") * e.qpow(e.ints["n"])]),
+                      lambda n, k: n * (n - 1) // 2 + k * (k - n),
+                      down=("ax",)),
     sweep=_range_sweep("n", 4),
 )
-
-
-def _dq8_rhs(e):
-    a, b, x = e.sym("a"), e.sym("b"), e.sym("x")
-    return e.pochinf([a * x]) / e.pochinf([b * x]) \
-        * _dq_sum(e, lambda k: k * (k - 1) // 2, -1, ["bx"], ["ax"])
-
 
 _ident(
     id="I-DQ-8",
     description="D_q^n of (ax;q)inf/(bx;q)inf",
     build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])
                         / w.pochinf([w.syms("bx")])),
-    build_rhs=_dq8_rhs,
+    build_rhs=_dq_rhs(lambda e: e.pochinf([e.syms("ax")])
+                      / e.pochinf([e.syms("bx")]),
+                      lambda n, k: k * (k - 1) // 2, -1, ("bx",), ("ax",)),
     sweep=_range_sweep("n", 4),
 )
-
-
-def _dq9_rhs(e):
-    a, b, x = e.sym("a"), e.sym("b"), e.sym("x")
-    return e.pochinf_inv([a * x, b * x]) * _dq_sum(e, lambda k: 0, up=["bx"])
-
 
 _ident(
     id="I-DQ-9",
     description="D_q^n of 1/(ax,bx;q)inf",
     build_lhs=_dq_image(lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")])),
-    build_rhs=_dq9_rhs,
+    build_rhs=_dq_rhs(lambda e: e.pochinf_inv([e.syms("ax"), e.syms("bx")]),
+                      lambda n, k: 0, up=("bx",)),
     sweep=_range_sweep("n", 4),
 )
 
@@ -809,22 +810,16 @@ def _rq_sum_rhs(a_, b_, kernel=_rq_kernel):
     return build
 
 
-def _case_sw_star(e, n):
-    """S*_n(x, y) at the case's values of x and y."""
+def _sw_star_coeff(e, n):
+    """S*_n(x, y) / (q;q)_n at the case's values of x and y."""
     return _gauss_form(n, e.caps, TABLE, e.base("x"), e.base("y"),
-                       lambda k: k * k)
-
-
-def _sriaga_coeff(e, n):
-    """S*_n(x, y) (a;q)_n / (q;q)_n, at the case's value of y."""
-    return _case_sw_star(e, n) * e.pochn([e.sym("a")], n) * e.qfact_inv(n)
+                       lambda k: k * k) * e.qfact_inv(n)
 
 
 def _rsgf_coeff(e, n):
     """S*_n(x, y) r_n(a, b) / (q;q)_n, at the case's values of y and b."""
-    return _case_sw_star(e, n) * _gauss_form(n, e.caps, TABLE, e.base("a"),
-                                     e.base("b"), lambda k: 0) \
-        * e.qfact_inv(n)
+    return _sw_star_coeff(e, n) * _gauss_form(n, e.caps, TABLE, e.base("a"),
+                                              e.base("b"), lambda k: 0)
 
 
 # R(yD_q) images shared by an R_q-weighted form and its Garrett form
@@ -855,8 +850,7 @@ _ident(
 _ident(
     id="T4-GF",
     description="sum S*_n(x,y) z^n/(q;q)_n = R_q(zy)/(zx;q)inf",
-    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, TABLE)
-                      * e.qfact_inv(n), "z"),
+    build_lhs=_gf_lhs(_sw_star_coeff, "z"),
     build_rhs=_invpoch_rhs("z"),
     window=("z",),
 )
@@ -872,7 +866,7 @@ _ident(
     id="T4-ALTGF",
     description="alternating sum of S*_n(x,y) z^n/(q;q)_n via 0phi2",
     build_lhs=_gf_lhs(lambda e, n: (-1) ** n * e.qpow(n * (n - 1) // 2)
-                      * sw_star(n, e.caps, TABLE) * e.qfact_inv(n), "z"),
+                      * _sw_star_coeff(e, n), "z"),
     build_rhs=_poch_rhs("z"),
     window=("z",),
 )
@@ -906,7 +900,7 @@ _ident(
 _ident(
     id="T4-SRIAGA",
     description="Srivastava-Agarwal type representation of S*_n(x,y)",
-    build_lhs=_gf_lhs(_sriaga_coeff, "z"),
+    build_lhs=_gf_lhs(_sw_star_coeff, "z", up=("a",)),
     build_rhs=_ratio_rhs("zx", "zy"),
     window=("z",),
 )
@@ -914,7 +908,7 @@ _ident(
 _ident(
     id="T4-SRIAGA-YZ1",
     description="yz=1 Garrett form of the Srivastava-Agarwal representation",
-    build_lhs=_bind_late(_gf_lhs(_sriaga_coeff, "z", _beside_x),
+    build_lhs=_bind_late(_gf_lhs(_sw_star_coeff, "z", _beside_x, ("a",)),
                          _YZ1_BOUNDS),
     build_rhs=_bind_late(_ratio_rq_rhs("az", "z", _garrett_kernel),
                          _YZ1_BOUNDS),
@@ -965,11 +959,11 @@ def _t4abgf_rhs(e):
 
     def terms():
         prod = e.one()  # prod_{j<k} (a - b q^j)  ==  a^k (b/a; q)_k
-        for k in range(e.caps.qmax + 1):
+        zx = _poch_ratios([z * x], [], e.caps, TABLE)  # (zx;q)_k
+        for k, zx_k in zip(range(e.caps.qmax + 1), zx):
             if prod.is_zero():
                 return
-            yield prod * e.pochn([z * x], k) * rq(e.qpow(k) * z * y) \
-                * e.qfact_inv(k)
+            yield prod * zx_k * rq(e.qpow(k) * z * y) * e.qfact_inv(k)
             prod = prod * (a - b * e.qpow(k))
     return e.pochinf([a]) * e.pochinf_inv([z * x, b]) * sum_series(terms())
 
@@ -980,9 +974,7 @@ _ident(
     id="T4-ABGF",
     description="(a;q)_n/(b;q)_n-weighted generating function of S*_n "
                 "(q-monomial bindings)",
-    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, TABLE)
-                      * e.pochn([e.sym("a")], n) / e.pochn([e.sym("b")], n)
-                      * e.qfact_inv(n), "z"),
+    build_lhs=_gf_lhs(_sw_star_coeff, "z", up=("a",), down=("b",)),
     build_rhs=_t4abgf_rhs,
     window=("z",),
     params=Params(("a", "b"), monomial=True),

@@ -8,10 +8,11 @@ them through series.from_rows, which cuts each at the window top, with no
 monomial objects.  A Pochhammer product takes one pass of
 series.times_binomials per argument, which multiplies by every factor
 1 - a q^(base k) in int rows, with the infinite product truncated at
-qmax // base + 1 factors.  The weighted sums _qexp_sum and _qbinom_sum,
-which build the q-exponentials, phi, R(yD_q) and the identities' sums,
-stream their terms into one series.sum_series, so the running total is
-never copied.
+qmax // base + 1 factors; a running ratio (_poch_ratios) takes one pass
+per parameter and index, but for a Laurent parameter's first steps.  The
+weighted sums _qexp_sum and _qbinom_sum, which build the q-exponentials,
+phi, R(yD_q) and the identities' sums, stream their terms into one
+series.sum_series, so the running total is never copied.
 The termination and weight certificates are Series comparisons and
 truncations; nothing here reads the stored rows.
 """
@@ -21,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, count
-from operator import mul
 from typing import Sequence, Union
 
 from .series import (
@@ -219,22 +219,28 @@ def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
     A Laurent parameter u = q^p u0 (p = u.qfloor < 0) enters step j as
     q^min(0, p+j) (q^max(0, -p-j) - u0 q^max(0, p+j)); only the ordinary
     second factor goes into the ratio, and _poch_shift is the q-exponent
-    left out.  Parameters are exact representatives, read at caps.qmax.
+    left out.  Each step 1 - u0 q^(p+j) (p + j >= 0; p = 0 for an ordinary
+    u) is one series.times_binomials pass, over the ratio for an upper
+    parameter and over the divisor one(caps) for a lower one; only the
+    first steps q^m - u0 (m > 0) are Series products.  Parameters are
+    exact representatives, read at caps.qmax.
     """
     ups, lows = ([(s.qfloor, s.stripped(caps.qmax)) for s in ps
                   if not s.is_zero()] for ps in (ups, lows))
 
-    def step(params, j):
-        return reduce(mul, (q_power(max(0, -p - j), table, caps)
-                            - s * q_power(max(0, p + j), table, caps)
-                            for p, s in params))
+    def times_steps(f, params, j):
+        for p, s in params:
+            if p + j >= 0:
+                f = times_binomials(f, s, (p + j,), caps)
+            else:
+                f = f * (q_power(-p - j, table, caps) - s)
+        return f
     ratio = one(table, caps)
     for n in count():
         yield ratio
-        if ups:
-            ratio = ratio * step(ups, n)
+        ratio = times_steps(ratio, ups, n)
         if lows:
-            ratio = ratio / step(lows, n)
+            ratio = ratio / times_steps(one(table, caps), lows, n)
 
 
 def _poch_shift(ups: Sequence[Series], lows: Sequence[Series], n: int) -> int:

@@ -238,3 +238,37 @@ def test_verify_more_trials_than_bindings_exits_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("binding violation:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--bind", "y=abc"], "argument --bind: not a rational: abc"),
+    (["--bind", "y=1/0"], "argument --bind: not a rational: 1/0"),
+    (["--bind", "y"], "argument --bind: expected var=p/r"),
+    (["--cap", "x"], "argument --cap: expected var=N"),
+    # a non-integer value names no private parser
+    (["--cap", "x=abc"], "argument --cap: expected var=N"),
+])
+def test_malformed_cap_or_binding_exits_2_with_one_error_line(argv, message,
+                                                              capsys):
+    assert main(["verify", "I-POCH-1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # argparse prints the usage first, then one error line
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"qsw verify: error: {message}"]
+
+
+def test_more_trials_than_bindings_names_the_count(capsys):
+    assert main(["verify", "T4-BY1", "--trials", "15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("binding violation: T4-BY1 has only 14 distinct "
+                            "random bindings, 15 trials requested\n")
+
+
+def test_garrett_dependent_text_line_names_the_convention(capsys):
+    code, out = run(["verify", "T4-BY1", "--qmax", "8", "--cap", "x=2",
+                     "--trials", "1"], capsys)
+    assert code == 0
+    assert out.startswith("PASS T4-BY1 (")
+    assert out.rstrip().endswith(" ms) convention=alternating")

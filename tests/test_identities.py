@@ -5,6 +5,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ import qsw.identities as identities
 import qsw.qfunctions as qfunctions
 from qsw.identities import BY_ID, Env, IdentitySpec, garrett_candidates
 from qsw.polynomials import MAX_ORDER
-from qsw.qfunctions import rq_at_power
+from qsw.qfunctions import INFINITY, rq_at_power
 from qsw.series import TruncationSpec, caps, equals_mod_caps, mono, q_power
 from qsw.verify import (
     MAX_TRIALS, BindingViolation, InvalidRequest, UnknownIdentity,
@@ -421,6 +422,48 @@ def test_one_less_than_the_y_bound_changes_a_right_side(ident):
     spec = BY_ID[ident]
     assert _one_less_changes_a_case(spec, spec.build_rhs, "y",
                                     VerifyConfig(var_caps={"y": 2}))
+
+
+@pytest.mark.parametrize("ident", ["T4-ABGF", "I-GF3", "T4-SRIAGA"])
+def test_weighted_sums_form_no_finite_pochhammer_product(ident, monkeypatch):
+    # each (a;q)_n weight is the next item of one running ratio stream; only
+    # the infinite products of the closed forms still call poch
+    counts = []
+    real = identities.poch
+
+    def recording(args, n, *rest, **kw):
+        counts.append(n)
+        return real(args, n, *rest, **kw)
+    monkeypatch.setattr(identities, "poch", recording)
+    assert verify(ident, VerifyConfig()).ok
+    assert counts and all(n is INFINITY for n in counts)
+    if ident == "T4-ABGF":
+        assert len(counts) <= 5  # one (a;q)inf per case
+
+
+def test_sides_sharing_the_ratio_stream_are_the_declared_ones(monkeypatch):
+    reached = []
+    real = qfunctions._poch_ratios
+
+    def tracing(*args):
+        reached.append(True)
+        return real(*args)
+    for mod in (identities, qfunctions):
+        monkeypatch.setattr(mod, "_poch_ratios", tracing)
+
+    def reaches(spec, build):
+        reached.clear()
+        for env in _cases(spec, VerifyConfig()):
+            build(env)
+        return bool(reached)
+    both = {spec.id for spec in registry()
+            if reaches(spec, spec.build_lhs) and reaches(spec, spec.build_rhs)}
+    assert both == {"I-GF3", "T4-SRIAGA", "T4-SRIAGA-YZ1", "T4-ABGF"}
+    # a fault in the shared stream would show on both sides; its oracle
+    # checks it against the step-by-step Series fold
+    oracle = "test_poch_ratios_match_factor_by_factor_steps"
+    tests = Path(__file__).with_name("test_qfunctions.py").read_text()
+    assert f"\ndef {oracle}(" in tests
 
 
 def test_garrett_convention_resolution():

@@ -3,6 +3,9 @@ q-exponentials, the Ramanujan q-exponential, and Garrett polynomials."""
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from itertools import count, islice
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,14 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 import qsw.qfunctions as qfunctions
 from qsw.polynomials import MAX_QMAX
 from qsw.series import (
-    DEFAULT_TABLE, Monomial, Series, VarTable, VarTableMismatch, caps,
-    constant, equals_mod_caps, make_series, mono, one, q_power, variable,
-    zero,
+    DEFAULT_TABLE, DivisionByNonUnit, Monomial, Series, VarTable,
+    VarTableMismatch, caps, constant, equals_mod_caps, make_series, mono, one,
+    q_power, variable, zero,
 )
 from qsw.qfunctions import (
     INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries,
-    _dense, _qbinom_sum, _qexp_sum, _qfact_inv_coeffs, eq_big, eq_small,
-    garrett_a, garrett_b,
+    _dense, _poch_ratios, _qbinom_sum, _qexp_sum, _qfact_inv_coeffs, eq_big,
+    eq_small, garrett_a, garrett_b,
     phi, poch, poch_inf_inv, qbinom, qbinom_coeffs, qfact, qfact_coeffs,
     qfact_inv, rq, rq_at_power,
 )
@@ -167,6 +170,102 @@ def test_poch_rejects_an_argument_over_another_table():
     other = VarTable(("q", "y", "x", "z", "t", "s", "w", "a", "b"))
     with pytest.raises(VarTableMismatch):
         poch([variable("x", other, C)], 3, C)
+
+
+def _poch_ratios_by_factors(ups, lows, caps, table):
+    """The reference ratio stream: each step of every parameter formed as
+    Series arithmetic, q_power - s * q_power, the steps of one index folded
+    by * and then multiplied into, or divided out of, the ratio."""
+    ups, lows = ([(s.qfloor, s.stripped(caps.qmax)) for s in ps
+                  if not s.is_zero()] for ps in (ups, lows))
+
+    def step(params, j):
+        return reduce(mul, (q_power(max(0, -p - j), table, caps)
+                            - s * q_power(max(0, p + j), table, caps)
+                            for p, s in params))
+    ratio = one(table, caps)
+    for n in count():
+        yield ratio
+        if ups:
+            ratio = ratio * step(ups, n)
+        if lows:
+            ratio = ratio / step(lows, n)
+
+
+def _first_ratios(stream, k):
+    """The first k items of a ratio stream as (caps, ratio) pairs, ended by
+    DivisionByNonUnit at the index whose lower step is no unit."""
+    out = []
+    try:
+        for r in islice(stream, k):
+            out.append((r.caps, r))
+    except DivisionByNonUnit:
+        out.append(DivisionByNonUnit)
+    return out
+
+
+@st.composite
+def _ratio_inputs(draw):
+    """(ups, lows, caps, k): ups only, lows only or both, each parameter
+    zero, a Fraction constant, or a one- to three-term series, Laurent when
+    a negative q-exponent is drawn, at the stream's caps, at narrower or at
+    wider ones."""
+    c = caps(draw(st.integers(0, 10)), default=2)
+    windows = (c, caps(4, default=2, x=1), caps(16, default=3))
+
+    def param():
+        at = draw(st.sampled_from(windows))
+        kind = draw(st.sampled_from(("zero", "fraction", "series")))
+        if kind == "zero":
+            return zero(caps_=at)
+        if kind == "fraction":
+            return constant(draw(_poch_scalar), caps_=at)
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+            st.integers(-3, 5), st.integers(0, 2), st.integers(0, 1)),
+            min_size=1, max_size=3))
+        return make_series([(k, mono(i, {"x": j, "a": h}))
+                            for k, i, j, h in terms], at)
+    shape = draw(st.sampled_from(("ups", "lows", "both")))
+    ups = [param() for _ in range(draw(st.integers(1, 2)))] \
+        if shape != "lows" else []
+    lows = [param() for _ in range(draw(st.integers(1, 2)))] \
+        if shape != "ups" else []
+    return ups, lows, c, draw(st.integers(1, 7))
+
+
+@settings(max_examples=500, deadline=None)
+@example(([var("x")], [var("a") * qp(1) + 1], C, 6))  # ordinary, both
+@example(([make_series([(1, mono(-2, {"x": 1}))], C)],
+          [make_series([(2, mono(-1, {})), (1, mono(0, {"a": 1}))], C)],
+          C, 6))  # Laurent parameters: q^m - u0 first steps on both sides
+@example(([], [constant(Fraction(1, 2), caps_=caps(4))], C, 5))  # Fraction
+@example(([zero(caps_=C), var("x")], [zero(caps_=C)], C, 4))  # zeros
+@example(([var("x")], [constant(1, caps_=C)], C, 3))  # 1 - 1 at index 0
+@example(([], [var("x", caps(3)) * qp(-1, caps(3))], C, 4))  # non-unit
+@given(_ratio_inputs())
+def test_poch_ratios_match_factor_by_factor_steps(inputs):
+    ups, lows, c, k = inputs
+    got = _first_ratios(_poch_ratios(ups, lows, c, DEFAULT_TABLE), k)
+    want = _first_ratios(_poch_ratios_by_factors(ups, lows, c,
+                                                 DEFAULT_TABLE), k)
+    assert got == want
+
+
+def test_poch_ratios_builds_no_q_power(monkeypatch):
+    # ordinary parameters: every step is one times_binomials pass
+    x, a = var("x"), var("a")
+    ups = [x, a * qp(2) - Fraction(1, 2)]
+    lows = [qp(1) * x, constant(Fraction(2, 3), caps_=C)]
+    want = _first_ratios(_poch_ratios_by_factors(ups, lows, C,
+                                                 DEFAULT_TABLE), 6)
+
+    def refuse(*_):
+        raise AssertionError("_poch_ratios formed a q-power")
+    monkeypatch.setattr(qfunctions, "q_power", refuse)
+    got = _first_ratios(_poch_ratios(ups, lows, C, DEFAULT_TABLE), 6)
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_poch_inf_inv_matches_reciprocal():
