@@ -49,8 +49,17 @@ def _parse_bind(text: str):
     return name, _parse_fraction(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is the one line
+    "<prog>: error: <message>", with exit status 2 and no usage text; its
+    subparsers are of its class (add_subparsers' default parser_class)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qsw",
         description="exact q-series workbench and identity verifier")
     sub = p.add_subparsers(dest="command", required=True)

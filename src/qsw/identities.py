@@ -24,6 +24,13 @@ from one running ratio stream: up a in the left sides of I-GF3, T4-SRIAGA
 and T4-SRIAGA-YZ1, up a and down b in that of T4-ABGF, and bx and ax in
 the D_q^n closed forms of I-DQ-7/8/9 (_dq_rhs).
 
+The generating, Mehler and Rogers left sides are one generating sum
+(_gf_lhs) of S*_n(x, y)/(q;q)_n times a second Gaussian form whose signed
+bases and weight each entry declares (_sw_star_times).  The Rogers double
+sums over n + m <= order are one sum over N = n + m: the terms of one N
+are S*_N(x, y) G_N / (q;q)_N, G_N = sum_n [N n]_q T_n s^(N-n), with T_n =
+t^n or (-1)^n q^C(n,2) t^n.
+
 Every working window is derived: an operator image widens only the
 differentiated variable, by the operator's order; Laurent-weighted sums
 (Garrett forms, and the finite Gaussian sums whose window _qbinom_sum derives
@@ -80,7 +87,10 @@ class Env:
 
     def base(self, name):
         """One-term value (c, Monomial) of name: the variable, or its bound
-        value c*q^d."""
+        value c*q^d; of "-" + name, that value negated."""
+        if name.startswith("-"):
+            c, m = self.base(name[1:])
+            return -c, m
         bv = self.bindings.get(name)
         if bv is None:
             return 1, mono(0, {name: 1}, TABLE)
@@ -337,15 +347,17 @@ def _bind_late(build, degrees):
 # -- shared combinators -----------------------------------------------------------
 
 
-def _gf_lhs(coeff, z, nmax=lambda e: e.order, up=(), down=()):
+def _gf_lhs(coeff, z=None, nmax=lambda e: e.order, up=(), down=()):
     """Left side sum_{n <= nmax(e)} coeff(e, n) z^n (up; q)_n / (down; q)_n;
-    z is a variable name, replaced by its value when the case binds it, and
-    up and down name products such as "a".  The Pochhammer ratio of term n
-    is the n-th item of one running stream (_poch_ratios), read only when
-    the side declares parameters."""
+    z is a variable name, replaced by its value when the case binds it, or
+    None for no z^n, and up and down name products such as "a".  The
+    Pochhammer ratio of term n is the n-th item of one running stream
+    (_poch_ratios), read only when the side declares parameters."""
     def build(e):
-        zv = e.sym(z)
-        terms = (coeff(e, n) * zv ** n for n in range(nmax(e) + 1))
+        terms = (coeff(e, n) for n in range(nmax(e) + 1))
+        if z is not None:
+            zv = e.sym(z)
+            terms = (c * zv ** n for n, c in enumerate(terms))
         if up or down:
             ratios = _poch_ratios([e.syms(s) for s in up],
                                   [e.syms(s) for s in down], e.caps, TABLE)
@@ -816,10 +828,16 @@ def _sw_star_coeff(e, n):
                        lambda k: k * k) * e.qfact_inv(n)
 
 
-def _rsgf_coeff(e, n):
-    """S*_n(x, y) r_n(a, b) / (q;q)_n, at the case's values of y and b."""
-    return _sw_star_coeff(e, n) * _gauss_form(n, e.caps, TABLE, e.base("a"),
-                                              e.base("b"), lambda k: 0)
+def _sw_star_times(u, v, weight):
+    """Coefficient S*_n(x, y) P_n / (q;q)_n of the sums of S*_n against a
+    second Gaussian form P_n = sum_k [n k]_q q^weight(n, k) u^(n-k) v^k,
+    with u and v signed names read through Env.base ("-a" is -a): r_n(a, b)
+    is ("a", "b", 0), S*_n(w, z) is ("w", "z", k^2).  Every weight is >= 0,
+    so nothing is widened."""
+    def coeff(e, n):
+        return _sw_star_coeff(e, n) * _gauss_form(
+            n, e.caps, TABLE, e.base(u), e.base(v), lambda k: weight(n, k))
+    return coeff
 
 
 # R(yD_q) images shared by an R_q-weighted form and its Garrett form
@@ -935,7 +953,7 @@ _ident(
 _ident(
     id="T4-RSGF",
     description="mixed generating function with Rogers-Szego polynomials",
-    build_lhs=_gf_lhs(_rsgf_coeff, "z"),
+    build_lhs=_gf_lhs(_sw_star_times("a", "b", lambda n, k: 0), "z"),
     build_rhs=_rq_sum_rhs("az", "bz"),
     window=("z",), deg=6, qmax=20,
 )
@@ -944,8 +962,8 @@ _ident(
     id="T4-RSGF-BZY1",
     description="bzy=1 Garrett form of the mixed Rogers-Szego generating "
                 "function",
-    build_lhs=_bind_late(_gf_lhs(_rsgf_coeff, "z", _beside_x),
-                         _BZY1_BOUNDS),
+    build_lhs=_bind_late(_gf_lhs(_sw_star_times("a", "b", lambda n, k: 0),
+                                 "z", _beside_x), _BZY1_BOUNDS),
     build_rhs=_bind_late(_rq_sum_rhs("az", "bz", _garrett_kernel),
                          _BZY1_BOUNDS),
     params=Params(("z", "y"), inverse="b"),
@@ -1011,22 +1029,10 @@ def _opprod_rhs(a_, b_):
     return build
 
 
-def _altmehler_coeff(e, n):
-    """(-1)^n q^C(n,2) S*_n(x, y) S*_n(a, q^(-n) b) / (q;q)_n.  The second
-    family is sum_k [n k]_q q^(k(k-n)) a^(n-k) b^k; with q^C(n,2) in its
-    weight every power of q is non-negative, so nothing is widened."""
-    swl = _gauss_form(n, e.caps, TABLE, e.base("a"), e.base("b"),
-                      lambda k: n * (n - 1) // 2 + k * (k - n))
-    return (-1) ** n * sw_star(n, e.caps, TABLE, "x", "y") * swl \
-        * e.qfact_inv(n)
-
-
 _ident(
     id="T5-MEHLER",
     description="Mehler-type bilinear generating function for S*_n",
-    build_lhs=_gf_lhs(lambda e, n: sw_star(n, e.caps, TABLE, "x", "y")
-                      * sw_star(n, e.caps, TABLE, "w", "z")
-                      * e.qfact_inv(n), "t"),
+    build_lhs=_gf_lhs(_sw_star_times("w", "z", lambda n, k: k * k), "t"),
     build_rhs=_mehler_rhs,
     window=("t",), qmax=20, deg=6,
 )
@@ -1044,30 +1050,16 @@ _ident(
     id="T5-ALTMEHLER",
     description="alternating Mehler-type formula with q^(-n)-shifted second "
                 "family",
-    build_lhs=_gf_lhs(_altmehler_coeff, "z"),
+    # (-1)^n q^C(n,2) S*_n(a, q^(-n) b), with the sign in the bases and
+    # q^C(n,2) in the weight
+    build_lhs=_gf_lhs(_sw_star_times(
+        "-a", "-b", lambda n, k: n * (n - 1) // 2 + k * (k - n)), "z"),
     build_rhs=_opprod_rhs("az", "bz"),
     window=("z",), qmax=20, deg=6,
 )
 
 
 # -- Rogers formulas (T6) -----------------------------------------------------------------
-
-
-def _rogers_lhs(alternating):
-    """sum_{n+m <= order} S*_(n+m)(x, y) T_n s^m / ((q;q)_n (q;q)_m), with
-    T_n = t^n, or (-1)^n q^C(n,2) t^n when alternating."""
-    def build(e):
-        tv, sv = e.sym("t"), e.sym("s")
-
-        def tpow(n):
-            if alternating:
-                return (-1) ** n * e.qpow(n * (n - 1) // 2) * tv ** n
-            return tv ** n
-        return sum_series(
-            sw_star(n + m, e.caps, TABLE) * tpow(n) * sv ** m
-            * e.qfact_inv(n) * e.qfact_inv(m)
-            for n in range(e.order + 1) for m in range(e.order + 1 - n))
-    return build
 
 
 # T4-RATIO with a -> t/s, z -> sx, y -> sy.  The 1phi2 argument is qsy,
@@ -1078,7 +1070,8 @@ _ident(
     id="T6-ROGERS-ALT",
     description="alternating Rogers-type double generating function via "
                 "1phi2",
-    build_lhs=_bind_late(_rogers_lhs(alternating=True), _TS_BOUNDS),
+    build_lhs=_bind_late(_gf_lhs(_sw_star_times(
+        "s", "-t", lambda n, k: k * (k - 1) // 2)), _TS_BOUNDS),
     build_rhs=_ratio_rhs("sx", "sy", a=lambda e: constant(
         e.bindings["t"] / e.bindings["s"], TABLE, e.caps)),
     window=("x", "y"), qmax=20, deg=6,
@@ -1091,7 +1084,8 @@ _ident(
     id="T6-ROGERS",
     description="Rogers-type double generating function as an R_q-weighted "
                 "sum",
-    build_lhs=_bind_late(_rogers_lhs(alternating=False), _TS_BOUNDS),
+    build_lhs=_bind_late(_gf_lhs(_sw_star_times("s", "t", lambda n, k: 0)),
+                         _TS_BOUNDS),
     build_rhs=_rq_sum_rhs("t", "s"),
     window=("x", "y"), qmax=20, deg=6,
     **_TS,

@@ -13,8 +13,8 @@ A Series is stored row-major, the recursive dense layout: one dense q-row
 of numerators per variable part, rows[vexps][qrel] the numerator at
 q^(qfloor + qrel) vexps.  Every operation works a row at a time: the caps
 are checked once per row, the window top slices each row, a sum adds rows
-at an offset, a product by a few terms adds whole rows, each shifted and
-scaled by a term, and D_q maps the row at x^k to itself minus itself
+at an offset, a product by one term places whole rows, each shifted and
+scaled by it, and D_q maps the row at x^k to itself minus itself
 shifted up by k powers of q.
 This module alone reads or writes rows and den.  Every builder elsewhere
 places its int rows through from_rows, the one row constructor, which cuts
@@ -36,18 +36,19 @@ constant_term, monomials and rendering, as an int when integral and a
 Fraction in lowest terms otherwise; every result is exact modulo its own
 stated ideal.
 
-A product of two operands of 4 terms or more is a Kronecker substitution
-in q (FLINT's fmpz_poly_mul_KS): each row is packed once into an int with
-a signed slot per q-power, each pair of rows that fits the variable caps
-is multiplied as ints, the products add packed per output row, and an
-output row is its slots, read once below the window top.  A slot holds
-bits(max|a|) + bits(max|b|) + bits(terms of the smaller operand) + 1
-bits, since an output slot sums at most one product per term of the
-smaller operand.  A product whose smaller operand has at most 3 terms, one
-term included, adds each row of the other operand, shifted and scaled by
-each of its terms, which measured faster there.  Both paths keep to the
-caps and the window top, so a product ends by dropping trailing zeros and
-cancelled rows and lifting its floor, with no second pass of _build.
+A product takes its path by shape.  A zero operand gives zero.  A
+one-term operand (a scalar, q^k, z^n) shifts and scales each row of the
+other operand into an output row of its own.  Every other product is a
+Kronecker substitution in q (FLINT's fmpz_poly_mul_KS): each row is
+packed once into an int with a signed slot per q-power, each pair of rows
+that fits the variable caps is multiplied as ints, the products add packed
+per output row, and an output row is its slots, read once below the
+window top.  A slot holds bits(max|a|) + bits(max|b|) + bits(m) + 1 bits,
+m the smaller operand's stored length, since an output slot sums at most
+one product per term of the smaller operand and a stored length is at
+least its term count.  Both paths keep to the caps and the window top, so
+a product ends by dropping trailing zeros and cancelled rows and lifting
+its floor, with no second pass of _build.
 
 Every sum of series is one n-ary sum, sum_series: it reads its parts once
 as a stream and adds their rows into one dict, padding the rows only when
@@ -320,10 +321,6 @@ class Series:
         return {(qr, ve): n for ve, r in self.rows.items()
                 for qr, n in enumerate(r) if n}
 
-    def _nterms(self) -> int:
-        """Number of nonzero stored entries."""
-        return sum([len(r) - r.count(0) for r in self.rows.values()])
-
     def coeff(self, m: Monomial):
         """Coefficient of a monomial (absolute q-exponent); 0 outside caps."""
         if len(m.vexps) != self.table.nvars:
@@ -399,13 +396,14 @@ class Series:
         mcaps = self.caps.meet(g.caps)
         if mcaps.qmax != floor + qmax:
             mcaps = TruncationSpec(floor + qmax, mcaps.vcaps)
-        na = self._nterms()
-        if na <= 3:
-            rows = g._loop_product(self, qmax, mcaps.vcaps)
-        elif (nb := g._nterms()) <= 3:
-            rows = self._loop_product(g, qmax, mcaps.vcaps)
+        if not (self.rows and g.rows):
+            rows = {}
+        elif g._is_term():
+            rows = self._term_product(g, qmax, mcaps.vcaps)
+        elif self._is_term():
+            rows = g._term_product(self, qmax, mcaps.vcaps)
         else:
-            rows = self._packed_product(g, qmax, mcaps.vcaps, min(na, nb))
+            rows = self._packed_product(g, qmax, mcaps.vcaps)
         # both paths keep to the caps and the top: only trailing zeros and
         # cancelled rows remain to drop
         out = {}
@@ -420,48 +418,50 @@ class Series:
 
     __rmul__ = __mul__
 
-    def _loop_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
+    def _is_term(self) -> bool:
+        """True iff one entry is stored: a row whose others are all 0."""
+        if len(self.rows) != 1:
+            return False
+        r, = self.rows.values()
+        return r.count(0) == len(r) - 1
+
+    def _term_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
         """Rows of self * g through the relative window qmax inside vcaps,
-        for g of few terms: each row of self, shifted and scaled by each
-        term of g, is added into its output row."""
-        acc: dict = {}
-        # a row of g at the zero variable part leaves self's parts where
-        # they are, inside vcaps unless the meet narrowed self's caps
+        for g of one term: each row of self, shifted and scaled by it, is
+        an output row of its own, placed as a tuple in one step."""
+        (vb, rb), = g.rows.items()
+        qb, cb = len(rb) - 1, rb[-1]  # rows end in their nonzero entry
+        if qb > qmax:
+            return {}
+        pad = (0,) * qb
+        # a term at the zero variable part leaves self's parts where they
+        # are, inside vcaps unless the meet narrowed self's caps
+        moved = any(vb)
         narrowed = self.caps.vcaps != vcaps
-        for vb, rb in g.rows.items():
-            terms = [(qb, cb) for qb, cb in enumerate(rb[:qmax + 1]) if cb]
-            # one term of g gives each row of self an output row of its
-            # own, placed as a tuple in one step
-            pad = (0,) * terms[0][0] if len(g.rows) == len(terms) == 1 \
-                else None
-            moved = any(vb)
-            for va, ra in self.rows.items():
-                ve = tuple(map(add, va, vb)) if moved else va
-                if (moved or narrowed) and any(map(gt, ve, vcaps)):
-                    continue
-                for qb, cb in terms:
-                    seg = ra[:qmax + 1 - qb]
-                    if not seg:
-                        continue
-                    if pad is None:
-                        _add_at(acc, ve, qb, seg, cb)
-                    else:
-                        acc[ve] = pad + (seg if cb == 1 else
-                                         tuple(map(mul, repeat(cb), seg)))
+        acc = {}
+        for va, ra in self.rows.items():
+            ve = tuple(map(add, va, vb)) if moved else va
+            if (moved or narrowed) and any(map(gt, ve, vcaps)):
+                continue
+            seg = ra[:qmax + 1 - qb]
+            if seg:
+                acc[ve] = pad + (seg if cb == 1 else
+                                 tuple(map(mul, repeat(cb), seg)))
         return acc
 
-    def _packed_product(self, g: "Series", qmax: int, vcaps: tuple,
-                        m: int) -> dict:
+    def _packed_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
         """Rows of self * g through the relative window qmax inside vcaps,
-        by Kronecker substitution in q; m is the smaller operand's term
-        count.
+        by Kronecker substitution in q.
 
         Each q-row of an operand becomes one int with a signed k-bit slot
         per q-power, so one int product convolves a pair of rows.  An
         output slot sums at most one product per term of the smaller
-        operand, so k bounds it whichever row pairs add into its row.
+        operand, so k bounds it whichever row pairs add into its row; m,
+        the smaller operand's stored length, is at least its term count.
         """
         n = qmax + 1
+        m = min(sum(map(len, self.rows.values())),
+                sum(map(len, g.rows.values())))
         bits = (max(max(map(abs, r)) for r in self.rows.values()).bit_length()
                 + max(max(map(abs, r)) for r in g.rows.values()).bit_length()
                 + m.bit_length() + 1)

@@ -10,11 +10,14 @@ from pathlib import Path
 import pytest
 
 import qsw.identities as identities
+import qsw.polynomials as polynomials
 import qsw.qfunctions as qfunctions
 from qsw.identities import BY_ID, Env, IdentitySpec, garrett_candidates
-from qsw.polynomials import MAX_ORDER
+from qsw.polynomials import MAX_ORDER, _gauss_form, sw_star
 from qsw.qfunctions import INFINITY, rq_at_power
-from qsw.series import TruncationSpec, caps, equals_mod_caps, mono, q_power
+from qsw.series import (
+    TruncationSpec, caps, equals_mod_caps, mono, q_power, sum_series,
+)
 from qsw.verify import (
     MAX_TRIALS, BindingViolation, InvalidRequest, UnknownIdentity,
     VerifyConfig, _restrict,
@@ -441,29 +444,62 @@ def test_weighted_sums_form_no_finite_pochhammer_product(ident, monkeypatch):
         assert len(counts) <= 5  # one (a;q)inf per case
 
 
-def test_sides_sharing_the_ratio_stream_are_the_declared_ones(monkeypatch):
+def _sides_reaching(monkeypatch, name, mods):
+    """{(id, "lhs" | "rhs")} of the sides that call the primitive name,
+    defined in the last module of mods and traced in each, at their
+    default cases."""
     reached = []
-    real = qfunctions._poch_ratios
+    real = getattr(mods[-1], name)
 
     def tracing(*args):
         reached.append(True)
         return real(*args)
-    for mod in (identities, qfunctions):
-        monkeypatch.setattr(mod, "_poch_ratios", tracing)
+    for mod in mods:
+        monkeypatch.setattr(mod, name, tracing)
+    out = set()
+    for spec in registry():
+        for side in ("lhs", "rhs"):
+            reached.clear()
+            for env in _cases(spec, VerifyConfig()):
+                _side(spec, side)(env)
+            if reached:
+                out.add((spec.id, side))
+    return out
 
-    def reaches(spec, build):
-        reached.clear()
-        for env in _cases(spec, VerifyConfig()):
-            build(env)
-        return bool(reached)
-    both = {spec.id for spec in registry()
-            if reaches(spec, spec.build_lhs) and reaches(spec, spec.build_rhs)}
+
+def _has_test(module, name):
+    return f"\ndef {name}(" in Path(__file__).with_name(module).read_text()
+
+
+def test_sides_sharing_the_ratio_stream_are_the_declared_ones(monkeypatch):
+    sides = _sides_reaching(monkeypatch, "_poch_ratios",
+                            (identities, qfunctions))
+    both = {i for i, side in sides if side == "lhs" and (i, "rhs") in sides}
     assert both == {"I-GF3", "T4-SRIAGA", "T4-SRIAGA-YZ1", "T4-ABGF"}
     # a fault in the shared stream would show on both sides; its oracle
     # checks it against the step-by-step Series fold
-    oracle = "test_poch_ratios_match_factor_by_factor_steps"
-    tests = Path(__file__).with_name("test_qfunctions.py").read_text()
-    assert f"\ndef {oracle}(" in tests
+    assert _has_test("test_qfunctions.py",
+                     "test_poch_ratios_match_factor_by_factor_steps")
+
+
+def test_no_identity_reaches_the_gauss_form_on_both_sides(monkeypatch):
+    # every S*_n, S_n and r_n is one Gaussian form; a fault in it would
+    # cancel out of an identity that built both sides through it
+    sides = _sides_reaching(monkeypatch, "_gauss_form",
+                            (identities, polynomials))
+    assert not {i for i, _ in sides
+                if (i, "lhs") in sides and (i, "rhs") in sides}
+    assert sides == {
+        *((i, "lhs") for i in (
+            "I-GF1", "I-GF2", "I-GF3", "T4-GF", "T4-ALTGF", "T4-SRIAGA",
+            "T4-SRIAGA-YZ1", "T4-RSGF", "T4-RSGF-BZY1", "T4-ABGF",
+            "T5-MEHLER", "T5-ALTMEHLER", "T6-ROGERS", "T6-ROGERS-ALT")),
+        ("T4-XN", "rhs")}
+    # its oracles: the monomial-by-monomial sum, and bound bases against
+    # the substituted formal form
+    for oracle in ("test_gauss_form_matches_monomial_construction",
+                   "test_gauss_form_bound_bases_match_substitution"):
+        assert _has_test("test_polynomials.py", oracle)
 
 
 def test_garrett_convention_resolution():
@@ -512,6 +548,67 @@ def test_window_truncation_stability(ident):
     lhsN2 = _restrict(spec.build_lhs(envN2), slots, envN.order)
     ok, w = equals_mod_caps(lhsN, lhsN2)
     assert ok, f"{ident}: {w}"
+
+
+def _rogers_double_sum(e, alternating):
+    """sum_{n+m <= order} S*_(n+m)(x, y) T_n s^m / ((q;q)_n (q;q)_m), with
+    T_n = t^n, or (-1)^n q^C(n,2) t^n when alternating: the Rogers left
+    sides term by term."""
+    tv, sv = e.sym("t"), e.sym("s")
+
+    def tpow(n):
+        if alternating:
+            return (-1) ** n * e.qpow(n * (n - 1) // 2) * tv ** n
+        return tv ** n
+    return sum_series(
+        sw_star(n + m, e.caps) * tpow(n) * sv ** m
+        * e.qfact_inv(n) * e.qfact_inv(m)
+        for n in range(e.order + 1) for m in range(e.order + 1 - n))
+
+
+@pytest.mark.parametrize("order", [3, 6, 9])
+@pytest.mark.parametrize("ident, alternating", [("T6-ROGERS", False),
+                                                ("T6-ROGERS-ALT", True)])
+def test_rogers_left_side_is_the_double_sum(ident, alternating, order):
+    # one sum over N = n + m of S*_N(x, y) G_N(s, t) / (q;q)_N, at bound
+    # and at formal t and s, the caps of t and s wide enough for every term
+    spec = BY_ID[ident]
+    cfg = VerifyConfig(sum_order=order, var_caps={"t": order, "s": order},
+                       trials=2)
+    envs = _cases(spec, cfg)
+    for env in (*envs, replace(envs[0], bindings={})):
+        assert spec.build_lhs.__wrapped__(env).json_text() \
+            == _rogers_double_sum(env, alternating).json_text()
+
+
+def _mehler_products(e):
+    """sum_n S*_n(x, y) S*_n(w, z) t^n / (q;q)_n, each term the product of
+    two polynomials."""
+    t = e.sym("t")
+    return sum_series(sw_star(n, e.caps) * sw_star(n, e.caps, x="w", y="z")
+                      * e.qfact_inv(n) * t ** n for n in range(e.order + 1))
+
+
+def _altmehler_products(e):
+    """sum_n (-1)^n q^C(n,2) S*_n(x, y) S*_n(a, q^(-n) b) z^n / (q;q)_n, the
+    second family as its Gaussian form at q^(C(n,2) + k(k-n))."""
+    z = e.sym("z")
+    return sum_series(
+        (-1) ** n * sw_star(n, e.caps)
+        * _gauss_form(n, e.caps, identities.TABLE, e.base("a"), e.base("b"),
+                      lambda k: n * (n - 1) // 2 + k * (k - n))
+        * e.qfact_inv(n) * z ** n for n in range(e.order + 1))
+
+
+@pytest.mark.parametrize("cfg", [VerifyConfig(),
+                                 VerifyConfig(qmax=14, sum_order=8)])
+@pytest.mark.parametrize("ident, products", [
+    ("T5-MEHLER", _mehler_products), ("T5-ALTMEHLER", _altmehler_products)])
+def test_mehler_left_side_is_the_product_of_its_families(ident, products,
+                                                          cfg):
+    spec = BY_ID[ident]
+    for env in _cases(spec, cfg):
+        assert spec.build_lhs(env).json_text() == products(env).json_text()
 
 
 def test_sides_claim_the_whole_case_window():

@@ -578,6 +578,15 @@ def wide_series_st(draw):
 # a smaller operand of 3 and of 4 terms, with terms past a variable cap
 @example(_row(-2, 3, x=2), _row(3, 9, x=2, qmax=20))
 @example(_row(-2, 4, x=2), _row(3, 9, x=2, qmax=20))
+# a 2-term and a 3-term operand over a den != 1 at a Laurent floor: only a
+# one-term operand skips the packed rows
+@example(make_series([(Q(1, 2), mono(-2)), (Q(-3, 4), mono(1, {"x": 1}))],
+                     caps(20, x=3, y=3)),
+         _row(5, 9, x=1, qmax=20))
+@example(make_series([(Q(2, 3), mono(-1, {"y": 1})), (Q(1, 6), mono(0)),
+                      (-1, mono(3, {"x": 2}))], caps(20, x=3, y=3)),
+         make_series([(Q(5, 7), mono(-3)), (Q(-1, 3), mono(2, {"x": 1})),
+                      (4, mono(5, {"y": 2}))], caps(18, x=3, y=3)))
 @given(wide_series_st(), wide_series_st())
 def test_packed_mul_matches_schoolbook_fraction_product(f, g):
     _assert_same_product(f * g, _schoolbook_mul(f, g))
