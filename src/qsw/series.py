@@ -46,9 +46,17 @@ per output row, and an output row is its slots, read once below the
 window top.  A slot holds bits(max|a|) + bits(max|b|) + bits(m) + 1 bits,
 m the smaller operand's stored length, since an output slot sums at most
 one product per term of the smaller operand and a stored length is at
-least its term count.  Both paths keep to the caps and the window top, so
-a product ends by dropping trailing zeros and cancelled rows and lifting
-its floor, with no second pass of _build.
+least its term count.  Slots of 1, 2, 4 and 8 bytes move through an
+array; a slot of 9 to 16 bytes moves in bulk as an int64 and a sign fill
+while its entries fit in 64 bits, and per slot otherwise.  Both paths
+keep to the caps and the window top, so a product ends by dropping
+trailing zeros and cancelled rows and lifting its floor, with no second
+pass of _build.
+
+Both renderings, text and to_json_dict, read one column walk: the rows
+are sorted once by variable part and read q-index by q-index, skipping
+zero entries and the rows that have ended, so no tuple is built or sorted
+per term.
 
 Every sum of series is one n-ary sum, sum_series: it reads its parts once
 as a stream and adds their rows into one dict, padding the rows only when
@@ -93,9 +101,15 @@ _NEGATIVE_VEXP = "non-q variables cannot carry negative exponents"
 
 # byte width of a packed q-slot -> the array format that moves it in C.
 # Packed ints are read little-endian, so the array paths (native order)
-# serve little-endian hosts only; other widths and hosts pack per slot.
+# serve little-endian hosts only; other hosts pack per slot.
 _SLOT_FORMAT = ({1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little"
                 else {})
+# the widest slot that moves as an int64 and its sign fill: a slot of 9 to
+# _WIDE bytes is packed and read in bulk while its entries fit in 64 bits,
+# a wider one per slot
+_WIDE = 16 if _SLOT_FORMAT else 0
+# the top byte of an int64 -> the byte that extends its sign
+_SIGN_FILL = bytes(255 if b & 128 else 0 for b in range(256))
 
 
 class VarTable:
@@ -205,6 +219,48 @@ def _trim(row, stop: int) -> tuple:
         n -= 1
     # a tuple kept whole is returned as it is, a list kept whole copied once
     return tuple(row if n == len(row) else row[:n])
+
+
+def _pack_wide(row, kb: int):
+    """The little-endian bytes of row in signed kb-byte slots, a width no
+    array format moves.
+
+    A slot of 9 to _WIDE bytes is the entry as an int64 in its low 8
+    bytes and the sign fill of that int64 in the rest, each written by
+    one strided copy per byte; an entry outside int64 packs per slot."""
+    if kb <= _WIDE:
+        try:
+            a = array("q", row).tobytes()
+        except OverflowError:
+            pass
+        else:
+            buf = bytearray(len(row) * kb)
+            for j in range(8):
+                buf[j::kb] = a[j::8]
+            fill = a[7::8].translate(_SIGN_FILL)
+            for j in range(8, kb):
+                buf[j::kb] = fill
+            return buf
+    return b"".join(c.to_bytes(kb, "little", signed=True) for c in row)
+
+
+def _unpack_wide(raw: bytes, kb: int) -> tuple:
+    """The signed entries of raw's little-endian kb-byte slots, a width no
+    array format moves.
+
+    A slot of 9 to _WIDE bytes is read as the int64 of its low 8 bytes,
+    taken by one strided copy per byte, when every higher byte of every
+    slot is the sign fill of that int64; otherwise each slot is read whole.
+    """
+    if kb <= _WIDE:
+        low = bytearray(len(raw) // kb * 8)
+        for j in range(8):
+            low[j::8] = raw[j::kb]
+        fill = low[7::8].translate(_SIGN_FILL)
+        if all(raw[j::kb] == fill for j in range(8, kb)):
+            return tuple(memoryview(low).cast("q"))
+    return tuple(int.from_bytes(raw[i:i + kb], "little", signed=True)
+                 for i in range(0, len(raw), kb))
 
 
 def _lead(row) -> int:
@@ -489,9 +545,8 @@ class Series:
             x = ((x + bias) & low) ^ bias
             # the slots up to the highest nonzero one
             raw = x.to_bytes(-(-x.bit_length() // k) * kb, "little")
-            rows[ve] = tuple(memoryview(raw).cast(fmt)) if fmt else tuple(
-                int.from_bytes(raw[i:i + kb], "little", signed=True)
-                for i in range(0, len(raw), kb))
+            rows[ve] = tuple(memoryview(raw).cast(fmt)) if fmt \
+                else _unpack_wide(raw, kb)
         return rows
 
     def _packed_rows(self, n: int, kb: int, fmt: Optional[str],
@@ -501,8 +556,7 @@ class Series:
         packed = {}
         for ve, r in self.rows.items():
             r = r[:n]
-            row = array(fmt, r) if fmt else b"".join(
-                c.to_bytes(kb, "little", signed=True) for c in r)
+            row = array(fmt, r) if fmt else _pack_wide(r, kb)
             packed[ve] = (int.from_bytes(row, "little") ^ bias) - bias
         return packed
 
@@ -701,57 +755,77 @@ class Series:
 
     # -- rendering -----------------------------------------------------------
 
-    def _sorted_terms(self) -> list:
-        """(qrel, vexps, numerator) of every nonzero entry in rendering
-        order."""
-        return sorted((qr, ve, n) for ve, r in self.rows.items()
-                      for qr, n in enumerate(r) if n)
+    def _columns(self, label):
+        """The column walk both renderings read: per q-index qrel up to the
+        longest row, (qrel, [(label(vexps), row), ...]) over the rows that
+        reach qrel, in vexps order.  The rows are sorted once; a row leaves
+        the list at its end.  The entries are coefficients, 0 where none is
+        stored: the numerators when den == 1, else ints and Fractions."""
+        den = self.den
+        parts = [(label(ve), r if den == 1 else [_value(n, den) for n in r])
+                 for ve, r in sorted(self.rows.items())]
+        qr = 0
+        for end in sorted({len(r) for r in self.rows.values()}):
+            for qr in range(qr, end):
+                yield qr, parts
+            qr = end
+            parts = [p for p in parts if len(p[1]) > end]
 
     def text(self) -> str:
         """Canonical text rendering; equal series render identically."""
         if not self.rows:
             return "0"
         vnames = self.table.names[1:]
-        f, den = self.qfloor, self.den
-        vtext = {ve: "*".join(nm if e == 1 else f"{nm}^{e}"
-                              for nm, e in zip(vnames, ve) if e)
-                 for ve in self.rows}
+
+        def label(ve):
+            # the variable factors alone, and as they follow a q-power
+            vs = "*".join(nm if e == 1 else f"{nm}^{e}"
+                          for nm, e in zip(vnames, ve) if e)
+            return vs, "*" + vs if vs else ""
+
+        f = self.qfloor
         out = []
-        for qr, ve, n in self._sorted_terms():
-            vs = vtext[ve]
+        for qr, parts in self._columns(label):
             qa = qr + f
-            if qa:
-                qs = "q" if qa == 1 else f"q^{qa}"
-                vs = qs + "*" + vs if vs else qs
-            c = n if den == 1 else _value(n, den)
-            mag = abs(c)
-            if mag != 1 or not vs:
-                # mag is an int or a non-integral Fraction: str reads n or n/d
-                vs = str(mag) + "*" + vs if vs else str(mag)
-            out.append((" - " if out else "-") if c < 0
-                       else " + " if out else "")
-            out.append(vs)
-        return "".join(out)
+            qs = "q" if qa == 1 else f"q^{qa}" if qa else ""
+            for (vs, after_q), r in parts:
+                c = r[qr]
+                if not c:
+                    continue
+                if c < 0:
+                    out.append(" - ")
+                    c = -c
+                else:
+                    out.append(" + ")
+                fs = qs + after_q if qs else vs
+                # c is an int or a non-integral Fraction: str reads n or n/d
+                out.append(fs if c == 1 and fs else
+                           f"{c}*{fs}" if fs else str(c))
+        # the first sign reads "-" or nothing
+        return ("-" if out[0] == " - " else "") + "".join(out[1:])
 
     def to_json_dict(self) -> dict:
         """JSON rendering with fields {qFloor, caps, terms}; qMax is the
         window's width above qFloor."""
-        names = self.table.names
-        f, den = self.qfloor, self.den
+        names = self.table.names[1:]
+
+        def label(ve):
+            return {nm: e for nm, e in zip(names, ve) if e}
+
+        f = self.qfloor
         terms = []
-        for qr, ve, n in self._sorted_terms():
-            mono = {"q": qr + f}
-            for j, e in enumerate(ve):
-                if e:
-                    mono[names[j + 1]] = e
-            c = n if den == 1 else _value(n, den)
-            terms.append({"coeff": f"{c.numerator}/{c.denominator}",
-                          "mono": mono})
+        for qr, parts in self._columns(label):
+            qa = qr + f
+            for vexps, r in parts:
+                c = r[qr]
+                if c:
+                    terms.append({"coeff": f"{c}/1" if type(c) is int
+                                  else f"{c.numerator}/{c.denominator}",
+                                  "mono": {"q": qa, **vexps}})
         return {
-            "qFloor": self.qfloor,
-            "caps": {"qMax": self.caps.qmax - self.qfloor,
-                     "varCaps": {names[j + 1]: c
-                                 for j, c in enumerate(self.caps.vcaps)}},
+            "qFloor": f,
+            "caps": {"qMax": self.caps.qmax - f,
+                     "varCaps": dict(zip(names, self.caps.vcaps))},
             "terms": terms,
         }
 

@@ -168,11 +168,6 @@ def test_garrett_convention_command(capsys):
     assert "alternating" in out
 
 
-def test_usage_error_exits_2(capsys):
-    assert main(["verify"]) == 2
-    assert main(["eval", "bogus", "--n", "1"]) == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "I-RR1", "--cap", "nope=3"],
     ["verify", "I-RR1", "--qmax", "-1"],

@@ -518,6 +518,43 @@ def test_garrett_printed_sign_fails_at_k1():
     assert ok_alt
 
 
+# The paper's printed right side of three registered identities, each as a
+# map of the corrected right side, with the witness its FAIL reports:
+# (monomial, lhs, rhs).  The other two corrections are pinned above
+# (Garrett's sign) and in test_qfunctions (I-RQ-DIFFEQ's factor qz).
+PRINTED_VARIANTS = [
+    # no (-1)^n in front of the D_q^n closed form
+    ("I-DQ-7", lambda rhs: lambda e: (-1) ** e.ints["n"] * rhs(e),
+     ("b", "-1/1", "1/1")),
+    # the 1phi2 argument qy, not qzy
+    ("T4-SRIAGA", lambda rhs: identities._ratio_rhs("zx", "y"),
+     ("q*y", "0/1", "1/1")),
+    # (qay)^k with the 0phi2 argument -q^(2k+1)by: the corrected sum at -y
+    ("T5-OPPROD",
+     lambda rhs: lambda e: rhs(e).substitute("y", -1, mono(0, {"y": 1})),
+     ("q*y*b", "-1/1", "1/1")),
+]
+
+
+@pytest.mark.parametrize("ident, printed, witness", PRINTED_VARIANTS,
+                         ids=[v[0] for v in PRINTED_VARIANTS])
+@pytest.mark.parametrize("cfg", [
+    VerifyConfig(), VerifyConfig(qmax=4),
+    VerifyConfig(var_caps={"x": 3, "y": 2}),
+    VerifyConfig(var_caps={"a": 1, "b": 2, "z": 2}),
+], ids=["defaults", "qmax4", "caps-xy", "caps-abz"])
+def test_printed_formula_fails_with_its_witness(ident, printed, witness, cfg,
+                                                 monkeypatch):
+    spec = BY_ID[ident]
+    assert verify(ident, cfg).ok
+    monkeypatch.setitem(BY_ID, ident,
+                        replace(spec, build_rhs=printed(spec.build_rhs)))
+    rep = verify(ident, cfg)
+    assert not rep.ok
+    w = rep.to_json_dict()["witness"]
+    assert (w["monomial"], w["lhs"], w["rhs"]) == witness
+
+
 def test_garrett_convention_requires_k_at_least_two():
     with pytest.raises(ValueError):
         resolve_garrett_convention(1, 30)

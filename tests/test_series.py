@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import qsw
 from qsw.operators import dq
+from qsw.polynomials import sw_classic, sw_star
 from qsw.qfunctions import phi
 from qsw.series import (
     DEFAULT_TABLE, DivisionByNonUnit, Monomial, Series, TruncationSpec,
@@ -587,6 +588,21 @@ def wide_series_st(draw):
                       (-1, mono(3, {"x": 2}))], caps(20, x=3, y=3)),
          make_series([(Q(5, 7), mono(-3)), (Q(-1, 3), mono(2, {"x": 1})),
                       (4, mono(5, {"y": 2}))], caps(18, x=3, y=3)))
+# 9- to 16-byte slots, which move as int64s plus a sign fill: every entry
+# in and out fits in int64 (a 9-byte bound over 41- and 21-bit
+# numerators); outputs of 82 bits, read back per slot; an input of 71
+# bits, packed per slot beside a bulk-packed operand; and over dens 6 and
+# 5 at a Laurent floor, where one output row leaves int64 and the others
+# are read in bulk
+@example(_row(2 ** 40, 4), _row(-(2 ** 20), 4, x=1))
+@example(_row(-(2 ** 40), 4), _row(2 ** 40, 4, x=1))
+@example(_row(2 ** 70, 4), _row(-1, 4, x=1))
+@example(make_series([(Q(2 ** 40, 3), mono(-1)), (Q(-1, 2), mono(0, {"x": 1})),
+                      (Q(5, 6), mono(3)), (1, mono(7, {"y": 1}))],
+                     caps(20, x=3, y=3)),
+         make_series([(Q(2 ** 21, 5), mono(0)), (Q(-3, 5), mono(2, {"x": 1})),
+                      (2 ** 21, mono(4)), (-1, mono(9, {"x": 2}))],
+                     caps(20, x=3, y=3)))
 @given(wide_series_st(), wide_series_st())
 def test_packed_mul_matches_schoolbook_fraction_product(f, g):
     _assert_same_product(f * g, _schoolbook_mul(f, g))
@@ -823,7 +839,11 @@ def test_sum_series_needs_a_part():
         sum_series(iter(()))
 
 
-# -- text() against the per-monomial renderer it replaced -------------------------
+# -- the column walk against the per-monomial renderers it replaced -------------
+
+
+def _sorted_monomials(s):
+    return sorted(s.monomials(), key=lambda t: (t[0].qexp, t[0].vexps))
 
 
 def _per_term_text(s):
@@ -831,7 +851,7 @@ def _per_term_text(s):
     magnitude of its coefficient unless that is 1 before a factor."""
     names = s.table.names
     parts = []
-    for m, c in sorted(s.monomials(), key=lambda t: (t[0].qexp, t[0].vexps)):
+    for m, c in _sorted_monomials(s):
         factors = []
         if m.qexp != 0:
             factors.append("q" if m.qexp == 1 else f"q^{m.qexp}")
@@ -858,22 +878,65 @@ def _per_term_text(s):
     return out
 
 
+def _per_term_json_terms(s):
+    """Reference JSON terms: one per monomial in sorted order, its exponents
+    in table order after q."""
+    names = s.table.names
+    return [{"coeff": f"{Fraction(c).numerator}/{Fraction(c).denominator}",
+             "mono": {"q": m.qexp, **{names[j + 1]: e
+                                      for j, e in enumerate(m.vexps) if e}}}
+            for m, c in _sorted_monomials(s)]
+
+
+C45 = caps(45, x=3, y=3)
+# Fraction coefficients, +-1 with and without factors, bare constants,
+# terms over three variables at a Laurent floor, the zero series; rows of
+# different lengths with zeros inside them over more than 32 q-columns, at
+# a Laurent floor and at den != 1; and two family values deep in q
+_RENDER_EXAMPLES = (
+    make_series([(Q(-3, 2), mono(2, {"x": 1})), (Q(7, 3), mono(0)),
+                 (Q(1, 6), mono(-1, {"y": 2}))], C),
+    make_series([(-1, mono(0)), (1, mono(1)), (-1, mono(0, {"x": 1})),
+                 (1, mono(2, {"x": 2, "y": 1}))], C),
+    make_series([(1, mono(0)), (-1, mono(1)), (Q(-1, 1), mono(3))], C),
+    constant(-1, caps_=C),
+    constant(Q(5, 3), caps_=C),
+    make_series([(2, mono(1, {"x": 1, "y": 2, "z": 3})),
+                 (Q(-1, 2), mono(-2, {"z": 1})),
+                 (-1, mono(0, {"x": 1, "z": 1}))], C),
+    zero(caps_=C),
+    make_series([(1, mono(-2)), (Q(-3, 4), mono(0, {"x": 1})), (2, mono(40)),
+                 (-1, mono(37, {"x": 2})), (Q(1, 2), mono(12, {"y": 1})),
+                 (1, mono(5, {"x": 1})), (Q(5, 4), mono(-1, {"x": 2}))],
+                C45),
+    make_series([(-1, mono(0)), (1, mono(33)), (-1, mono(1, {"x": 1})),
+                 (1, mono(34, {"x": 1, "y": 2})), (3, mono(20, {"y": 1})),
+                 (-7, mono(44, {"x": 1})), (1, mono(2, {"y": 1}))], C45),
+    sw_classic(40, caps(200)),
+    sw_star(12, caps(60)),
+)
+
+
+def _render_examples(test):
+    for s in _RENDER_EXAMPLES:
+        test = example(s)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
-# Fraction coefficients, +-1 with and without factors, bare constants, and
-# terms over three variables at a Laurent floor
-@example(make_series([(Q(-3, 2), mono(2, {"x": 1})), (Q(7, 3), mono(0)),
-                      (Q(1, 6), mono(-1, {"y": 2}))], C))
-@example(make_series([(-1, mono(0)), (1, mono(1)), (-1, mono(0, {"x": 1})),
-                      (1, mono(2, {"x": 2, "y": 1}))], C))
-@example(make_series([(1, mono(0)), (-1, mono(1)), (Q(-1, 1), mono(3))], C))
-@example(constant(-1, caps_=C))
-@example(constant(Q(5, 3), caps_=C))
-@example(make_series([(2, mono(1, {"x": 1, "y": 2, "z": 3})),
-                      (Q(-1, 2), mono(-2, {"z": 1})),
-                      (-1, mono(0, {"x": 1, "z": 1}))], C))
+@_render_examples
 @given(laurent_series_st())
 def test_text_matches_per_term_renderer(s):
     assert s.text() == _per_term_text(s)
+
+
+@settings(max_examples=150, deadline=None)
+@_render_examples
+@given(laurent_series_st())
+def test_json_terms_are_the_sorted_monomials(s):
+    # dumped, so that the order of terms and of exponents is compared too
+    assert json.dumps(s.to_json_dict()["terms"]) \
+        == json.dumps(_per_term_json_terms(s))
 
 
 # -- equals_mod_caps against the per-monomial comparison -----------------------------
