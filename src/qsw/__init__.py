@@ -13,8 +13,8 @@ from .series import (
 )
 from .qfunctions import (
     INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries, eq_big,
-    eq_small, garrett_a, garrett_b, phi, poch, qbinom, qbinom_coeffs, qfact,
-    qfact_inv, rq, rq_at_power,
+    eq_small, garrett_a, garrett_b, phi, poch, qbinom_coeffs, qfact_inv, rq,
+    rq_at_power,
 )
 from .operators import OperatorContext, dq, dq_pow, leibniz_rhs, rr_op
 from .polynomials import rogers_szego, sw_classic, sw_star, sw_star_op

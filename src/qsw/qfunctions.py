@@ -9,7 +9,8 @@ monomial objects.  A Pochhammer product takes one pass of
 series.times_binomials per argument, which multiplies by every factor
 1 - a q^(base k) in int rows, with the infinite product truncated at
 qmax // base + 1 factors; a running ratio (_poch_ratios) takes one pass
-per parameter and index, but for a Laurent parameter's first steps.  The
+per parameter and index.  Every Pochhammer argument, and the argument z
+of every weighted sum, is an ordinary series (floor 0).  The
 weighted sums _qexp_sum and _qbinom_sum, which build the q-exponentials,
 phi, R(yD_q) and the identities' sums, stream their terms into one
 series.sum_series, so the running total is never copied.
@@ -41,7 +42,8 @@ class NonTerminatingSeries(ValueError):
 
 
 class NegativeQOrderInInfiniteProduct(ValueError):
-    """Infinite Pochhammer products require ordinary (floor 0) arguments."""
+    """Every Pochhammer product, finite or infinite, and its ratios and
+    weighted sums require ordinary (floor 0) arguments."""
 
 
 def _coerce(x: Arg, table: VarTable, caps: TruncationSpec) -> Series:
@@ -50,29 +52,33 @@ def _coerce(x: Arg, table: VarTable, caps: TruncationSpec) -> Series:
     return constant(x, table, caps)
 
 
+def _ordinary(s: Series) -> Series:
+    """s itself, refused when it has negative q-order."""
+    if s.qfloor < 0:
+        raise NegativeQOrderInInfiniteProduct(
+            "Pochhammer argument has negative q-order")
+    return s
+
+
 def poch(args: Sequence[Arg], count, caps: TruncationSpec,
          table: VarTable = DEFAULT_TABLE, base: int = 1) -> Series:
     """Multiple q-shifted factorial (a1, ..., am; q^base)_count.
 
     count is a non-negative integer or INFINITY.  Each argument a takes one
     pass of series.times_binomials over the factors 1 - a q^(base k),
-    k < count.  The infinite product is truncated at qmax // base + 1
-    factors, k <= qmax // base; all later factors are units modulo the
-    ideal, which requires every argument to be an ordinary series.
+    k < count.  Every argument must be an ordinary series.  The infinite
+    product is truncated at qmax // base + 1 factors, k <= qmax // base;
+    all later factors are units modulo the ideal.
     """
     if base < 1:
         raise ValueError("base must be a positive integer")
-    infinite = count is INFINITY
-    if infinite:
+    if count is INFINITY:
         count = caps.qmax // base + 1
     elif not isinstance(count, int) or count < 0:
         raise ValueError("count must be a non-negative integer or INFINITY")
     result = one(table, caps)
     for a in args:
-        s = _coerce(a, table, caps)
-        if infinite and s.qfloor < 0:
-            raise NegativeQOrderInInfiniteProduct(
-                "infinite product argument has negative q-order")
+        s = _ordinary(_coerce(a, table, caps))
         result = times_binomials(result, s, range(0, base * count, base),
                                  caps)
     return result
@@ -119,18 +125,6 @@ def qbinom_coeffs(n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def qbinom(n: int, k: int, caps: TruncationSpec,
-           table: VarTable = DEFAULT_TABLE) -> Series:
-    """Gaussian binomial coefficient as a q-polynomial series."""
-    return _dense(qbinom_coeffs(n, k), caps, table)
-
-
-def qfact(n: int, caps: TruncationSpec,
-          table: VarTable = DEFAULT_TABLE) -> Series:
-    """(q; q)_n as a series."""
-    return _dense(qfact_coeffs(n), caps, table)
-
-
 # (qmax, base) -> (n, row n) of the last _qfact_inv_coeffs row built there
 _QFACT_INV_LAST: dict = {}
 
@@ -172,27 +166,19 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
     """sum_n q^weight(n) z^n f_n / (q^base; q^base)_n modulo caps, where f_n
     is the n-th item of the iterator factors (f_n = 1 when it is None).
 
-    weight must make weight(n) + n*val(z) eventually increasing, where
-    val(z) is the least q-exponent of z: the sum stops at the first n where
-    that bound exceeds qmax, z^n vanishes or factors runs out (a stream that
-    ends means every later f_n is zero), and every later term vanishes too.
-    The f_n must be ordinary series, and so must z when factors are given.
-    A Laurent z widens the working q-window by -val(z) per surviving power,
-    so q^weight(n) z^n is exact before the final truncation.
+    z and the f_n must be ordinary series.  weight must make
+    weight(n) + n*val(z) eventually increasing, where val(z) >= 0 is the
+    least q-exponent of z: the sum stops at the first n where that bound
+    exceeds qmax, z^n vanishes or factors runs out (a stream that ends
+    means every later f_n is zero), and every later term vanishes too.
     """
     table = z.table
-    v = z.min_qexp()
-    work = caps
-    if v < 0:
-        nmax = 1
-        while weight(nmax) + nmax * v <= caps.qmax:
-            nmax += 1
-        work = replace(caps, qmax=caps.qmax + (-v) * nmax)
-        z = z.with_caps(replace(z.caps, qmax=work.qmax))
+    v = _ordinary(z).min_qexp()
 
     def terms():
-        yield zero(table, work)  # the empty sum, at the working window
-        zpow = one(table, work)
+        # the empty sum, which keeps the sum's window inside caps
+        yield zero(table, caps)
+        zpow = one(table, caps)
         for n in count():
             w = weight(n)
             if w + n * v > caps.qmax:
@@ -205,10 +191,10 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
                 f = next(factors, None)
                 if f is None:
                     return
-            term = zpow * _dense(_qfact_inv_coeffs(n, work.qmax, base), work,
+            term = zpow * _dense(_qfact_inv_coeffs(n, caps.qmax, base), caps,
                                  table, w)
             yield term if factors is None else term * f
-    return sum_series(terms()).truncate(caps)
+    return sum_series(terms())
 
 
 def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
@@ -216,24 +202,17 @@ def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
     """(u1, ..., ur; q)_n / (l1, ..., ls; q)_n at caps for n = 0, 1, ...,
     one factor step at a time; zero parameters are skipped ((0; q)_n = 1).
 
-    A Laurent parameter u = q^p u0 (p = u.qfloor < 0) enters step j as
-    q^min(0, p+j) (q^max(0, -p-j) - u0 q^max(0, p+j)); only the ordinary
-    second factor goes into the ratio, and _poch_shift is the q-exponent
-    left out.  Each step 1 - u0 q^(p+j) (p + j >= 0; p = 0 for an ordinary
-    u) is one series.times_binomials pass, over the ratio for an upper
-    parameter and over the divisor one(caps) for a lower one; only the
-    first steps q^m - u0 (m > 0) are Series products.  Parameters are
-    exact representatives, read at caps.qmax.
+    Each step 1 - u q^j is one series.times_binomials pass, over the ratio
+    for an upper parameter and over the divisor one(caps) for a lower one.
+    Parameters must be ordinary series, refused at the first item
+    otherwise; they are exact representatives, read at caps.qmax.
     """
-    ups, lows = ([(s.qfloor, s.stripped(caps.qmax)) for s in ps
+    ups, lows = ([_ordinary(s).stripped(caps.qmax) for s in ps
                   if not s.is_zero()] for ps in (ups, lows))
 
     def times_steps(f, params, j):
-        for p, s in params:
-            if p + j >= 0:
-                f = times_binomials(f, s, (p + j,), caps)
-            else:
-                f = f * (q_power(-p - j, table, caps) - s)
+        for s in params:
+            f = times_binomials(f, s, (j,), caps)
         return f
     ratio = one(table, caps)
     for n in count():
@@ -241,14 +220,6 @@ def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
         ratio = times_steps(ratio, ups, n)
         if lows:
             ratio = ratio / times_steps(one(table, caps), lows, n)
-
-
-def _poch_shift(ups: Sequence[Series], lows: Sequence[Series], n: int) -> int:
-    """The q-exponent that _poch_ratios leaves out of its n-th ratio."""
-    def shift(ps):
-        return sum(min(0, s.qfloor + j) for s in ps if not s.is_zero()
-                   for j in range(n))
-    return shift(ups) - shift(lows)
 
 
 def _qbinom_sum(n: int, weight, factors, caps: TruncationSpec,
@@ -276,10 +247,7 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
     """
     result = one(table, caps)
     for a in args:
-        s = _coerce(a, table, caps)
-        if s.qfloor < 0:
-            raise NegativeQOrderInInfiniteProduct(
-                "infinite product argument has negative q-order")
+        s = _ordinary(_coerce(a, table, caps))
         if not _weight_certificate(s):
             result = result * poch([s], INFINITY, caps, table,
                                    base=base).reciprocal()
@@ -291,13 +259,6 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
 # -- basic hypergeometric series ------------------------------------------------
 
 
-def _as_neg_q_power(s: Series):
-    """If s is exactly the monomial q^(-m) with m >= 0, return m, else None."""
-    m = -s.min_qexp()
-    ok = m >= 0 and not s.is_zero() and s == q_power(-m, s.table, s.caps)
-    return m if ok else None
-
-
 def _weight_certificate(z: Series) -> bool:
     """True iff every monomial of z has positive q-exponent or variable content."""
     return z.truncate(TruncationSpec(0, (0,) * z.table.nvars)).is_zero()
@@ -307,17 +268,10 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
         caps: TruncationSpec, table: VarTable = DEFAULT_TABLE) -> Series:
     """Basic hypergeometric series r_phi_s(upper; lower; q, z), truncated.
 
-    The n-th term carries [(-1)^n q^C(n,2)]^(1+s-r).  A termination
-    certificate is required: either some upper parameter is exactly a
-    monomial q^(-m) (the sum terminates at n = m), or every monomial of the
-    ordinary series z has positive q-exponent or nonzero variable degree
-    and every parameter is ordinary.  Arguments are treated as exact
-    representatives.
-
-    A terminating sum is a _qbinom_sum, by (q^-m; q)_k / (q; q)_k =
-    (-1)^k q^(C(k,2) - mk) [m k]_q: for z = q^v z0 (v = z.qfloor) the weight
-    is (e+1) C(k,2) - (m-v) k + _poch_shift of the other parameters, and
-    f_k is ((-1)^(e+1) z0)^k times their Pochhammer ratio.
+    The n-th term carries [(-1)^n q^C(n,2)]^(1+s-r).  A weight certificate
+    is required: r <= s + 1, every monomial of the ordinary series z has
+    positive q-exponent or nonzero variable degree, and every parameter is
+    ordinary.  Arguments are treated as exact representatives.
     """
     if isinstance(z, Series):
         table = z.table
@@ -325,45 +279,25 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
     lows = [_coerce(l, table, caps) for l in lower]
     zs = _coerce(z, table, caps)
     e = 1 + len(lows) - len(ups)
-
-    ends = [_as_neg_q_power(u) for u in ups]
-    if all(t is None for t in ends):
-        if e < 0 or not _weight_certificate(zs) \
-                or any(s.qfloor < 0 for s in (zs, *ups, *lows)):
-            raise NonTerminatingSeries(
-                "no terminating upper parameter, and z does not increase "
-                "weight or a parameter is Laurent")
-        return _qexp_sum(-zs if e % 2 else zs, caps,
-                         lambda n: e * (n * (n - 1) // 2),
-                         factors=_poch_ratios(ups, lows, caps, table))
-
-    m = min(t for t in ends if t is not None)
-    del ups[ends.index(m)]
-    v = zs.qfloor
-
-    def factors(work):
-        z0 = (zs if e % 2 else -zs).stripped(work.qmax)
-        zpow = one(table, work)
-        for ratio in _poch_ratios(ups, lows, work, table):
-            yield zpow * ratio
-            zpow = zpow * z0
-            if zpow.is_zero():
-                return
-    return _qbinom_sum(
-        m, lambda k: (e + 1) * (k * (k - 1) // 2) - (m - v) * k
-        + _poch_shift(ups, lows, k), factors, caps, table)
+    if e < 0 or not _weight_certificate(zs) \
+            or any(s.qfloor < 0 for s in (zs, *ups, *lows)):
+        raise NonTerminatingSeries(
+            "z does not increase weight, r > s + 1, or a parameter is Laurent")
+    return _qexp_sum(-zs if e % 2 else zs, caps,
+                     lambda n: e * (n * (n - 1) // 2),
+                     factors=_poch_ratios(ups, lows, caps, table))
 
 
 def eq_small(z: Series, caps: TruncationSpec = None) -> Series:
     """q-exponential e_q(z) = sum z^n / (q; q)_n."""
-    if not _weight_certificate(z) or z.qfloor < 0:
+    if not _weight_certificate(z):
         raise NonTerminatingSeries("e_q needs z with positive weight")
     return _qexp_sum(z, caps if caps is not None else z.caps, lambda n: 0)
 
 
 def eq_big(z: Series, caps: TruncationSpec = None) -> Series:
     """q-exponential E_q(z) = sum q^C(n,2) z^n / (q; q)_n."""
-    if not _weight_certificate(z) or z.qfloor < 0:
+    if not _weight_certificate(z):
         raise NonTerminatingSeries("E_q needs z with positive weight")
     return _qexp_sum(z, caps if caps is not None else z.caps,
                      lambda n: n * (n - 1) // 2)
@@ -376,8 +310,8 @@ def rq(z: Union[Series, Scalar], caps: TruncationSpec = None,
        table: VarTable = DEFAULT_TABLE) -> Series:
     """Ramanujan q-exponential sum q^(n^2) z^n / (q; q)_n, truncated.
 
-    z may be Laurent in q; the per-term q-valuation n^2 + n*val(z) always
-    diverges, so the sum terminates against any caps.
+    z must be an ordinary series or a scalar; the per-term q-valuation
+    n^2 + n*val(z) diverges, so the sum terminates against any caps.
     """
     if isinstance(z, Series):
         table = z.table

@@ -32,9 +32,8 @@ their denominators, a product multiplies them, D_q keeps its operand's, a
 reciprocal scales its recurrence by powers of the constant numerator c0 so
 that each step is an integer step, and each result divides out one gcd,
 taken only when its den is not 1.  Values leave the kernel through coeff,
-constant_term, monomials and rendering, as an int when integral and a
-Fraction in lowest terms otherwise; every result is exact modulo its own
-stated ideal.
+monomials and rendering, as an int when integral and a Fraction in lowest
+terms otherwise; every result is exact modulo its own stated ideal.
 
 A product takes its path by shape.  A zero operand gives zero.  A
 one-term operand (a scalar, q^k, z^n) shifts and scales each row of the
@@ -389,11 +388,6 @@ class Series:
         n = r[qrel] if qrel < len(r) else 0
         return _value(n, self.den) if n else 0
 
-    def constant_term(self):
-        """Coefficient at the all-zero monomial relative to the floor."""
-        r = self.rows.get(self.table.zero_vexps)
-        return _value(r[0] if r else 0, self.den)
-
     def monomials(self):
         """Iterate (Monomial, coeff) with absolute q-exponents."""
         f, den = self.qfloor, self.den
@@ -631,12 +625,6 @@ class Series:
             return NotImplemented
         self._same_table(g)
         return self * g.reciprocal()
-
-    def __rtruediv__(self, other) -> "Series":
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g * self.reciprocal()
 
     # -- structure operations ------------------------------------------------
 
@@ -1012,47 +1000,32 @@ class _Moves(dict):
 
 def times_binomials(f: Series, s: Series, shifts: Iterable[int],
                     caps_: TruncationSpec) -> Series:
-    """f * prod_{k in shifts} (1 - s q^k) for shifts k >= 0, one pass over
-    int rows per binomial.  Each binomial is read at caps_, as
-    one(caps_) - s * q_power(k, caps_), so the result equals the left fold
-    of * by the binomials in value, window and stored form.
+    """f * prod_{k in shifts} (1 - s q^k) for ordinary f and s and shifts
+    k >= 0, one pass over int rows per binomial.  Each binomial is read at
+    caps_, as one(caps_) - s * q_power(k, caps_), so the result equals the
+    left fold of * by the binomials in value, window and stored form.
 
-    The running product is int rows over one den, indexed from the least
-    floor the fold can reach.  A binomial scales every row by s.den; then,
-    for every term c q^j v^u of s, it subtracts each row at v, shifted up
-    by j + k and scaled by c, from the row at v + u; then it divides out
-    the gcd when den is not 1.  Parts outside the caps and entries above
-    the window top are never formed.  The window is the fold's: a binomial
-    is known through min(top of s, top of caps_ + s.qfloor) above its
-    floor min(0, least exponent), and a product of floors a, b and tops
-    A, B is known through min(A + b, B + a), its floor then lifted to
-    min(0, least exponent).
+    The running product is int rows over one den.  A binomial scales every
+    row by s.den; then, for every term c q^j v^u of s, it subtracts each
+    row at v, shifted up by j + k and scaled by c, from the row at v + u;
+    then it divides out the gcd when den is not 1.  Parts outside the caps
+    and entries above the window top are never formed.  Every floor is 0,
+    so the window is the fold's: the least top of f, s and caps_.
     """
     f._same_table(s)
     shifts = list(shifts)
     if not shifts:
         return f
     bcaps = caps_.meet(s.caps)
-    btop = min(bcaps.qmax, caps_.qmax + s.qfloor)
     vcaps = f.caps.meet(bcaps).vcaps
-    # the least exponent of s inside the binomial's caps sets its floor
-    lead = min((_lead(r) for u, r in s.rows.items() if bcaps.admits(u)),
-               default=None)
-    floors = [min(0, s.qfloor + lead + k)
-              if lead is not None and s.qfloor + lead + k <= btop else 0
-              for k in shifts]
-    base = f.qfloor + sum(floors)
-    pad = [0] * (f.qfloor - base)
-    rows = {v: pad + list(r) for v, r in f.rows.items()
+    top = min(f.caps.qmax, bcaps.qmax)
+    n = max(0, top + 1)  # the entries kept: indices below n
+    rows = {v: list(r) for v, r in f.rows.items()
             if not any(map(gt, v, vcaps))}
-    terms = [([(s.qfloor + j, c) for j, c in enumerate(r) if c],
-              _Moves(u, vcaps))
+    terms = [([(j, c) for j, c in enumerate(r) if c], _Moves(u, vcaps))
              for u, r in s.rows.items() if not any(map(gt, u, vcaps))]
     sden, den = s.den, f.den
-    top, floor = f.caps.qmax, f.qfloor
-    for k, bfloor in zip(shifts, floors):
-        top = min(top + bfloor, btop + floor)
-        n = max(0, top - base + 1)  # the entries kept: indices below n
+    for k in shifts:
         # the binomial's 1, over the den of s
         new = {v: [sden * c for c in r[:n]] if sden != 1 else r[:n]
                for v, r in rows.items()}
@@ -1062,11 +1035,9 @@ def times_binomials(f: Series, s: Series, shifts: Iterable[int],
                 if w is None:
                     continue
                 for j, c in qterms:
-                    d = j + k
-                    lo = -d if d < 0 else 0
-                    seg = r[lo:max(lo, n - d)]
+                    seg = r[:max(0, n - j - k)]
                     if seg:
-                        _add_at(new, w, lo + d, seg, -c)
+                        _add_at(new, w, j + k, seg, -c)
         rows = new
         den *= sden
         if den != 1:
@@ -1074,17 +1045,11 @@ def times_binomials(f: Series, s: Series, shifts: Iterable[int],
             if g != 1:
                 rows = {v: [c // g for c in r] for v, r in rows.items()}
                 den //= g
-        # the fold lifts each product's floor to its least exponent
-        if floor + bfloor < 0:
-            floor = min([0] + [base + _lead(r) for r in rows.values()
-                               if any(r)])
-        else:
-            floor = 0
     # an unchanged window keeps f's caps object, which sums test first
     wcaps = f.caps
     if (top, vcaps) != (wcaps.qmax, wcaps.vcaps):
         wcaps = TruncationSpec(top, vcaps)
-    return Series._build(f.table, wcaps, base, rows, den)
+    return Series._build(f.table, wcaps, 0, rows, den)
 
 
 def degree_window(s: Series, slots: tuple[int, ...], bound: int) -> Series:

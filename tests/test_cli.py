@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,20 @@ def test_verify_json_schema_and_determinism(capsys):
     assert json.dumps(a) == json.dumps(b)
     assert list(a[0]) == ["id", "pass", "caps", "bindings", "elapsed_ms"]
     assert a[0]["bindings"]["t"].count("/") == 1
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "750b7131e3ec05f5"), (1, "ffc32009c9089895"),
+    (7, "77ec06fcd564b5b9")])
+def test_verify_all_json_is_byte_stable(seed, digest, capsys):
+    # every report at these seeds, its elapsed_ms lines dropped, pinned byte
+    # for byte: `qsw verify all --seed S --json | grep -v elapsed_ms |
+    # sha256sum`; a change to any verdict, witness, cap or binding fails
+    code, out = run(["verify", "all", "--seed", str(seed), "--json"], capsys)
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if "elapsed_ms" not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest()[:16] == digest
 
 
 def test_eval_sw_star_text(capsys):

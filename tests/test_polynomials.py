@@ -1,7 +1,6 @@
 """Stieltjes-Wigert and Rogers-Szego polynomial families."""
 
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from qsw.identities import BY_ID
 from qsw.series import (
     DEFAULT_TABLE, Monomial, caps, equals_mod_caps, make_series, mono,
-    monomial_series, one, q_power, variable,
+    monomial_series, one, q_power, variable, zero,
 )
-from qsw.qfunctions import phi, poch_inf_inv, qbinom_coeffs, qfact_inv
+from qsw.qfunctions import phi, poch, poch_inf_inv, qbinom_coeffs, qfact_inv
 from qsw.verify import VerifyConfig
 from qsw.polynomials import (
     _gauss_form, rogers_szego, sw_classic, sw_star, sw_star_op,
@@ -43,22 +42,23 @@ def test_sw_classic_constant_coefficient():
             assert f.coeff(mono(e)) == g.coeff(mono(e))
 
 
-def _sw_by_phi(n, c):
-    """Reference S_n(x;q): the terminating 1phi1 with upper parameter q^-n
-    and argument -q^(n+1) x, built at a window top of at least n + 1 so
-    that it survives until phi's weight lowers its q-exponent, times
-    1/(q;q)_n."""
-    z = monomial_series(-1, n + 1, {"x": 1}, DEFAULT_TABLE,
-                        replace(c, qmax=max(c.qmax, n + 1)))
-    return phi([q_power(-n, DEFAULT_TABLE, c)], [0], z, c) * qfact_inv(n, c)
+def _sw_by_defining_sum(c, nmax):
+    """Reference S_n(x;q) for n = 0..nmax: the terminating 1phi1 written out
+    term by term, sum_k q^(k^2) (-x)^k / ((q;q)_k (q;q)_(n-k)), each
+    1/(q;q)_j a Pochhammer product inverted by Series.reciprocal."""
+    inv = [poch([q_power(1, DEFAULT_TABLE, c)], j, c).reciprocal()
+           for j in range(nmax + 1)]
+    return [sum((monomial_series((-1) ** k, k * k, {"x": k}, DEFAULT_TABLE, c)
+                 * inv[k] * inv[n - k] for k in range(n + 1)), zero(caps_=c))
+            for n in range(nmax + 1)]
 
 
 @pytest.mark.parametrize("top, xcap", [(200, 8), (12, 3), (5, 1)]
                          + [(top, 8) for top in range(5)])
 def test_sw_classic_matches_phi_construction(top, xcap):
     c = caps(top, x=xcap)
-    for n in range(41):
-        got, want = sw_classic(n, c), _sw_by_phi(n, c)
+    for n, want in enumerate(_sw_by_defining_sum(c, 40)):
+        got = sw_classic(n, c)
         assert got == want and got.caps == want.caps, n
 
 

@@ -385,7 +385,7 @@ def test_mul_distributes(f, g, h):
 @settings(max_examples=150, deadline=None)
 @given(series_st(), unit_series_st())
 def test_div_exact(f, g):
-    assume(g.constant_term() != 0)
+    assume(g.coeff(mono(g.qfloor)) != 0)
     h = f / g
     ok, _ = equals_mod_caps(g * h, f)
     assert ok
@@ -408,7 +408,7 @@ def test_truncation_coherence_add(f, g):
 @settings(max_examples=100, deadline=None)
 @given(series_st(), unit_series_st())
 def test_truncation_coherence_div(f, g):
-    assume(g.constant_term() != 0)
+    assume(g.coeff(mono(g.qfloor)) != 0)
     small = caps(3, default=0, x=1, y=1)
     assert (f / g).truncate(small) == f.truncate(small) / g.truncate(small)
 
@@ -670,7 +670,7 @@ def test_coefficients_stay_canonical(f, g, c):
     results = [make_series([(c, mono(0)), half, half], f.caps),
                f + g, f - g, -f, dq(f, "x"), f.substitute("x", c, mono(1)),
                f.substitute("x", 1, mono(-1, {"y": 1}))]
-    if f.constant_term():
+    if f.coeff(mono(f.qfloor)):
         results.append(f.reciprocal())
     for s in results:
         assert _canonical(s), s.rows
@@ -1048,15 +1048,19 @@ def _window_op(op, fe, ge, fq, gq, widen):
                 fq + widen)
         uf, ut = _floor_top(u)
         return u.reciprocal(), ut - 2 * uf
-    # terminating phi: (z q^-m; q)_m, z exact inside the window
+    # the weight-certified 2phi1(a, a q^2; a q; q, z): z of positive weight
+    # and a ordinary, each exact inside the window
     c = caps(fq + widen)
-    z = _at([t for t in fe if t[1] <= fq], fq + widen)
-    return phi([q_power(-(gq % 6), caps_=c)], [], z, c), fq + widen
+    z = _at([t for t in fe if 0 <= t[1] <= fq and t[1] + t[2] > 0],
+            fq + widen)
+    a = _at([t for t in ge if 0 <= t[1] <= fq], fq + widen)
+    return phi([a, a * q_power(2, caps_=c)], [a * q_power(1, caps_=c)], z,
+               c), fq + widen
 
 
 @settings(max_examples=200, deadline=None)
 @example("add", [(1, -3, 0)], [(1, -1, 0)], 12, 8)
-@example("phi", [(1, 0, 1)], [], 12, 4)
+@example("phi", [(1, 0, 1)], [(2, 0, 0), (1, 1, 1)], 12, 4)
 @example("mul", [(1, 6, 0)], [(1, -1, 0)], 5, 5)
 @example("substitute", [(1, 0, 1), (1, 6, 3)], [], 5, 3)
 @example("substitute_y", [(1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3)], [],
@@ -1069,10 +1073,11 @@ def test_window_is_sound(op, fe, ge, fq, gq):
     # the result at caps C must agree with the result at C widened by
     # WIDEN on the whole window it claims, and claim at least the top
     # derived from its inputs: q^-3 (to q^12) + q^-1 (to q^8) is known to
-    # q^8, (q^-4 x; q)_4 at caps(12) to q^12, 0 (q^6 at caps(5)) times
-    # q^-1 only to q^4, since the true product is q^5, x + q^6 x^3 at
-    # caps(5) under x -> q^-3 x not to q^2, since q^-3 x^3 is in the window,
-    # and 1 + x + x^2 + x^3 at x-cap 2 under x -> y not to y^3
+    # q^8, 2phi1(a, a q^2; a q; q, x) at caps(12) to q^12, 0 (q^6 at
+    # caps(5)) times q^-1 only to q^4, since the true product is q^5,
+    # x + q^6 x^3 at caps(5) under x -> q^-3 x not to q^2, since q^-3 x^3
+    # is in the window, and 1 + x + x^2 + x^3 at x-cap 2 under x -> y not
+    # to y^3
     r, derived = _window_op(op, fe, ge, fq, gq, 0)
     wide, _ = _window_op(op, fe, ge, fq, gq, WIDEN)
     assert _floor_top(r)[1] >= derived
@@ -1090,7 +1095,7 @@ def _newton_reciprocal(f):
     width = f.caps.qmax - f.qfloor
     gcaps = TruncationSpec(width, f.caps.vcaps)
     g = Series(f.table, 0, f.rows, gcaps, f.den)
-    x = constant(Fraction(1) / f.constant_term(), f.table, gcaps)
+    x = constant(Fraction(1) / f.coeff(mono(f.qfloor)), f.table, gcaps)
     unit = one(f.table, gcaps)
     for _ in range(width + sum(gcaps.vcaps) + 2):
         err = unit - g * x
