@@ -320,9 +320,10 @@ def _bind_late(build, degrees):
     the formal value keeps every term that a bound one would.  It is stored
     in the side's memo (Env.memo; without one, every call builds), keyed by
     the formal caps, order, ints and the bindings left in place.  Each case
-    substitutes its values into it in one row pass (Series.substitute) and
-    truncates the result to e.caps, which gives build(e) in value, window
-    and stored form."""
+    binds its values into it in one row pass (Series.substitute, which sets
+    each bound name's slot to 0 and keeps the formal caps, whose widened
+    cap covers the name's degree) and truncates the result to e.caps, which
+    gives build(e) in value, window and stored form."""
     def late(e: Env) -> Series:
         bounds = {name: bound(e) for name, bound in degrees
                   if name in e.bindings}

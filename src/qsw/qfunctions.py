@@ -79,8 +79,7 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
     result = one(table, caps)
     for a in args:
         s = _ordinary(_coerce(a, table, caps))
-        result = times_binomials(result, s, range(0, base * count, base),
-                                 caps)
+        result = times_binomials(result, s, range(0, base * count, base))
     return result
 
 
@@ -207,12 +206,12 @@ def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
     Parameters must be ordinary series, refused at the first item
     otherwise; they are exact representatives, read at caps.qmax.
     """
-    ups, lows = ([_ordinary(s).stripped(caps.qmax) for s in ps
-                  if not s.is_zero()] for ps in (ups, lows))
+    ups, lows = ([_ordinary(s).with_caps(replace(s.caps, qmax=caps.qmax))
+                  for s in ps if not s.is_zero()] for ps in (ups, lows))
 
     def times_steps(f, params, j):
         for s in params:
-            f = times_binomials(f, s, (j,), caps)
+            f = times_binomials(f, s, (j,))
         return f
     ratio = one(table, caps)
     for n in count():

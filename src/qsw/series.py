@@ -14,8 +14,9 @@ of numerators per variable part, rows[vexps][qrel] the numerator at
 q^(qfloor + qrel) vexps.  Every operation works a row at a time: the caps
 are checked once per row, the window top slices each row, a sum adds rows
 at an offset, a product by one term places whole rows, each shifted and
-scaled by it, and D_q maps the row at x^k to itself minus itself
-shifted up by k powers of q.
+scaled by it, substitute binds a name to r q^d or dilates it to r q^d
+times itself by shifting and scaling each row, and D_q maps the row at
+x^k to itself minus itself shifted up by k powers of q.
 This module alone reads or writes rows and den.  Every builder elsewhere
 places its int rows through from_rows, the one row constructor, which cuts
 each row at the window top before placing it; D_q (dq), the degree
@@ -642,91 +643,48 @@ class Series:
         return Series._build(self.table, new_caps, self.qfloor, self.rows,
                              self.den)
 
-    def stripped(self, qmax: int) -> "Series":
-        """q^(-qfloor) times this exact representative, an ordinary series,
-        read through the q-window top qmax."""
-        return Series._build(self.table, TruncationSpec(qmax, self.caps.vcaps),
-                             0, self.rows, self.den)
-
     def substitute(self, var, r: Scalar = None,
                    m: Monomial = None) -> "Series":
-        """Replace every occurrence of var**e by r**e * m**e, then reduce.
+        """Bind var to r q^d (m = q^d) or dilate it to r q^d var
+        (m = q^d var), d >= 0; any other m raises ValueError.
 
-        var may also be a dict {name: (r, m)}: the names are replaced in
-        its order, each in the series the earlier ones left, in one row
-        pass over one den, so the result equals the left fold of one-name
-        substitutes in value, window and stored form.  A one-name call is
-        the dict {var: (r, m)}.
-
-        The replacement monomial may carry a negative q-exponent p: an
-        unknown q^a var^e (a above the top, e <= var's cap) lands at a + e*p,
-        so the top moves down by cap*|p| and the floor by the lowest key.
-        It may carry another variable v as v^k: an unknown var^e (e above
-        var's cap) lands at v^(e*k), so v's cap drops below (cap + 1)*k, and
-        a row outside that cap is dropped there, before a later name moves
-        it.  A row dropped at an earlier top stays above every later one,
-        so the top is applied once, at the end.  For r = rn/rd and E the
-        top exponent of var the row map reaches, the row at var^e is scaled
-        by rn^e rd^(E-e) and den by rd^E.
+        var may also be a dict {name: (r, m)}, every name mapped in the
+        same row pass; a one-name call is the dict {var: (r, m)}.  A bound
+        name's slot of each key becomes 0, a dilated one's stays.  The row
+        at var^e shifts up by e*d and, for r = rn/rd and E the top exponent
+        of var among the rows, is scaled by rn^e rd^(E-e), den by rd^E.
+        The caps stay: a dilation moves an unknown term only up in q, and
+        a bound name's cap must cover its degree (_bind_late widens it).
         """
         subs = {var: (r, m)} if isinstance(var, str) else var
-        top, vcaps = self.caps.qmax, self.caps.vcaps
-        # per name (slot, r, p, the vexps that move, the caps a row must
-        # meet first: those of the name before, when it moved rows; _build
-        # applies the last name's)
-        steps, check = [], None
+        den = self.den
+        steps = []  # per name (slot, d, bound, the scale at each exponent)
         for name, (r, m) in subs.items():
             if min(m.vexps, default=0) < 0:
                 raise ValueError(_NEGATIVE_VEXP)
             i = self.table.slot(name)
-            cap = vcaps[i]
-            top += min(0, m.qexp) * cap
-            new = tuple(vc if j == i or not k else min(vc, (cap + 1) * k - 1)
-                        for j, (vc, k) in enumerate(zip(vcaps, m.vexps)))
-            moved = m.vexps if any(m.vexps) else None
-            steps.append((i, _as_coeff(r), m.qexp, moved, check))
-            check = new if moved else None
-            vcaps = new
-        # the place of each row after every step, and the exponent each
-        # name has there
-        placed = []
-        tops = [0] * len(steps)
-        for ve, row in self.rows.items():
-            shift, es = 0, []
-            for s, (i, _, p, moved, check) in enumerate(steps):
-                if check is not None and any(map(gt, ve, check)):
-                    break
-                e = ve[i]
-                es.append(e)
-                if e:
-                    nv = list(ve)
-                    nv[i] = 0
-                    if moved:
-                        for j, me in enumerate(moved):
-                            if me:
-                                nv[j] += e * me
-                    ve = tuple(nv)
-                    shift += e * p
-                    if e > tops[s]:
-                        tops[s] = e
-            else:
-                placed.append((ve, shift, row, es))
-        # negative replacement exponents lower the rows, the floor and the top
-        low = min([0] + [shift for _, shift, _, _ in placed])
-        den = self.den
-        scales = []  # per step, the scale of the row at each exponent
-        for (_, r, _, _, _), t in zip(steps, tops):
+            if m.qexp < 0 or any(m.vexps[:i]) or any(m.vexps[i + 1:]) \
+                    or m.vexps[i] > 1:
+                raise ValueError("substitute maps a name to r q^d or to "
+                                 "r q^d times itself, d >= 0")
+            r = _as_coeff(r)
             rn, rd = r.numerator, r.denominator
-            scales.append([rn ** e * rd ** (t - e) for e in range(t + 1)])
+            t = max([ve[i] for ve in self.rows], default=0)
+            steps.append((i, m.qexp, not m.vexps[i],
+                          [rn ** e * rd ** (t - e) for e in range(t + 1)]))
             den *= rd ** t
         acc: dict = {}
-        for ve, shift, row, es in placed:
-            scale = 1
-            for sc, e in zip(scales, es):
+        for ve, row in self.rows.items():
+            key, shift, scale = ve, 0, 1
+            for i, d, bound, sc in steps:
+                e = ve[i]
                 scale *= sc[e]
-            _add_at(acc, ve, shift - low, row, scale)
-        return Series._build(self.table, TruncationSpec(top, vcaps),
-                             self.qfloor + low, acc, den)
+                if e:
+                    shift += e * d
+                    if bound:
+                        key = key[:i] + (0,) + key[i + 1:]
+            _add_at(acc, key, shift, row, scale)
+        return Series._build(self.table, self.caps, self.qfloor, acc, den)
 
     # -- comparison ----------------------------------------------------------
 
@@ -998,28 +956,26 @@ class _Moves(dict):
         return w
 
 
-def times_binomials(f: Series, s: Series, shifts: Iterable[int],
-                    caps_: TruncationSpec) -> Series:
+def times_binomials(f: Series, s: Series, shifts: Iterable[int]) -> Series:
     """f * prod_{k in shifts} (1 - s q^k) for ordinary f and s and shifts
     k >= 0, one pass over int rows per binomial.  Each binomial is read at
-    caps_, as one(caps_) - s * q_power(k, caps_), so the result equals the
-    left fold of * by the binomials in value, window and stored form.
+    f's caps, as one(f.caps) - s * q_power(k, f.caps), so the result equals
+    the left fold of * by the binomials in value, window and stored form.
 
     The running product is int rows over one den.  A binomial scales every
     row by s.den; then, for every term c q^j v^u of s, it subtracts each
     row at v, shifted up by j + k and scaled by c, from the row at v + u;
     then it divides out the gcd when den is not 1.  Parts outside the caps
     and entries above the window top are never formed.  Every floor is 0,
-    so the window is the fold's: the least top of f, s and caps_.
+    so the window is the fold's: the meet of f's and s's caps.
     """
     f._same_table(s)
     shifts = list(shifts)
     if not shifts:
         return f
-    bcaps = caps_.meet(s.caps)
-    vcaps = f.caps.meet(bcaps).vcaps
-    top = min(f.caps.qmax, bcaps.qmax)
-    n = max(0, top + 1)  # the entries kept: indices below n
+    wcaps = f.caps.meet(s.caps)
+    vcaps = wcaps.vcaps
+    n = max(0, wcaps.qmax + 1)  # the entries kept: indices below n
     rows = {v: list(r) for v, r in f.rows.items()
             if not any(map(gt, v, vcaps))}
     terms = [([(j, c) for j, c in enumerate(r) if c], _Moves(u, vcaps))
@@ -1046,10 +1002,8 @@ def times_binomials(f: Series, s: Series, shifts: Iterable[int],
                 rows = {v: [c // g for c in r] for v, r in rows.items()}
                 den //= g
     # an unchanged window keeps f's caps object, which sums test first
-    wcaps = f.caps
-    if (top, vcaps) != (wcaps.qmax, wcaps.vcaps):
-        wcaps = TruncationSpec(top, vcaps)
-    return Series._build(f.table, wcaps, 0, rows, den)
+    return Series._build(f.table, f.caps if wcaps == f.caps else wcaps, 0,
+                         rows, den)
 
 
 def degree_window(s: Series, slots: tuple[int, ...], bound: int) -> Series:

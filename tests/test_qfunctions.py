@@ -187,8 +187,8 @@ def _poch_ratios_by_factors(ups, lows, caps, table):
     """The reference ratio stream: each step of every parameter formed as
     Series arithmetic, one - s * q_power, the steps of one index folded by
     * and then multiplied into, or divided out of, the ratio."""
-    ups, lows = ([s.stripped(caps.qmax) for s in ps if not s.is_zero()]
-                 for ps in (ups, lows))
+    ups, lows = ([s.with_caps(replace(s.caps, qmax=caps.qmax))
+                  for s in ps if not s.is_zero()] for ps in (ups, lows))
 
     def step(params, j):
         return reduce(mul, (one(table, caps) - s * q_power(j, table, caps)

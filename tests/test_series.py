@@ -221,40 +221,29 @@ def test_substitute_scale_by_q():
     assert s.text() == "q^2*x^2"
 
 
-def test_substitute_negative_power():
-    # y -> q^-1 y lowers the top by the y-cap: at y-cap 2, q^3 is known
-    c = caps(5, y=2)
-    x, y = var("x", c), var("y", c)
-    s = (x + qp(1, c) * y).substitute("y", 1, mono(-1, {"y": 1}))
-    assert s == x + y
-
-
 def test_substitute_rational_binding():
     x = var("x")
     s = (1 - x).substitute("x", Q(1, 2), mono(0))
     assert s == constant(Q(1, 2), caps_=C)
 
 
-def test_substitute_laurent_result():
-    y = var("y", caps(5, y=2))
-    s = (y ** 2).substitute("y", 1, mono(-1, {"y": 1}))
-    assert s.qfloor == -2
-    assert s.coeff(mono(-2, {"y": 2})) == 1
-
-
-def test_substitute_into_another_variable_lowers_its_cap():
-    # 1/(1 - x) at x-cap 2 is known as 1 + x + x^2, so under x -> y the
-    # result knows nothing from y^3 on, whatever the y-cap
-    c = caps(5, x=2, y=8)
-    s = (1 - var("x", c)).reciprocal().substitute("x", 1, mono(0, {"y": 1}))
-    assert s.caps.vcaps[s.table.slot("y")] == 2
-    ok, witness = equals_mod_caps(s, (1 - var("y", c)).reciprocal())
-    assert ok, witness
-
-
 def test_substitute_unknown_variable():
     with pytest.raises(VariableNotFound):
         one(caps_=C).substitute("nope", 1, mono(0))
+
+
+@pytest.mark.parametrize("subs", [
+    {"x": (1, mono(-1, {"x": 1}))},
+    {"x": (1, mono(0, {"y": 1}))},
+    {"x": (1, mono(0, {"x": 2}))},
+    {"x": (2, mono(1)), "y": (1, mono(0, {"x": 1, "y": 1}))},
+], ids=["negative-q", "other-name", "square", "dict"])
+def test_substitute_refuses_all_but_bind_and_dilate(subs):
+    # a name is bound to r q^d or dilated to r q^d times itself, d >= 0
+    f = 1 + var("x") + var("y")
+    with pytest.raises(ValueError) as err:
+        f.substitute(subs)
+    assert "\n" not in str(err.value)
 
 
 # -- equals_mod_caps ----------------------------------------------------------------
@@ -458,32 +447,30 @@ def laurent_series_st(draw):
         pcaps)
 
 
-# (name, r, p, (x, y, z exponents)): name -> r q^p x^i y^j z^k
+# (name, r, p, dilate): name -> r q^p, or r q^p name when dilate
 _binds = st.lists(st.tuples(st.sampled_from("xyz"), scalars,
-                            st.integers(-2, 2),
-                            st.tuples(*[st.integers(0, 2)] * 3)),
+                            st.integers(0, 2), st.booleans()),
                   min_size=1, max_size=3, unique_by=lambda b: b[0])
 
 
 @settings(max_examples=300, deadline=None)
 # a den != 1 operand; rows that cancel once both names are bound; a name
-# absent from the series; the zero series; and x moved into y past y's
-# cap, where the fold drops x^2 -> y^2 before y is bound
+# absent from the series; the zero series; and x dilated past the top at
+# a Laurent floor, beside y bound to a Fraction
 @example(make_series([(Q(1, 2), mono(0, {"x": 1})),
                       (Q(1, 3), mono(1, {"y": 2}))], C),
-         [("x", Q(2, 3), 0, (0, 0, 0)), ("y", Q(-3, 2), -1, (0, 0, 0))])
+         [("x", Q(2, 3), 0, False), ("y", Q(-3, 2), 1, False)])
 @example(make_series([(1, mono(0, {"x": 1})), (-1, mono(0, {"y": 1}))], C),
-         [("x", 2, 0, (0, 0, 0)), ("y", 2, 0, (0, 0, 0))])
-@example(make_series([(1, mono(1, {"x": 1}))], C),
-         [("z", 3, -1, (0, 1, 0))])
-@example(zero(caps_=C), [("x", Q(1, 2), -2, (0, 1, 0)), ("y", 3, 0, (0, 0, 0))])
-@example(make_series([(1, mono(0, {"x": 1})), (1, mono(0, {"x": 2})),
-                      (1, mono(0, {"y": 1}))], caps(5, x=3, y=1)),
-         [("x", 1, 0, (0, 1, 0)), ("y", 2, 0, (0, 0, 0))])
+         [("x", 2, 0, False), ("y", 2, 0, False)])
+@example(make_series([(1, mono(1, {"x": 1}))], C), [("z", 3, 1, True)])
+@example(zero(caps_=C), [("x", Q(1, 2), 2, True), ("y", 3, 0, False)])
+@example(make_series([(1, mono(-1, {"x": 1})), (1, mono(2, {"x": 2})),
+                      (1, mono(-1, {"y": 1}))], caps(5, x=3, y=1)),
+         [("x", Q(-1, 2), 2, True), ("y", Q(2, 3), 1, False)])
 @given(laurent_series_st(), _binds)
 def test_substitute_of_several_names_is_the_fold_of_one_name_ones(f, binds):
-    subs = {name: (r, mono(p, dict(zip("xyz", k))))
-            for name, r, p, k in binds}
+    subs = {name: (r, mono(p, {name: 1} if dilate else {}))
+            for name, r, p, dilate in binds}
     fold = f
     for name, (r, m) in subs.items():
         fold = fold.substitute(name, r, m)
@@ -661,15 +648,17 @@ def test_canonical_rejects_other_forms():
                       (Q(-3, 2), mono(1, {"x": 1})), (Q(3, 2), mono(1))], C),
          zero(caps_=C), Q(4, 2))
 @example(make_series([(2, mono(0)), (-4, mono(1))], C), zero(caps_=C), 1)
+@example(make_series([(Q(3, 2), mono(0, {"x": 1}))], C), zero(caps_=C), 1)
 @given(laurent_series_st(), laurent_series_st(), scalars)
 def test_coefficients_stay_canonical(f, g, c):
     # q/2 + q/2 as duplicate entries or as h + h for h = q/2 give den 1;
     # D_q(x/2 - 3/2 q x) = 1/2 - 2q + 3/2 q^2, x/2 + 3/2 q under x -> q and
-    # 1/(2 - 4q) = 1/2 + q + ... each give an integer coefficient over den 2
+    # 1/(2 - 4q) = 1/2 + q + ... each give an integer coefficient over den
+    # 2, and 3/2 x under x -> (2/3) q x is q x over den 1
     half = (Q(1, 2), mono(1))
     results = [make_series([(c, mono(0)), half, half], f.caps),
                f + g, f - g, -f, dq(f, "x"), f.substitute("x", c, mono(1)),
-               f.substitute("x", 1, mono(-1, {"y": 1}))]
+               f.substitute("x", Q(2, 3), mono(1, {"x": 1}))]
     if f.coeff(mono(f.qfloor)):
         results.append(f.reciprocal())
     for s in results:
@@ -1030,17 +1019,9 @@ def _window_op(op, fe, ge, fq, gq, widen):
         return f * g, ff + gf + min(ft - ff, gt - gf)
     if op == "truncate":
         return f.truncate(caps(gq + widen)), min(ft, gq + widen)
-    if op == "substitute":
-        # x -> q^-p x: an unknown q^a x^e lands at a - e p, e <= the x-cap
-        p = gq % 4
-        return (f.substitute("x", 1, mono(-p, {"x": 1})),
-                ft - p * f.caps.vcaps[f.table.slot("x")])
-    if op == "substitute_y":
-        # x -> q^p y: an unknown x^e, e above the x-cap, lands at y^e
-        p, xcap = fq % 4 - 1, gq % 4 + widen
-        f = _at(fe, fq + widen, x=xcap)
-        return (f.substitute("x", 1, mono(p, {"y": 1})),
-                _floor_top(f)[1] + min(0, p) * xcap)
+    if op == "dilate":
+        # x -> q^p x, p >= 0, moves an unknown term only up in q
+        return f.substitute("x", 1, mono(gq % 4, {"x": 1})), ft
     if op == "reciprocal":
         # a unit: a constant term at its floor, at or below every entry
         low = min([qe for c, qe, _ in fe if c] + [0])
@@ -1062,11 +1043,9 @@ def _window_op(op, fe, ge, fq, gq, widen):
 @example("add", [(1, -3, 0)], [(1, -1, 0)], 12, 8)
 @example("phi", [(1, 0, 1)], [(2, 0, 0), (1, 1, 1)], 12, 4)
 @example("mul", [(1, 6, 0)], [(1, -1, 0)], 5, 5)
-@example("substitute", [(1, 0, 1), (1, 6, 3)], [], 5, 3)
-@example("substitute_y", [(1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3)], [],
-         5, 2)
+@example("dilate", [(1, -2, 1), (1, 3, 3)], [], 5, 2)
 @given(st.sampled_from(["add", "mul", "truncate", "reciprocal", "phi",
-                        "substitute", "substitute_y"]),
+                        "dilate"]),
        _window_entries, _window_entries, st.integers(0, 12),
        st.integers(0, 12))
 def test_window_is_sound(op, fe, ge, fq, gq):
@@ -1075,9 +1054,8 @@ def test_window_is_sound(op, fe, ge, fq, gq):
     # derived from its inputs: q^-3 (to q^12) + q^-1 (to q^8) is known to
     # q^8, 2phi1(a, a q^2; a q; q, x) at caps(12) to q^12, 0 (q^6 at
     # caps(5)) times q^-1 only to q^4, since the true product is q^5,
-    # x + q^6 x^3 at caps(5) under x -> q^-3 x not to q^2, since q^-3 x^3
-    # is in the window, and 1 + x + x^2 + x^3 at x-cap 2 under x -> y not
-    # to y^3
+    # and q^-2 x + q^3 x^3 at caps(5) under x -> q^2 x to q^5, where the
+    # dilated q^9 x^3 is above the window
     r, derived = _window_op(op, fe, ge, fq, gq, 0)
     wide, _ = _window_op(op, fe, ge, fq, gq, WIDEN)
     assert _floor_top(r)[1] >= derived
