@@ -467,7 +467,7 @@ _ident(
     description="finite q-shifted factorial as ratio of infinite products",
     build_lhs=lambda e: e.pochn([e.sym("a")], e.ints["n"]),
     build_rhs=lambda e: e.pochinf([e.sym("a")])
-    / e.pochinf([e.sym("a") * e.qpow(e.ints["n"])]),
+    * e.pochinf_inv([e.sym("a") * e.qpow(e.ints["n"])]),
     sweep=_range_sweep("n", 8),
 )
 
@@ -495,7 +495,7 @@ _ident(
     description="q-binomial theorem: 1phi0(a; q, z) = (az;q)inf / (z;q)inf",
     build_lhs=lambda e: phi([e.sym("a")], [], e.sym("z"), e.caps, TABLE),
     build_rhs=lambda e: e.pochinf([e.sym("a") * e.sym("z")])
-    / e.pochinf([e.sym("z")]),
+    * e.pochinf_inv([e.sym("z")]),
     qmax=30, var_caps={"a": 10, "z": 10},
 )
 
@@ -546,7 +546,8 @@ _ident(
     description="(a;q)_n-weighted generating function of S_n(x;q) via 1phi2",
     build_lhs=_gf_lhs(lambda e, n: sw_classic(n, e.caps, TABLE), "t",
                       up=("a",)),
-    build_rhs=lambda e: e.pochinf([e.syms("at")]) / e.pochinf([e.sym("t")])
+    build_rhs=lambda e: e.pochinf([e.syms("at")])
+    * e.pochinf_inv([e.sym("t")])
     * phi([e.sym("a")], [0, e.syms("at")], _sw_arg(e), e.caps, TABLE),
     window=("t",),
 )
@@ -682,7 +683,9 @@ _ident(
     id="I-DQ-8",
     description="D_q^n of (ax;q)inf/(bx;q)inf",
     build_lhs=_dq_image(lambda w: w.pochinf([w.syms("ax")])
-                        / w.pochinf([w.syms("bx")])),
+                        * w.pochinf_inv([w.syms("bx")])),
+    # the right side divides by reciprocal, so the two sides invert
+    # (bx;q)inf by two constructions
     build_rhs=_dq_rhs(lambda e: e.pochinf([e.syms("ax")])
                       / e.pochinf([e.syms("bx")]),
                       lambda n, k: k * (k - 1) // 2, -1, ("bx",), ("ax",)),
@@ -843,7 +846,7 @@ def _sw_star_times(u, v, weight):
 
 # R(yD_q) images shared by an R_q-weighted form and its Garrett form
 _ratio_image = _rr_image(
-    lambda w: w.pochinf([w.syms("ax")]) / w.pochinf([w.syms("bx")]))
+    lambda w: w.pochinf([w.syms("ax")]) * w.pochinf_inv([w.syms("bx")]))
 _two_inv_image = _rr_image(
     lambda w: w.pochinf_inv([w.syms("ax"), w.syms("bx")]))
 # case generation of the by = 1 Garrett forms and of the Rogers formulas
@@ -894,7 +897,7 @@ _ident(
     id="T4-RATIO",
     description="R(yD_q){(az;q)inf/(z;q)inf} via 1phi2",
     build_lhs=_rr_image(lambda w: w.pochinf([w.syms("az")])
-                        / w.pochinf([w.sym("z")]), x="z"),
+                        * w.pochinf_inv([w.sym("z")]), x="z"),
     build_rhs=_ratio_rhs("z", "y"),
 )
 

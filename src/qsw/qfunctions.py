@@ -10,7 +10,11 @@ series.times_binomials per argument, which multiplies by every factor
 1 - a q^(base k) in int rows, with the infinite product truncated at
 qmax // base + 1 factors; a running ratio (_poch_ratios) takes one pass
 per parameter and index.  Every Pochhammer argument, and the argument z
-of every weighted sum, is an ordinary series (floor 0).  The
+of every weighted sum, is an ordinary series (floor 0).  An infinite
+product is inverted through its cheapest exact inverse: the arguments
+that are bare powers q^j share one dense int row, divided in place by
+each factor 1 - q^p as 1/(q^base; q^base)_n is; other weighted arguments
+take the Euler sum; Series.reciprocal is the fallback.  The
 weighted sums _qexp_sum and _qbinom_sum, which build the q-exponentials,
 phi, R(yD_q) and the identities' sums, stream their terms into one
 series.sum_series, so the running total is never copied.
@@ -124,6 +128,13 @@ def qbinom_coeffs(n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _divide_by_one_minus_q_power(h: list, step: int) -> None:
+    """Divide the dense int row h by 1 - q^step in place, modulo
+    q^len(h): h[i] += h[i - step] sums the geometric series."""
+    for i in range(step, len(h)):
+        h[i] += h[i - step]
+
+
 # (qmax, base) -> (n, row n) of the last _qfact_inv_coeffs row built there
 _QFACT_INV_LAST: dict = {}
 
@@ -132,8 +143,8 @@ _QFACT_INV_LAST: dict = {}
 def _qfact_inv_coeffs(n: int, qmax: int, base: int = 1) -> tuple[int, ...]:
     """Dense coefficients of 1/(q^base; q^base)_n modulo q^(qmax+1).
 
-    Divides by each factor (1 - q^(base*k)) in place: h[i] += h[i - base*k]
-    sums the geometric series, and the result has integer coefficients.
+    Divides by each factor (1 - q^(base*k)) in place
+    (_divide_by_one_minus_q_power), so the result has integer coefficients.
     The division starts from the last row built at (qmax, base) unless
     that row is above n, so rows asked for in order, as _qexp_sum asks,
     take one pass each.  A factor with base*k > qmax is 1 modulo the
@@ -146,9 +157,7 @@ def _qfact_inv_coeffs(n: int, qmax: int, base: int = 1) -> tuple[int, ...]:
         k, row = 0, (1,) + (0,) * qmax
     h = list(row)
     for k in range(k + 1, n + 1):
-        step = base * k
-        for i in range(step, qmax + 1):
-            h[i] += h[i - step]
+        _divide_by_one_minus_q_power(h, base * k)
     row = tuple(h)
     _QFACT_INV_LAST[(qmax, base)] = (n, row)
     return row
@@ -235,24 +244,57 @@ def _qbinom_sum(n: int, weight, factors, caps: TruncationSpec,
     return sum_series(chain((zero(table, caps),), terms))  # zero if empty
 
 
+def _bare_q_power(s: Series) -> int:
+    """j when s is exactly q^j with j >= 1, else 0."""
+    terms = s.monomials()
+    first, second = next(terms, None), next(terms, None)
+    if first is None or second is not None:
+        return 0
+    m, c = first
+    return m.qexp if c == 1 and m.qexp >= 1 and not any(m.vexps) else 0
+
+
+def _q_power_poch_inv_row(exps: Sequence[int], qmax: int,
+                          base: int) -> list[int]:
+    """Dense coefficients of 1/(q^j1, q^j2, ...; q^base)_inf modulo
+    q^(qmax+1), for exps = (j1, j2, ...), each >= 1: a partition count,
+    the row 1 divided in place by every factor 1 - q^(j + base*k) with
+    j + base*k <= qmax."""
+    h = [1] + [0] * qmax
+    for j in exps:
+        for p in range(j, qmax + 1, base):
+            _divide_by_one_minus_q_power(h, p)
+    return h
+
+
 def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
                  table: VarTable = DEFAULT_TABLE, base: int = 1) -> Series:
     """1 / (a1, ..., am; q^base)_inf.
 
-    Arguments with positive weight are expanded by the q-exponential sum
-    1/(c; q^base)_inf = sum c^m / (q^base; q^base)_m, which is far cheaper
-    than the graded recurrence of Series.reciprocal; anything else falls
-    back to inverting the truncated product with it.
+    The arguments that are bare powers q^j, j >= 1 (the Rogers-Ramanujan
+    products), share one dense int row, divided in place by each factor
+    1 - q^(j + base*k) (_q_power_poch_inv_row).  Other arguments with
+    positive weight are expanded by the q-exponential sum
+    1/(c; q^base)_inf = sum c^m / (q^base; q^base)_m, which needs fewer
+    products than the graded recurrence of Series.reciprocal; anything else
+    falls back to inverting the truncated product with it.
     """
     result = one(table, caps)
+    exps = []
     for a in args:
         s = _ordinary(_coerce(a, table, caps))
-        if not _weight_certificate(s):
+        j = _bare_q_power(s)
+        if j:
+            exps.append(j)
+        elif _weight_certificate(s):
+            result = result * _qexp_sum(s, caps, lambda n: 0, base)
+        else:
             result = result * poch([s], INFINITY, caps, table,
                                    base=base).reciprocal()
-            continue
-        result = result * _qexp_sum(s, caps, lambda n: 0, base)
-    return result
+    if not exps:
+        return result
+    return result * _dense(_q_power_poch_inv_row(exps, caps.qmax, base),
+                           caps, table)
 
 
 # -- basic hypergeometric series ------------------------------------------------

@@ -521,6 +521,21 @@ def test_no_identity_reaches_the_gauss_form_on_both_sides(monkeypatch):
         assert _has_test("test_polynomials.py", oracle)
 
 
+def test_only_the_garrett_kernels_reach_the_q_power_inverse_row(monkeypatch):
+    # 1/(q^j1, q^j2, ...; q^b)inf is one dense row; the Garrett kernel's
+    # Rogers-Ramanujan products are its only registry users, and a fault in
+    # it would cancel out of an identity that built both sides through it
+    sides = _sides_reaching(monkeypatch, "_q_power_poch_inv_row",
+                            (qfunctions,))
+    assert not {i for i, _ in sides
+                if (i, "lhs") in sides and (i, "rhs") in sides}
+    assert sides == {(i, "rhs") for i in (
+        "T4-BY1", "T4-2PROD", "T4-SRIAGA-YZ1", "T4-RSGF-BZY1")}
+    # its oracle: the truncated product inverted by Series.reciprocal
+    assert _has_test("test_qfunctions.py",
+                     "test_poch_inf_inv_matches_reciprocal")
+
+
 def test_garrett_convention_resolution():
     rep = resolve_garrett_convention(6, 40)
     assert rep.ok and rep.convention == "alternating"

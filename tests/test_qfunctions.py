@@ -283,6 +283,29 @@ def test_poch_inf_inv_matches_reciprocal():
     # product is inverted by reciprocal
     assert_equal(poch_inf_inv([constant(Fraction(1, 2), caps_=C)], C),
                  poch([Fraction(1, 2)], INFINITY, C).reciprocal())
+    # bare q-powers share one dense row: the Rogers-Ramanujan products at
+    # a deep window, several powers at one base, and powers beside an
+    # argument that keeps the Euler sum
+    deep = caps(150)
+    for exps in ((1, 4), (2, 3)):
+        args = [qp(j, deep) for j in exps]
+        assert_equal(poch_inf_inv(args, deep, base=5),
+                     poch(args, INFINITY, deep, base=5).reciprocal())
+    for base in (1, 3):
+        assert_equal(poch_inf_inv([qp(1), qp(2)], C, base=base),
+                     poch([qp(1), qp(2)], INFINITY, C, base=base)
+                     .reciprocal())
+    assert_equal(poch_inf_inv([qp(2), a * x], C),
+                 poch([qp(2), a * x], INFINITY, C).reciprocal())
+
+
+def test_poch_inf_inv_of_q_powers_makes_no_euler_sum(monkeypatch):
+    want = poch([qp(1), qp(4)], INFINITY, C, base=5).reciprocal()
+
+    def refuse(*_, **__):
+        raise AssertionError("a bare q-power went through _qexp_sum")
+    monkeypatch.setattr(qfunctions, "_qexp_sum", refuse)
+    assert poch_inf_inv([qp(1), qp(4)], C, base=5) == want
 
 
 # a weighted argument: monomials c q^i x^j with i + j >= 1
