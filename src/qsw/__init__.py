@@ -1,6 +1,6 @@
 """qsw: exact q-series workbench.
 
-Truncated multivariate power series over Q (Laurent in q), q-calculus
+Truncated multivariate power series over Q, q-calculus
 special functions and operators, Stieltjes-Wigert polynomial families, and
 a registry-driven identity verification harness with a CLI.
 """
@@ -12,9 +12,8 @@ from .series import (
     variable, zero,
 )
 from .qfunctions import (
-    INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries, eq_big,
-    eq_small, garrett_a, garrett_b, phi, poch, qbinom_coeffs, qfact_inv, rq,
-    rq_at_power,
+    INFINITY, NonTerminatingSeries, eq_big, eq_small, garrett_a, garrett_b,
+    phi, poch, qbinom_coeffs, qfact_inv, rq, rq_at_power,
 )
 from .operators import OperatorContext, dq, dq_pow, leibniz_rhs, rr_op
 from .polynomials import rogers_szego, sw_classic, sw_star, sw_star_op

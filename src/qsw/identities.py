@@ -32,9 +32,11 @@ are S*_N(x, y) G_N / (q;q)_N, G_N = sum_n [N n]_q T_n s^(N-n), with T_n =
 t^n or (-1)^n q^C(n,2) t^n.
 
 Every working window is derived: an operator image widens only the
-differentiated variable, by the operator's order; Laurent-weighted sums
-(Garrett forms, and the finite Gaussian sums whose window _qbinom_sum derives
-from their weights) widen q; a bound value enters S*_n and r_n as a base.
+differentiated variable, by the operator's order; a sum with a negative
+power of q in its prefactor or weights (the Garrett forms, and the finite
+Gaussian sums whose shift _qbinom_sum derives from their weights) widens q
+by that power and divides its ordinary body by it exactly; a bound value
+enters S*_n and r_n as a base.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from operator import mul
 from typing import Callable, Optional
 
 from .series import (
-    DEFAULT_TABLE, Series, TruncationSpec, caps, constant, mono,
-    monomial_series, one, q_power, sum_series,
+    DEFAULT_TABLE, Series, TruncationSpec, caps, constant, divide_q_power,
+    mono, monomial_series, one, q_power, sum_series,
 )
 from .qfunctions import (
     INFINITY, _poch_ratios, _qbinom_sum, _qexp_sum, eq_big, eq_small,
@@ -408,15 +410,15 @@ def _garrett_form(e: Env, k: int, first, second) -> Series:
     """q^(-s) * (a_k(q) first(w) - b_k(q) second(w)) at e.caps, s = C(k, 2).
 
     first and second build pure q-series at w, a copy of e whose q-window
-    is widened by s so the ordinary combination is exact at e.caps.  The
-    per-term negative powers cancel only in this combination, never in the
-    a- and b-sums separately.
+    is widened by s so the quotient of the ordinary combination by q^s is
+    exact at e.caps.  Only the combination is divisible by q^s, never the
+    a- and b-sums separately; an indivisible one raises ValueError.
     """
     s = k * (k - 1) // 2
     w = e.inflated(dq=s)
     body = garrett_a(k, w.caps, TABLE) * first(w) \
         - garrett_b(k, w.caps, TABLE) * second(w)
-    return e.qpow(-s) * body
+    return divide_q_power(body, s)
 
 
 def _garrett_rq(e: Env, k: int) -> Series:
@@ -584,8 +586,8 @@ def _leibniz_lhs(e):
 
 
 # Both sides get n of x-headroom and no q-headroom: D_q and x -> q^k x never
-# lower q-degrees, and leibniz_rhs widens its own window for its Laurent
-# weights.
+# lower q-degrees, and leibniz_rhs widens its own window by S = floor(n^2/4),
+# places every term at the weight k(k-n) + S >= 0 and divides by q^S.
 _ident(
     id="I-LEIBNIZ",
     description="Leibniz rule for the q-derivative on randomized pairs",

@@ -46,8 +46,10 @@ def leibniz_rhs(f: Series, g: Series, x: str, n: int) -> Series:
 
     D_q^(n-k) acts on the dilated function x -> g(q^k x); the chain-rule
     factor q^(k(n-k)) it produces is what the q^(k(k-n)) weight cancels.
-    A _qbinom_sum with weight k(k-n); f and g are exact representatives,
-    so the result is exact modulo meet(f.caps, g.caps).
+    A _qbinom_sum with weight k(k-n): it places each term at
+    k(k-n) + floor(n^2/4) >= 0 and divides the ordinary sum by
+    q^floor(n^2/4).  f and g are exact representatives, so the result is
+    exact modulo meet(f.caps, g.caps).
     """
     def factors(work):
         fw = f.with_caps(replace(f.caps, qmax=work.qmax))

@@ -9,15 +9,17 @@ monomial objects.  A Pochhammer product takes one pass of
 series.times_binomials per argument, which multiplies by every factor
 1 - a q^(base k) in int rows, with the infinite product truncated at
 qmax // base + 1 factors; a running ratio (_poch_ratios) takes one pass
-per parameter and index.  Every Pochhammer argument, and the argument z
-of every weighted sum, is an ordinary series (floor 0).  An infinite
+per parameter and index.  An infinite
 product is inverted through its cheapest exact inverse: the arguments
 that are bare powers q^j share one dense int row, divided in place by
 each factor 1 - q^p as 1/(q^base; q^base)_n is; other weighted arguments
 take the Euler sum; Series.reciprocal is the fallback.  The
 weighted sums _qexp_sum and _qbinom_sum, which build the q-exponentials,
 phi, R(yD_q) and the identities' sums, stream their terms into one
-series.sum_series, so the running total is never copied.
+series.sum_series, so the running total is never copied.  A finite
+Gaussian sum whose weights go negative (the q-Leibniz rule) places every
+term at its weight plus one shift S that makes them all >= 0, and divides
+the sum by q^S exactly (series.divide_q_power).
 The termination and weight certificates are Series comparisons and
 truncations; nothing here reads the stored rows.
 """
@@ -33,7 +35,8 @@ from typing import Sequence, Union
 
 from .series import (
     DEFAULT_TABLE, Scalar, Series, TruncationSpec, VarTable, constant,
-    from_rows, one, q_power, sum_series, times_binomials, zero,
+    divide_q_power, from_rows, one, q_power, sum_series, times_binomials,
+    zero,
 )
 
 INFINITY = math.inf
@@ -45,23 +48,10 @@ class NonTerminatingSeries(ValueError):
     """No termination certificate for an infinite sum."""
 
 
-class NegativeQOrderInInfiniteProduct(ValueError):
-    """Every Pochhammer product, finite or infinite, and its ratios and
-    weighted sums require ordinary (floor 0) arguments."""
-
-
 def _coerce(x: Arg, table: VarTable, caps: TruncationSpec) -> Series:
     if isinstance(x, Series):
         return x
     return constant(x, table, caps)
-
-
-def _ordinary(s: Series) -> Series:
-    """s itself, refused when it has negative q-order."""
-    if s.qfloor < 0:
-        raise NegativeQOrderInInfiniteProduct(
-            "Pochhammer argument has negative q-order")
-    return s
 
 
 def poch(args: Sequence[Arg], count, caps: TruncationSpec,
@@ -70,7 +60,7 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
 
     count is a non-negative integer or INFINITY.  Each argument a takes one
     pass of series.times_binomials over the factors 1 - a q^(base k),
-    k < count.  Every argument must be an ordinary series.  The infinite
+    k < count.  The infinite
     product is truncated at qmax // base + 1 factors, k <= qmax // base;
     all later factors are units modulo the ideal.
     """
@@ -82,16 +72,16 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
         raise ValueError("count must be a non-negative integer or INFINITY")
     result = one(table, caps)
     for a in args:
-        s = _ordinary(_coerce(a, table, caps))
-        result = times_binomials(result, s, range(0, base * count, base))
+        result = times_binomials(result, _coerce(a, table, caps),
+                                 range(0, base * count, base))
     return result
 
 
 def _dense(coeffs: Sequence[int], caps: TruncationSpec, table: VarTable,
            shift: int = 0) -> Series:
     """The pure q-series sum_i coeffs[i] q^(i + shift) of int coeffs at caps,
-    placed as the one row of a Series, cut at the window top."""
-    return from_rows([(table.zero_vexps, 0, coeffs, 1)], caps, table, shift)
+    shift >= 0, placed as the one row of a Series, cut at the window top."""
+    return from_rows([(table.zero_vexps, shift, coeffs, 1)], caps, table)
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +139,7 @@ def _qfact_inv_coeffs(n: int, qmax: int, base: int = 1) -> tuple[int, ...]:
     that row is above n, so rows asked for in order, as _qexp_sum asks,
     take one pass each.  A factor with base*k > qmax is 1 modulo the
     window, so n is clamped at qmax // base."""
-    top = max(qmax, 0) // base
+    top = qmax // base
     if n > top:
         return _qfact_inv_coeffs(top, qmax, base)
     k, row = _QFACT_INV_LAST.get((qmax, base), (0, (1,) + (0,) * qmax))
@@ -174,14 +164,14 @@ def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
     """sum_n q^weight(n) z^n f_n / (q^base; q^base)_n modulo caps, where f_n
     is the n-th item of the iterator factors (f_n = 1 when it is None).
 
-    z and the f_n must be ordinary series.  weight must make
-    weight(n) + n*val(z) eventually increasing, where val(z) >= 0 is the
+    weight must be >= 0 and make weight(n) + n*val(z) eventually
+    increasing, where val(z) >= 0 is the
     least q-exponent of z: the sum stops at the first n where that bound
     exceeds qmax, z^n vanishes or factors runs out (a stream that ends
     means every later f_n is zero), and every later term vanishes too.
     """
     table = z.table
-    v = _ordinary(z).min_qexp()
+    v = z.min_qexp()
 
     def terms():
         # the empty sum, which keeps the sum's window inside caps
@@ -212,10 +202,9 @@ def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
 
     Each step 1 - u q^j is one series.times_binomials pass, over the ratio
     for an upper parameter and over the divisor one(caps) for a lower one.
-    Parameters must be ordinary series, refused at the first item
-    otherwise; they are exact representatives, read at caps.qmax.
+    Parameters are exact representatives, read at caps.qmax.
     """
-    ups, lows = ([_ordinary(s).with_caps(replace(s.caps, qmax=caps.qmax))
+    ups, lows = ([s.with_caps(replace(s.caps, qmax=caps.qmax))
                   for s in ps if not s.is_zero()] for ps in (ups, lows))
 
     def times_steps(f, params, j):
@@ -233,15 +222,22 @@ def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
 def _qbinom_sum(n: int, weight, factors, caps: TruncationSpec,
                 table: VarTable) -> Series:
     """sum_{k=0..n} [n k]_q q^weight(k) f_k modulo caps, the finite
-    counterpart of _qexp_sum.  factors(work) yields ordinary f_0, f_1, ...
-    at work, caps widened by max(0, -min_k weight(k)) so that every
-    q^weight(k) f_k is exact to q^qmax; callers keep every power of q in
-    the weight.  A stream that ends means every later f_k is zero."""
+    counterpart of _qexp_sum, for a sum that is an ordinary series.
+
+    With S = max(0, -min_k weight(k)), every term is placed at the
+    ordinary weight weight(k) + S, summed at work, caps widened by S, and
+    the sum divided by q^S exactly; a sum with a nonzero entry below q^S
+    raises ValueError.  factors(work) yields f_0, f_1, ... at work;
+    callers keep every power of q in the weight.  A stream that ends means
+    every later f_k is zero."""
     ws = [weight(k) for k in range(n + 1)]
-    work = replace(caps, qmax=caps.qmax + max(0, -min(ws)))
-    terms = (_dense(qbinom_coeffs(n, k), caps, table, ws[k]) * f
+    shift = max(0, -min(ws))
+    work = replace(caps, qmax=caps.qmax + shift)
+    terms = (_dense(qbinom_coeffs(n, k), work, table, ws[k] + shift) * f
              for k, f in zip(range(n + 1), factors(work)))
-    return sum_series(chain((zero(table, caps),), terms))  # zero if empty
+    # zero if empty
+    return divide_q_power(sum_series(chain((zero(table, work),), terms)),
+                          shift)
 
 
 def _bare_q_power(s: Series) -> int:
@@ -282,7 +278,7 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
     result = one(table, caps)
     exps = []
     for a in args:
-        s = _ordinary(_coerce(a, table, caps))
+        s = _coerce(a, table, caps)
         j = _bare_q_power(s)
         if j:
             exps.append(j)
@@ -310,9 +306,9 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
     """Basic hypergeometric series r_phi_s(upper; lower; q, z), truncated.
 
     The n-th term carries [(-1)^n q^C(n,2)]^(1+s-r).  A weight certificate
-    is required: r <= s + 1, every monomial of the ordinary series z has
-    positive q-exponent or nonzero variable degree, and every parameter is
-    ordinary.  Arguments are treated as exact representatives.
+    is required: r <= s + 1, and every monomial of z has positive
+    q-exponent or nonzero variable degree.  Arguments are treated as exact
+    representatives.
     """
     if isinstance(z, Series):
         table = z.table
@@ -320,10 +316,8 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
     lows = [_coerce(l, table, caps) for l in lower]
     zs = _coerce(z, table, caps)
     e = 1 + len(lows) - len(ups)
-    if e < 0 or not _weight_certificate(zs) \
-            or any(s.qfloor < 0 for s in (zs, *ups, *lows)):
-        raise NonTerminatingSeries(
-            "z does not increase weight, r > s + 1, or a parameter is Laurent")
+    if e < 0 or not _weight_certificate(zs):
+        raise NonTerminatingSeries("z does not increase weight or r > s + 1")
     return _qexp_sum(-zs if e % 2 else zs, caps,
                      lambda n: e * (n * (n - 1) // 2),
                      factors=_poch_ratios(ups, lows, caps, table))
@@ -351,7 +345,7 @@ def rq(z: Union[Series, Scalar], caps: TruncationSpec = None,
        table: VarTable = DEFAULT_TABLE) -> Series:
     """Ramanujan q-exponential sum q^(n^2) z^n / (q; q)_n, truncated.
 
-    z must be an ordinary series or a scalar; the per-term q-valuation
+    z must be a series or a scalar; the per-term q-valuation
     n^2 + n*val(z) diverges, so the sum terminates against any caps.
     """
     if isinstance(z, Series):

@@ -1,17 +1,16 @@
 """Exact arithmetic in truncated multivariate power series over Q.
 
 A Series lives in the ring Q[[q, x, y, ...]] reduced modulo the monomial
-ideal generated by q^(qmax+1) and v^(cap_v+1) for every non-q variable v.
-The distinguished variable q additionally admits Laurent behaviour through
-a valuation floor: a Series represents q^qfloor * F where F is an ordinary
-series stored with exponents relative to the floor.  No other variable may
-carry negative exponents.  The q-window is absolute: caps.qmax is the top
-exponent through which the series is known, whatever its floor, and may be
-negative.
+ideal generated by q^(qmax+1) and v^(cap_v+1) for every non-q variable v,
+qmax >= 0.  Every series is ordinary: no variable, q included, carries a
+negative exponent, and every constructor refuses one.  The two Laurent
+prefactors of the identities, q^(-C(m,2)) in the Garrett forms and the
+weight q^(k(k-n)) of the q-Leibniz rule, are applied to ordinary series
+divisible by them, as the exact row map divide_q_power.
 
 A Series is stored row-major, the recursive dense layout: one dense q-row
-of numerators per variable part, rows[vexps][qrel] the numerator at
-q^(qfloor + qrel) vexps.  Every operation works a row at a time: the caps
+of numerators per variable part, rows[vexps][i] the numerator at
+q^i vexps.  Every operation works a row at a time: the caps
 are checked once per row, the window top slices each row, a sum adds rows
 at an offset, a product by one term places whole rows, each shifted and
 scaled by it, substitute binds a name to r q^d or dilates it to r q^d
@@ -20,9 +19,9 @@ x^k to itself minus itself shifted up by k powers of q.
 This module alone reads or writes rows and den.  Every builder elsewhere
 places its int rows through from_rows, the one row constructor, which cuts
 each row at the window top before placing it; D_q (dq), the degree
-window (degree_window) and the product by binomials 1 - s q^k
-(times_binomials, which builds every q-Pochhammer product) are row maps
-here too, and other modules see a Series only through its operations.
+window (degree_window), the quotient by q^s (divide_q_power) and the
+product by binomials 1 - s q^k (times_binomials, which builds every
+q-Pochhammer product) are row maps here too, and other modules see a Series only through its operations.
 
 Coefficients are exact rationals, stored as one integer polynomial over one
 denominator (the form of FLINT's fmpq_poly): int numerators and a den >= 1
@@ -50,8 +49,7 @@ least its term count.  Slots of 1, 2, 4 and 8 bytes move through an
 array; a slot of 9 to 16 bytes moves in bulk as an int64 and a sign fill
 while its entries fit in 64 bits, and per slot otherwise.  Both paths
 keep to the caps and the window top, so a product ends by dropping
-trailing zeros and cancelled rows and lifting its floor, with no second
-pass of _build.
+trailing zeros and cancelled rows, with no second pass of _build.
 
 Both renderings, text and to_json_dict, read one column walk: the rows
 are sorted once by variable part and read q-index by q-index, skipping
@@ -59,9 +57,8 @@ zero entries and the rows that have ended, so no tuple is built or sorted
 per term.
 
 Every sum of series is one n-ary sum, sum_series: it reads its parts once
-as a stream and adds their rows into one dict, padding the rows only when
-a part has a lower floor, so its result equals the left fold of + in
-value, window and stored form.  __add__ is its two-operand case.  Two
+as a stream and adds their rows into one dict, so its result equals the
+left fold of + in value, window and stored form.  __add__ is its two-operand case.  Two
 series are compared by equality of their stored forms at the meet of
 their windows, and the least differing monomial is sought only after a
 mismatch.
@@ -98,6 +95,9 @@ Scalar = Union[int, Fraction]
 
 # raised by every constructor and map that would break that invariant
 _NEGATIVE_VEXP = "non-q variables cannot carry negative exponents"
+# raised by from_rows, through which every other constructor places a
+# q-exponent: every series is ordinary
+_NEGATIVE_QEXP = "q cannot carry negative exponents"
 
 # byte width of a packed q-slot -> the array format that moves it in C.
 # Packed ints are read little-endian, so the array paths (native order)
@@ -153,7 +153,7 @@ DEFAULT_TABLE = VarTable()
 
 
 class Monomial(NamedTuple):
-    """q^qexp * prod v_i^vexps[i]; qexp is signed, vexps are >= 0."""
+    """q^qexp * prod v_i^vexps[i]; qexp and vexps are >= 0 in a Series."""
 
     qexp: int
     vexps: tuple[int, ...]
@@ -161,12 +161,14 @@ class Monomial(NamedTuple):
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Caps of the ideal (q^(qmax+1), v^(cap+1), ...); qmax is absolute."""
+    """Caps of the ideal (q^(qmax+1), v^(cap+1), ...), all >= 0."""
 
     qmax: int
     vcaps: tuple[int, ...]
 
     def __post_init__(self):
+        if self.qmax < 0:
+            raise ValueError("qmax must be non-negative")
         if any(c < 0 for c in self.vcaps):
             raise ValueError("variable caps must be non-negative")
 
@@ -188,8 +190,6 @@ class TruncationSpec:
 def caps(qmax: int, table: VarTable = DEFAULT_TABLE, default: int = 8,
          **per_var: int) -> TruncationSpec:
     """Convenience TruncationSpec builder with per-variable overrides."""
-    if qmax < 0:
-        raise ValueError("caps must be non-negative")
     vcaps = [default] * table.nvars
     for name, cap in per_var.items():
         vcaps[table.slot(name)] = cap
@@ -214,7 +214,7 @@ def _value(n: int, den: int):
 
 def _trim(row, stop: int) -> tuple:
     """The entries of row below index stop, without trailing zeros."""
-    n = max(0, min(len(row), stop))
+    n = min(len(row), stop)
     while n and not row[n - 1]:
         n -= 1
     # a tuple kept whole is returned as it is, a list kept whole copied once
@@ -295,23 +295,19 @@ def _add_at(acc: dict, key, off: int, row, scale=1):
 class Series:
     """Immutable truncated series; all operations are pure functions.
 
-    rows maps vexps -> a tuple of int numerators, the entry at index qrel
-    being the numerator at q^(qfloor + qrel) vexps; the coefficient there is
-    numerator / den.  Invariants: no row is empty and every row ends in a
-    nonzero entry; every row is inside the variable caps and at or below
-    the top, qfloor + qrel <= caps.qmax; den >= 1 and gcd(den, *numerators)
-    == 1, so den == 1 for an integral or zero series; the zero series has
-    qfloor == 0; a nonzero series has qfloor == 0 or some row with a
-    nonzero entry at qrel == 0.  Equal values have equal (qfloor, den,
-    rows).
+    rows maps vexps -> a tuple of int numerators, the entry at index i
+    being the numerator at q^i vexps; the coefficient there is numerator /
+    den.  Invariants: no row is empty and every row ends in a nonzero
+    entry; every row is inside the variable caps and at or below the top,
+    i <= caps.qmax; den >= 1 and gcd(den, *numerators) == 1, so den == 1
+    for an integral or zero series.  Equal values have equal (den, rows).
     """
 
-    __slots__ = ("table", "qfloor", "rows", "caps", "den")
+    __slots__ = ("table", "rows", "caps", "den")
 
-    def __init__(self, table, qfloor, rows, caps_, den=1):
+    def __init__(self, table, rows, caps_, den=1):
         # internal: use make_series / helpers, not this constructor
         self.table = table
-        self.qfloor = qfloor
         self.rows = rows
         self.caps = caps_
         self.den = den
@@ -319,46 +315,34 @@ class Series:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _build(table: VarTable, caps_: TruncationSpec, qfloor: int,
-               rows: dict, den: int = 1) -> "Series":
+    def _build(table: VarTable, caps_: TruncationSpec, rows: dict,
+               den: int = 1) -> "Series":
         """Normalize raw rows (vexps -> integer numerators over den indexed
-        by the q-exponent above qfloor, of any length, zeros allowed) into a
-        valid Series."""
-        # a positive valuation folds into the rows (floor stays <= 0)
-        lead = max(qfloor, 0)
-        qfloor -= lead
-        stop = caps_.qmax - qfloor + 1 - lead
+        by the q-exponent, of any length, zeros allowed) into a valid
+        Series."""
+        stop = caps_.qmax + 1
         admits = caps_.admits
         out = {}
-        if stop > 0:  # lead may be any size: pad only when a row can stay
-            pad = (0,) * lead
-            for ve, r in rows.items():
-                if admits(ve):
-                    r = _trim(r, stop)
-                    if r:
-                        out[ve] = pad + r
-        return Series._lift_floor(table, caps_, qfloor, out, den)
+        for ve, r in rows.items():
+            if admits(ve):
+                r = _trim(r, stop)
+                if r:
+                    out[ve] = r
+        return Series._reduced(table, caps_, out, den)
 
     @staticmethod
-    def _lift_floor(table: VarTable, caps_: TruncationSpec, qfloor: int,
-                    rows: dict, den: int = 1) -> "Series":
-        """Series of valid rows over den inside caps_ at a floor <= 0.
-
-        Divides out gcd(den, *numerators) and lifts a negative floor to the
-        least stored q-exponent; the top stays.
-        """
+    def _reduced(table: VarTable, caps_: TruncationSpec, rows: dict,
+                 den: int = 1) -> "Series":
+        """Series of valid rows over den inside caps_, with
+        gcd(den, *numerators) divided out."""
         if not rows:
-            return Series(table, 0, {}, caps_)
+            return Series(table, {}, caps_)
         if den != 1:
             g = gcd(den, *chain.from_iterable(rows.values()))
             if g != 1:
                 rows = {ve: tuple(n // g for n in r) for ve, r in rows.items()}
                 den //= g
-        if qfloor < 0 and not any(r[0] for r in rows.values()):
-            lift = min(-qfloor, min(map(_lead, rows.values())))
-            rows = {ve: r[lift:] for ve, r in rows.items()}
-            qfloor += lift
-        return Series(table, qfloor, rows, caps_, den)
+        return Series(table, rows, caps_, den)
 
     def _same_table(self, other: "Series"):
         if self.table is not other.table and self.table != other.table:
@@ -372,37 +356,35 @@ class Series:
 
     @property
     def terms(self) -> dict:
-        """(qrel, vexps) -> numerator of every nonzero stored entry, built
+        """(qexp, vexps) -> numerator of every nonzero stored entry, built
         anew on each read; the kernel itself reads rows."""
-        return {(qr, ve): n for ve, r in self.rows.items()
-                for qr, n in enumerate(r) if n}
+        return {(i, ve): n for ve, r in self.rows.items()
+                for i, n in enumerate(r) if n}
 
     def coeff(self, m: Monomial):
-        """Coefficient of a monomial (absolute q-exponent); 0 outside caps."""
+        """Coefficient of a monomial; 0 outside caps."""
         if len(m.vexps) != self.table.nvars:
             raise VarTableMismatch("monomial width does not match table")
-        qrel = m.qexp - self.qfloor
-        if qrel < 0 or m.qexp > self.caps.qmax \
-                or not self.caps.admits(m.vexps):
+        i = m.qexp
+        if i < 0 or i > self.caps.qmax or not self.caps.admits(m.vexps):
             return 0
         r = self.rows.get(m.vexps, ())
-        n = r[qrel] if qrel < len(r) else 0
+        n = r[i] if i < len(r) else 0
         return _value(n, self.den) if n else 0
 
     def monomials(self):
-        """Iterate (Monomial, coeff) with absolute q-exponents."""
-        f, den = self.qfloor, self.den
+        """Iterate (Monomial, coeff) over the stored terms."""
+        den = self.den
         for ve, r in self.rows.items():
-            for qr, n in enumerate(r):
+            for i, n in enumerate(r):
                 if n:
-                    yield Monomial(qr + f, ve), \
-                        n if den == 1 else _value(n, den)
+                    yield Monomial(i, ve), n if den == 1 else _value(n, den)
 
     def min_qexp(self) -> int:
-        """Least absolute q-exponent among stored terms (0 for the zero series)."""
+        """Least q-exponent among stored terms (0 for the zero series)."""
         if not self.rows:
             return 0
-        return self.qfloor + min(map(_lead, self.rows.values()))
+        return min(map(_lead, self.rows.values()))
 
     # -- ring operations ----------------------------------------------------
 
@@ -425,7 +407,7 @@ class Series:
 
     def __neg__(self) -> "Series":
         rows = {ve: tuple(map(neg, r)) for ve, r in self.rows.items()}
-        return Series(self.table, self.qfloor, rows, self.caps, self.den)
+        return Series(self.table, rows, self.caps, self.den)
 
     def __sub__(self, other) -> "Series":
         g = self._coerce(other)
@@ -441,20 +423,17 @@ class Series:
         if g is None:
             return NotImplemented
         self._same_table(g)
-        floor = self.qfloor + g.qfloor
-        # the product is known through the narrower window above its floor
-        qmax = min(self.caps.qmax - self.qfloor, g.caps.qmax - g.qfloor)
+        # the product is known through the narrower window
         mcaps = self.caps.meet(g.caps)
-        if mcaps.qmax != floor + qmax:
-            mcaps = TruncationSpec(floor + qmax, mcaps.vcaps)
+        qmax, vcaps = mcaps.qmax, mcaps.vcaps
         if not (self.rows and g.rows):
             rows = {}
         elif g._is_term():
-            rows = self._term_product(g, qmax, mcaps.vcaps)
+            rows = self._term_product(g, qmax, vcaps)
         elif self._is_term():
-            rows = g._term_product(self, qmax, mcaps.vcaps)
+            rows = g._term_product(self, qmax, vcaps)
         else:
-            rows = self._packed_product(g, qmax, mcaps.vcaps)
+            rows = self._packed_product(g, qmax, vcaps)
         # both paths keep to the caps and the top: only trailing zeros and
         # cancelled rows remain to drop
         out = {}
@@ -464,8 +443,7 @@ class Series:
                 if not r:
                     continue
             out[ve] = tuple(r)
-        return Series._lift_floor(self.table, mcaps, floor, out,
-                                  self.den * g.den)
+        return Series._reduced(self.table, mcaps, out, self.den * g.den)
 
     __rmul__ = __mul__
 
@@ -477,7 +455,7 @@ class Series:
         return r.count(0) == len(r) - 1
 
     def _term_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
-        """Rows of self * g through the relative window qmax inside vcaps,
+        """Rows of self * g through the window qmax inside vcaps,
         for g of one term: each row of self, shifted and scaled by it, is
         an output row of its own, placed as a tuple in one step."""
         (vb, rb), = g.rows.items()
@@ -501,7 +479,7 @@ class Series:
         return acc
 
     def _packed_product(self, g: "Series", qmax: int, vcaps: tuple) -> dict:
-        """Rows of self * g through the relative window qmax inside vcaps,
+        """Rows of self * g through the window qmax inside vcaps,
         by Kronecker substitution in q.
 
         Each q-row of an operand becomes one int with a signed k-bit slot
@@ -546,7 +524,7 @@ class Series:
 
     def _packed_rows(self, n: int, kb: int, fmt: Optional[str],
                      bias: int) -> dict:
-        """vexps -> the q-row at qrel < n packed in kb-byte slots, through
+        """vexps -> the q-row below q^n packed in kb-byte slots, through
         an array of format fmt when there is one."""
         packed = {}
         for ve, r in self.rows.items():
@@ -571,7 +549,7 @@ class Series:
     def reciprocal(self) -> "Series":
         """Multiplicative inverse modulo the truncation ideal, in ints.
 
-        For the floor-stripped divisor G/d (G_u[j] its numerator at q^j v^u,
+        For the divisor G/d (G_u[j] its numerator at q^j v^u,
         c0 = G_0[0], d = den) solves, for reachable v by |v| and m = 0..width,
         the integers H_v[m] = c0^(m+|v|+1) h_v[m] / d of the inverse h:
         H_v[m] = [v = 0 = m] - sum c0^(j+|u|-1) G_u[j] H_(v-u)[m-j] over every
@@ -583,7 +561,7 @@ class Series:
         if not c0:
             raise DivisionByNonUnit("constant term is zero")
         cps = self.caps
-        width = cps.qmax - self.qfloor  # the window above the floor
+        width = cps.qmax
         others = sorted((j, u, c0 ** (j + sum(u) - 1) * c)
                         for u, row in self.rows.items()
                         for j, c in enumerate(row) if c and (j or u != zv))
@@ -611,10 +589,7 @@ class Series:
                     acc -= c * hw[m - j]
                 hv[m] = acc
         rows = {v: tuple(map(mul, hv, scale[sum(v):])) for v, hv in h.items()}
-        # 1/g is known through the window of g above its floor, -qfloor
-        cps = TruncationSpec(width - self.qfloor, cps.vcaps)
-        return Series._build(self.table, cps, -self.qfloor, rows,
-                             abs(c0) ** (top + 1))
+        return Series._build(self.table, cps, rows, abs(c0) ** (top + 1))
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -631,8 +606,8 @@ class Series:
 
     def truncate(self, new_caps: TruncationSpec) -> "Series":
         """Reduce into the (smaller) ideal given by meet(caps, new_caps)."""
-        return Series._build(self.table, self.caps.meet(new_caps),
-                             self.qfloor, self.rows, self.den)
+        return Series._build(self.table, self.caps.meet(new_caps), self.rows,
+                             self.den)
 
     def with_caps(self, new_caps: TruncationSpec) -> "Series":
         """Reinterpret this exact representative at different caps.
@@ -640,8 +615,7 @@ class Series:
         Widening the caps is a claim of knowledge the caller must justify
         (e.g. the series is an exact polynomial).
         """
-        return Series._build(self.table, new_caps, self.qfloor, self.rows,
-                             self.den)
+        return Series._build(self.table, new_caps, self.rows, self.den)
 
     def substitute(self, var, r: Scalar = None,
                    m: Monomial = None) -> "Series":
@@ -684,37 +658,37 @@ class Series:
                     if bound:
                         key = key[:i] + (0,) + key[i + 1:]
             _add_at(acc, key, shift, row, scale)
-        return Series._build(self.table, self.caps, self.qfloor, acc, den)
+        return Series._build(self.table, self.caps, acc, den)
 
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Structural equality of representatives (floor and rows)."""
+        """Structural equality of representatives (den and rows)."""
         if isinstance(other, (int, Fraction)):
             other = constant(other, self.table, self.caps)
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.table == other.table and self.qfloor == other.qfloor
-                and self.den == other.den and self.rows == other.rows)
+        return (self.table == other.table and self.den == other.den
+                and self.rows == other.rows)
 
     __hash__ = None  # mutable-ish container semantics; not hashable
 
     # -- rendering -----------------------------------------------------------
 
     def _columns(self, label):
-        """The column walk both renderings read: per q-index qrel up to the
-        longest row, (qrel, [(label(vexps), row), ...]) over the rows that
-        reach qrel, in vexps order.  The rows are sorted once; a row leaves
+        """The column walk both renderings read: per q-exponent i up to the
+        longest row, (i, [(label(vexps), row), ...]) over the rows that
+        reach q^i, in vexps order.  The rows are sorted once; a row leaves
         the list at its end.  The entries are coefficients, 0 where none is
         stored: the numerators when den == 1, else ints and Fractions."""
         den = self.den
         parts = [(label(ve), r if den == 1 else [_value(n, den) for n in r])
                  for ve, r in sorted(self.rows.items())]
-        qr = 0
+        i = 0
         for end in sorted({len(r) for r in self.rows.values()}):
-            for qr in range(qr, end):
-                yield qr, parts
-            qr = end
+            for i in range(i, end):
+                yield i, parts
+            i = end
             parts = [p for p in parts if len(p[1]) > end]
 
     def text(self) -> str:
@@ -729,13 +703,11 @@ class Series:
                           for nm, e in zip(vnames, ve) if e)
             return vs, "*" + vs if vs else ""
 
-        f = self.qfloor
         out = []
-        for qr, parts in self._columns(label):
-            qa = qr + f
-            qs = "q" if qa == 1 else f"q^{qa}" if qa else ""
+        for i, parts in self._columns(label):
+            qs = "q" if i == 1 else f"q^{i}" if i else ""
             for (vs, after_q), r in parts:
-                c = r[qr]
+                c = r[i]
                 if not c:
                     continue
                 if c < 0:
@@ -751,26 +723,24 @@ class Series:
         return ("-" if out[0] == " - " else "") + "".join(out[1:])
 
     def to_json_dict(self) -> dict:
-        """JSON rendering with fields {qFloor, caps, terms}; qMax is the
-        window's width above qFloor."""
+        """JSON rendering with fields {qFloor, caps, terms}; qFloor, the
+        least q-exponent a series may hold, is always 0."""
         names = self.table.names[1:]
 
         def label(ve):
             return {nm: e for nm, e in zip(names, ve) if e}
 
-        f = self.qfloor
         terms = []
-        for qr, parts in self._columns(label):
-            qa = qr + f
+        for i, parts in self._columns(label):
             for vexps, r in parts:
-                c = r[qr]
+                c = r[i]
                 if c:
                     terms.append({"coeff": f"{c}/1" if type(c) is int
                                   else f"{c.numerator}/{c.denominator}",
-                                  "mono": {"q": qa, **vexps}})
+                                  "mono": {"q": i, **vexps}})
         return {
-            "qFloor": f,
-            "caps": {"qMax": self.caps.qmax - f,
+            "qFloor": 0,
+            "caps": {"qMax": self.caps.qmax,
                      "varCaps": dict(zip(names, self.caps.vcaps))},
             "terms": terms,
         }
@@ -790,38 +760,39 @@ def make_series(entries: Iterable[tuple[Scalar, Monomial]],
                 table: VarTable = DEFAULT_TABLE) -> Series:
     """Build a Series from (coefficient, monomial) pairs.
 
-    Monomials carry absolute (possibly negative) q-exponents; duplicates are
-    summed and terms outside the caps are dropped.
+    Duplicates are summed and terms outside the caps are dropped; a
+    negative exponent, of q or of any other variable, raises ValueError.
     """
     entries = [(_as_coeff(c), m) for c, m in entries]
     if any(len(m.vexps) != table.nvars for _, m in entries):
         raise VarTableMismatch("monomial width does not match table")
     if any(min(m.vexps, default=0) < 0 for _, m in entries):
         raise ValueError(_NEGATIVE_VEXP)
-    floor = min((m.qexp for c, m in entries if c), default=0)
-    return from_rows([(m.vexps, m.qexp - floor, (1,), c)
-                      for c, m in entries if c], caps_, table, floor)
+    return from_rows([(m.vexps, m.qexp, (1,), c) for c, m in entries],
+                     caps_, table)
 
 
 def from_rows(parts: Iterable[tuple[tuple, int, Sequence[int], Scalar]],
-              caps_: TruncationSpec, table: VarTable = DEFAULT_TABLE,
-              floor: int = 0) -> Series:
-    """The series q^floor * sum scale * q^off * row(q) * v^vexps of the
-    parts (vexps, off >= 0, int row, int | Fraction scale) at caps_, added
-    over the lcm of the scales' denominators: the one constructor builders
-    place int rows through.  Each row is cut at the window top before it is
+              caps_: TruncationSpec, table: VarTable = DEFAULT_TABLE
+              ) -> Series:
+    """The series sum scale * q^off * row(q) * v^vexps of the parts
+    (vexps, off >= 0, int row, int | Fraction scale) at caps_, added over
+    the lcm of the scales' denominators: the one constructor builders place
+    int rows through.  Each row is cut at the window top before it is
     placed, so a part wholly above the top costs nothing; _build drops the
-    parts outside a variable cap."""
-    stop = caps_.qmax - floor + 1
+    parts outside a variable cap.  A negative off raises ValueError."""
+    stop = caps_.qmax + 1
     kept = [(ve, off, row[:stop - off], scale)
             for ve, off, row, scale in parts if off < stop]
+    if any(p[1] < 0 for p in kept):
+        raise ValueError(_NEGATIVE_QEXP)
     den = lcm(*[p[3].denominator for p in kept])
     rows: dict = {}
     for ve, off, row, scale in kept:
         if row:
             _add_at(rows, ve, off, row,
                     scale.numerator * (den // scale.denominator))
-    return Series._build(table, caps_, floor, rows, den)
+    return Series._build(table, caps_, rows, den)
 
 
 def sum_series(parts: Iterable[Series]) -> Series:
@@ -829,24 +800,18 @@ def sum_series(parts: Iterable[Series]) -> Series:
     the left fold of +: the window is the meet of the parts' caps.
 
     Reads each part once as it arrives, holding no list of parts.  The
-    rows add into one dict over the lcm of the dens seen so far, indexed
-    from the least floor seen so far, so the rows are padded only when a
-    part has a lower floor.
+    rows add into one dict over the lcm of the dens seen so far.
     """
     parts = iter(parts)
     first = next(parts, None)
     if first is None:
         raise ValueError("sum_series needs at least one part")
-    table, mcaps, floor, den = first.table, first.caps, first.qfloor, first.den
+    table, mcaps, den = first.table, first.caps, first.den
     acc = dict(first.rows)  # a part's row is copied only when added into
     for p in parts:
         first._same_table(p)
         if p.caps is not mcaps and p.caps != mcaps:
             mcaps = mcaps.meet(p.caps)
-        if p.qfloor < floor:
-            pad = [0] * (floor - p.qfloor)
-            acc = {ve: pad + list(r) for ve, r in acc.items()}
-            floor = p.qfloor
         scale = 1
         if p.den != den:
             d = lcm(den, p.den)
@@ -855,17 +820,16 @@ def sum_series(parts: Iterable[Series]) -> Series:
                 acc = {ve: [c * up for c in r] for ve, r in acc.items()}
                 den = d
             scale = den // p.den
-        off = p.qfloor - floor
         for ve, r in p.rows.items():
-            _add_at(acc, ve, off, r, scale)
+            _add_at(acc, ve, 0, r, scale)
     # _build drops trailing zeros, and what lies outside a narrower meet
-    return Series._build(table, mcaps, floor, acc, den)
+    return Series._build(table, mcaps, acc, den)
 
 
 def zero(table: VarTable = DEFAULT_TABLE,
          caps_: TruncationSpec = None) -> Series:
     caps_ = caps_ if caps_ is not None else caps(25, table)
-    return Series(table, 0, {}, caps_)
+    return Series(table, {}, caps_)
 
 
 def one(table: VarTable = DEFAULT_TABLE,
@@ -877,9 +841,9 @@ def constant(c: Scalar, table: VarTable = DEFAULT_TABLE,
              caps_: TruncationSpec = None) -> Series:
     caps_ = caps_ if caps_ is not None else caps(25, table)
     c = _as_coeff(c)
-    if not c or caps_.qmax < 0:
+    if not c:
         return zero(table, caps_)
-    return Series(table, 0, {table.zero_vexps: (c.numerator,)}, caps_,
+    return Series(table, {table.zero_vexps: (c.numerator,)}, caps_,
                   c.denominator)
 
 
@@ -891,7 +855,7 @@ def variable(name: str, table: VarTable = DEFAULT_TABLE,
 
 def q_power(e: int, table: VarTable = DEFAULT_TABLE,
             caps_: TruncationSpec = None) -> Series:
-    """The monomial q**e (e may be negative)."""
+    """The monomial q**e, e >= 0."""
     caps_ = caps_ if caps_ is not None else caps(25, table)
     return monomial_series(1, e, {}, table, caps_)
 
@@ -906,11 +870,7 @@ def monomial_series(c: Scalar, qexp: int, vexps: dict,
         if e < 0:
             raise ValueError(_NEGATIVE_VEXP)
         ve[table.slot(name)] = e
-    # one term needs no lcm or placement: _build cuts it at the top
-    c = _as_coeff(c)
-    return Series._build(table, caps_, qexp,
-                         {tuple(ve): (c.numerator,)} if c else {},
-                         c.denominator)
+    return from_rows([(tuple(ve), qexp, (1,), _as_coeff(c))], caps_, table)
 
 
 def mono(qexp: int = 0, vexps: dict = None,
@@ -940,7 +900,23 @@ def dq(f: Series, x: str) -> Series:
         d += [0] * k
         d[k:] = map(sub, d[k:], r)
         rows[tuple(nv)] = d
-    return Series._build(f.table, f.caps, f.qfloor, rows, f.den)
+    return Series._build(f.table, f.caps, rows, f.den)
+
+
+def divide_q_power(f: Series, s: int) -> Series:
+    """f / q^s for 0 <= s <= f.caps.qmax: every row shifts down by s, and
+    the window top falls by s.  Raises ValueError when f has a nonzero
+    entry below q^s, so the quotient would not be an ordinary series."""
+    if not 0 <= s <= f.caps.qmax:
+        raise ValueError(f"q^{s} does not divide a series known through "
+                         f"q^{f.caps.qmax}")
+    if not s:
+        return f
+    if any(any(r[:s]) for r in f.rows.values()):
+        raise ValueError(f"series is not divisible by q^{s}")
+    # a row ends in a nonzero entry, so none empties; den and the gcd stay
+    return Series(f.table, {ve: r[s:] for ve, r in f.rows.items()},
+                  TruncationSpec(f.caps.qmax - s, f.caps.vcaps), f.den)
 
 
 class _Moves(dict):
@@ -957,8 +933,7 @@ class _Moves(dict):
 
 
 def times_binomials(f: Series, s: Series, shifts: Iterable[int]) -> Series:
-    """f * prod_{k in shifts} (1 - s q^k) for ordinary f and s and shifts
-    k >= 0, one pass over int rows per binomial.  Each binomial is read at
+    """f * prod_{k in shifts} (1 - s q^k) for shifts k >= 0, one pass over int rows per binomial.  Each binomial is read at
     f's caps, as one(f.caps) - s * q_power(k, f.caps), so the result equals
     the left fold of * by the binomials in value, window and stored form.
 
@@ -966,8 +941,8 @@ def times_binomials(f: Series, s: Series, shifts: Iterable[int]) -> Series:
     row by s.den; then, for every term c q^j v^u of s, it subtracts each
     row at v, shifted up by j + k and scaled by c, from the row at v + u;
     then it divides out the gcd when den is not 1.  Parts outside the caps
-    and entries above the window top are never formed.  Every floor is 0,
-    so the window is the fold's: the meet of f's and s's caps.
+    and entries above the window top are never formed.  The window is the
+    fold's: the meet of f's and s's caps.
     """
     f._same_table(s)
     shifts = list(shifts)
@@ -975,7 +950,7 @@ def times_binomials(f: Series, s: Series, shifts: Iterable[int]) -> Series:
         return f
     wcaps = f.caps.meet(s.caps)
     vcaps = wcaps.vcaps
-    n = max(0, wcaps.qmax + 1)  # the entries kept: indices below n
+    n = wcaps.qmax + 1  # the entries kept: indices below n
     rows = {v: list(r) for v, r in f.rows.items()
             if not any(map(gt, v, vcaps))}
     terms = [([(j, c) for j, c in enumerate(r) if c], _Moves(u, vcaps))
@@ -1002,8 +977,8 @@ def times_binomials(f: Series, s: Series, shifts: Iterable[int]) -> Series:
                 rows = {v: [c // g for c in r] for v, r in rows.items()}
                 den //= g
     # an unchanged window keeps f's caps object, which sums test first
-    return Series._build(f.table, f.caps if wcaps == f.caps else wcaps, 0,
-                         rows, den)
+    return Series._build(f.table, f.caps if wcaps == f.caps else wcaps, rows,
+                         den)
 
 
 def degree_window(s: Series, slots: tuple[int, ...], bound: int) -> Series:
@@ -1011,7 +986,7 @@ def degree_window(s: Series, slots: tuple[int, ...], bound: int) -> Series:
     slots; the caps stay."""
     rows = {ve: r for ve, r in s.rows.items()
             if sum(ve[i] for i in slots) <= bound}
-    return Series._lift_floor(s.table, s.caps, s.qfloor, rows, s.den)
+    return Series._reduced(s.table, s.caps, rows, s.den)
 
 
 # -- equality mod caps ---------------------------------------------------------

@@ -130,6 +130,23 @@ def test_verify_all_json_is_byte_stable(seed, digest, capsys):
     assert hashlib.sha256(kept.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("family, digest", [
+    ("sw", "1f5480d2db0a320b"), ("garrett-a", "dc11afd731b3185f"),
+    ("garrett-b", "c307aa654455c620"), ("rq", "656c8525daf12f95")])
+def test_eval_deep_window_is_byte_stable(family, digest, capsys):
+    # the text then the JSON stdout of `qsw eval FAMILY --n 40 --qmax 200`,
+    # pinned byte for byte: dense rows deep in q, rendered by column; sw-star
+    # and rs are left out, since every term of theirs lies above the
+    # variable caps eval builds at, so both render 0
+    out = ""
+    for extra in ([], ["--json"]):
+        code, got = run(["eval", family, "--n", "40", "--qmax", "200"]
+                        + extra, capsys)
+        assert code == 0
+        out += got
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_eval_sw_star_text(capsys):
     code, out = run(["eval", "sw-star", "--n", "1"], capsys)
     assert code == 0

@@ -247,9 +247,11 @@ def test_independence_perturbing_one_side(monkeypatch):
     assert rhs1 == rhs0  # the product side did not
     monkeypatch.undo()
 
+    # a_k + q^C(k,2) keeps the Garrett body divisible by q^C(k,2)
     real_ga = qfunctions.garrett_a
     monkeypatch.setattr(identities, "garrett_a",
-                        lambda *a, **k: real_ga(*a, **k) * 2)
+                        lambda *a, **k: real_ga(*a, **k) + q_power(
+                            a[0] * (a[0] - 1) // 2, caps_=a[1]))
     lhs2, rhs2 = spec.build_lhs(env), spec.build_rhs(env)
     assert lhs2 == lhs0
     assert rhs2 != rhs0
@@ -683,8 +685,8 @@ def test_mehler_left_side_is_the_product_of_its_families(ident, products,
 
 
 def test_sides_claim_the_whole_case_window():
-    # a side that widens too little for its Laurent terms comes back with a
-    # smaller q-window; the verdict would still PASS, over fewer
+    # a side that widens too little for the negative powers of q it
+    # divides by comes back with a smaller q-window; the verdict would still PASS, over fewer
     # coefficients, so every side must claim exactly the case's caps
     cfg = VerifyConfig(seed=3, qmax=12)
     conv = resolve_garrett_convention().convention

@@ -18,8 +18,7 @@ from qsw.series import (
     q_power, variable, zero,
 )
 from qsw.qfunctions import (
-    INFINITY, NegativeQOrderInInfiniteProduct, NonTerminatingSeries,
-    _dense, _poch_ratios, _qbinom_sum, _qexp_sum, _qfact_inv_coeffs, eq_big,
+    INFINITY, NonTerminatingSeries, _dense, _poch_ratios, _qbinom_sum, _qexp_sum, _qfact_inv_coeffs, eq_big,
     eq_small, garrett_a, garrett_b,
     phi, poch, poch_inf_inv, qbinom_coeffs, qfact_coeffs, qfact_inv, rq,
     rq_at_power,
@@ -81,27 +80,23 @@ def test_poch_quotient_identity():
 
 
 def test_poch_inf_rejects_laurent_arg():
-    # every Pochhammer product, at a finite count too, its ratio stream and
-    # the weighted sums take ordinary arguments only, and phi's certificate
-    # refuses a q^-m parameter; each refusal is one line
+    # every series is ordinary: the q^-m argument of a Pochhammer product,
+    # at a finite count too, of its ratio stream, of phi and of the
+    # weighted sums is refused where it is built, in one line
     refusals = [
-        (NegativeQOrderInInfiniteProduct,
-         lambda: poch([qp(-1)], INFINITY, C)),
-        (NegativeQOrderInInfiniteProduct,
-         lambda: poch_inf_inv([qp(-2) * var("x")], C)),
-        (NegativeQOrderInInfiniteProduct,
-         lambda: poch([qp(-3) * var("x")], 4, C)),
-        (NonTerminatingSeries,
-         lambda: phi([qp(-2)], [], qp(1) * var("x"), C)),
-        (NegativeQOrderInInfiniteProduct,
-         lambda: next(_poch_ratios([var("x")], [qp(-1) + var("a")], C,
-                                   DEFAULT_TABLE))),
-        (NegativeQOrderInInfiniteProduct, lambda: rq(qp(-1), C)),
+        lambda: poch([qp(-1)], INFINITY, C),
+        lambda: poch_inf_inv([qp(-2) * var("x")], C),
+        lambda: poch([qp(-3) * var("x")], 4, C),
+        lambda: phi([qp(-2)], [], qp(1) * var("x"), C),
+        lambda: next(_poch_ratios([var("x")], [qp(-1) + var("a")], C,
+                                  DEFAULT_TABLE)),
+        lambda: rq(qp(-1), C),
     ]
-    for exc, build in refusals:
-        with pytest.raises(exc) as info:
+    for build in refusals:
+        with pytest.raises(ValueError,
+                           match="q cannot carry negative exponents") as info:
             build()
-        assert str(info.value) and "\n" not in str(info.value)
+        assert "\n" not in str(info.value)
 
 
 def _poch_by_factors(args, count, caps, table=DEFAULT_TABLE, base=1):
@@ -426,27 +421,50 @@ def _covers(oracle, r):
     return oracle.caps.qmax >= r.caps.qmax
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
+# the Leibniz weight k(k-4), each f_k lifted by q^-min(0, w(k)); and q^-2
+# [1 1] times 1, a Laurent sum, which is refused
+@example(4, [[(1, 0, 0)], [(2, 1, 1)], [(-1, 0, 0), (1, 3, 2)], [(1, 0, 1)],
+             [(Fraction(2, 3), 2, 0)]], 1, 6, True)
+@example(1, [[], [(1, 0, 0)]], 2, 0, False)
 @given(st.integers(0, 5), st.lists(_ordinary, max_size=7),
-       st.integers(0, 2), st.integers(0, 10))
-def test_qbinom_sum_matches_explicit_sum(n, f_terms, wi, qmax):
-    # an explicit Laurent sum at a far wider window is the oracle; the
-    # primitive must agree on the whole of caps and claim all of it
+       st.integers(0, 2), st.integers(0, 10), st.booleans())
+def test_qbinom_sum_matches_explicit_sum(n, f_terms, wi, qmax, lift):
+    # the explicit sum at a far wider window, each term at its weight plus
+    # the S that makes every weight >= 0, is the oracle: the primitive
+    # times q^S must agree with it on the whole of caps raised by S, and
+    # claim all of caps; a sum with a term below q^S is Laurent and refused
     c = caps(qmax, default=3)
     wide = caps(qmax + 20, default=3)
-
-    def series(terms, at):
-        return make_series([(k, mono(i, {"x": j})) for k, i, j in terms], at)
     weight = (lambda k: 0, lambda k: k * (k - n), lambda k: k * k - 3 * k)[wi]
+
+    def series(k, terms, at):
+        # lifted, q^weight(k) f_k is ordinary term by term
+        up = max(0, -weight(k)) if lift else 0
+        return make_series([(v, mono(i + up, {"x": j})) for v, i, j in terms],
+                           at)
+    s = max(0, -min(weight(k) for k in range(n + 1)))
     explicit = zero(caps_=wide)
     for k, t in zip(range(n + 1), f_terms):
         explicit = explicit + _qbinom(n, k, wide) \
-            * q_power(weight(k), caps_=wide) * series(t, wide)
-    r = _qbinom_sum(n, weight, lambda work: (series(t, work) for t in f_terms),
-                    c, explicit.table)
+            * q_power(weight(k) + s, caps_=wide) * series(k, t, wide)
+
+    def build():
+        return _qbinom_sum(n, weight, lambda work: (
+            series(k, t, work) for k, t in enumerate(f_terms)), c,
+            explicit.table)
+    if explicit.min_qexp() < s and not explicit.is_zero():
+        with pytest.raises(ValueError, match=f"not divisible by q\\^{s}$"):
+            build()
+        return
+    r = build()
     assert r.caps == c
-    assert _covers(explicit, r)
-    assert_equal(r, explicit)
+    # q^S r, known through q^(qmax + S), placed term by term
+    raised = make_series([(v, Monomial(m.qexp + s, m.vexps))
+                          for m, v in r.monomials()],
+                         replace(c, qmax=qmax + s))
+    assert _covers(explicit, raised)
+    assert_equal(raised, explicit)
 
 
 # -- Gaussian binomials ----------------------------------------------------------
@@ -518,15 +536,15 @@ def test_phi_zero_argument():
 def test_phi_requires_certificate():
     with pytest.raises(NonTerminatingSeries):
         phi([var("a")], [], constant(Fraction(1, 3), caps_=C), C)
-    # a Laurent parameter voids the stop certificate of a weighted z
+    # r > s + 1 voids the stop certificate of a weighted z
     with pytest.raises(NonTerminatingSeries):
-        phi([qp(-1) * var("x")], [], qp(1) * var("y"), C)
+        phi([var("a"), var("b"), var("x")], [], qp(1) * var("y"), C)
 
 
 @pytest.mark.parametrize("build, ok", [
     (lambda: var("x"), True), (lambda: qp(1), True),
-    (lambda: qp(-1) * var("x"), True), (lambda: zero(caps_=C), True),
-    (lambda: one(caps_=C), False), (lambda: qp(-1), False),
+    (lambda: qp(2) * var("x") - qp(1), True), (lambda: zero(caps_=C), True),
+    (lambda: one(caps_=C), False), (lambda: 3 + qp(2), False),
     (lambda: var("x") + Fraction(1, 2), False),
 ])
 def test_weight_certificate(build, ok):
@@ -660,20 +678,21 @@ def _dense_by_monomials(coeffs, c, shift=0):
 
 
 @settings(max_examples=200, deadline=None)
-@example((1, 0, 2), -2, 5)  # a negative shift: a Laurent floor
-@example((0, 0, 4, 1), -3, 4)  # the first nonzero coefficient sets it
+@example((0, 0, 4, 1), 3, 4)  # leading zeros below a shifted row
 @example((3, -1), 9, 5)  # every term above the top
-@example((0, 0, 0), -1, 5)  # an all-zero row
-@example((1, 2, 3), -3, -2)  # a negative absolute top
-@example((1, 2, 3), -3, -5)  # ... below every term: a negative slice stop
+@example((0, 0, 0), 1, 5)  # an all-zero row
+@example((1, 2, 3), 0, 0)  # a row cut to its entry at the top q^0
 @given(st.lists(st.integers(-3, 3), max_size=12).map(tuple),
-       st.integers(-8, 14), st.integers(-6, 12))
+       st.integers(0, 14), st.integers(0, 12))
 def test_dense_matches_monomial_construction(coeffs, shift, qmax):
     c = replace(C, qmax=qmax)
     got, want = _dense(coeffs, c, DEFAULT_TABLE, shift), \
         _dense_by_monomials(coeffs, c, shift)
     assert got == want and got.caps == want.caps
     assert got.json_text() == want.json_text()
+    # a negative shift would place a Laurent row, and is refused
+    with pytest.raises(ValueError, match="q cannot carry negative exponents"):
+        _dense(coeffs, c, DEFAULT_TABLE, -1 - shift)
 
 
 def _garrett_by_monomials(k, exp_coef, offset, c):
@@ -690,8 +709,8 @@ def _garrett_by_monomials(k, exp_coef, offset, c):
 
 @settings(max_examples=60, deadline=None)
 @example(4, 0)
-@example(9, -1)
-@given(st.integers(1, 14), st.integers(-2, 60))
+@example(9, 0)
+@given(st.integers(1, 14), st.integers(0, 60))
 def test_garrett_row_matches_monomial_construction(k, qmax):
     c = replace(C, qmax=qmax)
     for got, want in ((garrett_a(k, c), _garrett_by_monomials(k, -3, 1, c)),

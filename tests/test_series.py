@@ -1,5 +1,5 @@
-"""Core series-ring behaviour: construction, arithmetic, Laurent floors,
-truncation, substitution, comparison, and rendering."""
+"""Core series-ring behaviour: construction, arithmetic, the quotient by a
+power of q, truncation, substitution, comparison, and rendering."""
 
 import ast
 import json
@@ -18,8 +18,8 @@ from qsw.qfunctions import phi
 from qsw.series import (
     DEFAULT_TABLE, DivisionByNonUnit, Monomial, Series, TruncationSpec,
     VarTable, VarTableMismatch, VariableNotFound, caps, constant,
-    equals_mod_caps, from_rows, make_series, mono, monomial_series, one,
-    q_power, sum_series, variable, zero,
+    divide_q_power, equals_mod_caps, from_rows, make_series, mono,
+    monomial_series, one, q_power, sum_series, variable, zero,
 )
 
 Q = Fraction
@@ -51,23 +51,41 @@ def test_make_series_merges_duplicates():
 def test_make_series_drops_outside_caps():
     s = make_series([(1, mono(7))], C)
     assert s.is_zero()
-    assert s.qfloor == 0
+    assert s == zero(caps_=C)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: monomial_series(1, 0, {"x": -1}, caps_=C),
-    lambda: make_series([(1, mono(0, {"x": -1}))], C),
-    lambda: (1 + var("x")).substitute("x", 1, mono(0, {"x": -1})),
-    lambda: (1 + var("x")).substitute("x", 1, mono(0, {"y": -1})),
-    lambda: (1 + var("x")).substitute({"x": (1, mono(1)),
-                                       "y": (1, mono(0, {"z": -2}))}),
+_NEGATIVE_VEXP = "non-q variables cannot carry negative exponents"
+_NEGATIVE_Q = "q cannot carry negative exponents"
+_NEGATIVE_TOP = "qmax must be non-negative"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: monomial_series(1, 0, {"x": -1}, caps_=C), _NEGATIVE_VEXP),
+    (lambda: make_series([(1, mono(0, {"x": -1}))], C), _NEGATIVE_VEXP),
+    (lambda: (1 + var("x")).substitute("x", 1, mono(0, {"x": -1})),
+     _NEGATIVE_VEXP),
+    (lambda: (1 + var("x")).substitute("x", 1, mono(0, {"y": -1})),
+     _NEGATIVE_VEXP),
+    (lambda: (1 + var("x")).substitute({"x": (1, mono(1)),
+                                        "y": (1, mono(0, {"z": -2}))}),
+     _NEGATIVE_VEXP),
+    (lambda: q_power(-1, caps_=C), _NEGATIVE_Q),
+    (lambda: monomial_series(2, -3, {"x": 1}, caps_=C), _NEGATIVE_Q),
+    (lambda: make_series([(1, mono(0)), (0, mono(-1))], C), _NEGATIVE_Q),
+    (lambda: from_rows([(DEFAULT_TABLE.zero_vexps, -2, (1, 2, 3), 1)], C),
+     _NEGATIVE_Q),
+    (lambda: caps(-1), _NEGATIVE_TOP),
+    (lambda: TruncationSpec(-3, C.vcaps), _NEGATIVE_TOP),
 ], ids=["monomial_series", "make_series", "substitute", "substitute-other",
-        "substitute-dict"])
-def test_no_entry_point_builds_a_negative_non_q_exponent(build):
-    # only q is Laurent: x^-1 would break the invariants every row map
-    # relies on (reciprocal's search for reachable parts never ends)
-    with pytest.raises(ValueError, match="cannot carry negative exponents"):
+        "substitute-dict", "q_power-q", "monomial_series-q", "make_series-q",
+        "from_rows-q", "caps-qmax", "TruncationSpec-qmax"])
+def test_no_entry_point_builds_a_negative_non_q_exponent(build, message):
+    # x^-1 would break the invariants every row map relies on (reciprocal's
+    # search for reachable parts never ends); q^-1 too, since every series
+    # is ordinary, even at a zero coefficient, and so is a window below q^0
+    with pytest.raises(ValueError, match=message) as err:
         build()
+    assert "\n" not in str(err.value)
 
 
 def test_reserved_q_and_unknown_variable():
@@ -90,12 +108,6 @@ def test_add_basic():
 def test_add_identity():
     f = 3 * var("x") + qp(2)
     assert f + zero(caps_=C) == f
-
-
-def test_laurent_cancellation_renormalizes_floor():
-    m = qp(-1)
-    s = m + (-m)
-    assert s.is_zero() and s.qfloor == 0
 
 
 def test_add_caps_meet():
@@ -131,30 +143,6 @@ def test_mul_ideal_membership():
     assert (x ** 5 * x ** 4).is_zero()  # x-cap is 8
 
 
-def test_mul_floors_add():
-    f = qp(-2) * (1 + qp(1))
-    g = qp(-1)
-    assert (f * g).qfloor == -3
-
-
-def test_lifted_floor_keeps_the_window_top():
-    # q^-5 at caps(10) is known through q^5, so its product with
-    # q^5 + ... + q^10 claims nothing above q^5
-    c = caps(10)
-    s = q_power(-5, caps_=c) \
-        * make_series([(1, mono(i)) for i in range(5, 11)], c)
-    assert (s.qfloor, s.caps.qmax) == (0, 5)
-    assert s.text() == "1 + q + q^2 + q^3 + q^4 + q^5"
-
-
-def test_empty_product_keeps_a_negative_top():
-    # q^-3 known through q^0 times 0 known through q^0 is known through
-    # q^-3 only, so even the constant 1 lies outside its window
-    s = q_power(-3, caps_=caps(0)) * zero(caps_=caps(0))
-    assert s.caps.qmax == -3
-    assert (s + 1).is_zero()
-
-
 # -- div -------------------------------------------------------------------------
 
 
@@ -172,14 +160,38 @@ def test_div_self():
 def test_div_nonunit_raises():
     with pytest.raises(DivisionByNonUnit):
         one(caps_=C) / var("x")
+    # a divisor of positive valuation has no ordinary inverse
+    with pytest.raises(DivisionByNonUnit):
+        one(caps_=C) / (qp(2) * (1 + var("x")))
 
 
-def test_div_laurent_floor_difference():
-    f = qp(-2) * (1 + var("x"))
-    h = one(caps_=C) / f
-    ok, _ = equals_mod_caps(f * h, one(caps_=C))
-    assert ok
-    assert h.min_qexp() == 2
+# -- the quotient by q^s -----------------------------------------------------------
+
+
+def test_divide_q_power_lowers_the_window_top():
+    # q^5 + ... + q^10 at caps(10) is known through q^10, so its quotient
+    # by q^5 claims nothing above q^5
+    c = caps(10)
+    s = divide_q_power(make_series([(1, mono(i)) for i in range(5, 11)], c),
+                       5)
+    assert s.caps == caps(5)
+    assert s.text() == "1 + q + q^2 + q^3 + q^4 + q^5"
+    assert divide_q_power(s, 0) is s
+
+
+@pytest.mark.parametrize("f, s", [
+    (make_series([(1, mono(0)), (1, mono(2))], C), 1),
+    (make_series([(Q(1, 2), mono(3, {"x": 1})), (1, mono(1, {"y": 2}))], C),
+     2),
+    (qp(2), 3),
+    (qp(2), -1),
+], ids=["constant-term", "one-row-below", "above-the-top", "negative"])
+def test_divide_q_power_refuses_an_indivisible_operand(f, s):
+    # a nonzero entry below q^s, a window top below q^s, or a negative s
+    # would leave a Laurent quotient
+    with pytest.raises(ValueError) as err:
+        divide_q_power(f, s)
+    assert "\n" not in str(err.value)
 
 
 # -- coeff / substitution ----------------------------------------------------------
@@ -301,13 +313,15 @@ def test_render_bit_exact_for_equal_series():
 
 
 def test_json_fields():
-    s = qp(-1) * (1 + qp(1) * var("x"))
+    # qFloor stays in the schema, pinned at 0: every series is ordinary
+    s = qp(1) * (1 + qp(1) * var("x"))
     d = s.to_json_dict()
     assert set(d) == {"qFloor", "caps", "terms"}
-    assert d["qFloor"] == -1
+    assert d["qFloor"] == 0
     assert d["caps"]["qMax"] == 5
-    assert d["terms"][0] == {"coeff": "1/1", "mono": {"q": -1}}
-    assert d["terms"][1] == {"coeff": "1/1", "mono": {"q": 0, "x": 1}}
+    assert d["terms"][0] == {"coeff": "1/1", "mono": {"q": 1}}
+    assert d["terms"][1] == {"coeff": "1/1", "mono": {"q": 2, "x": 1}}
+    assert zero(caps_=C).to_json_dict()["qFloor"] == 0
     json.dumps(d)  # serializable
 
 
@@ -374,7 +388,7 @@ def test_mul_distributes(f, g, h):
 @settings(max_examples=150, deadline=None)
 @given(series_st(), unit_series_st())
 def test_div_exact(f, g):
-    assume(g.coeff(mono(g.qfloor)) != 0)
+    assume(g.coeff(mono(0)) != 0)
     h = f / g
     ok, _ = equals_mod_caps(g * h, f)
     assert ok
@@ -397,7 +411,7 @@ def test_truncation_coherence_add(f, g):
 @settings(max_examples=100, deadline=None)
 @given(series_st(), unit_series_st())
 def test_truncation_coherence_div(f, g):
-    assume(g.coeff(mono(g.qfloor)) != 0)
+    assume(g.coeff(mono(0)) != 0)
     small = caps(3, default=0, x=1, y=1)
     assert (f / g).truncate(small) == f.truncate(small) / g.truncate(small)
 
@@ -413,18 +427,15 @@ def test_substitute_identity(f):
 
 def _schoolbook_mul(f, g):
     """Reference product: Fraction arithmetic once per pair of terms, known
-    through its floor plus the narrower of the windows above the floors."""
+    through the narrower of the two windows."""
     raw: dict = {}
     for ma, ca in f.monomials():
         for mb, cb in g.monomials():
             k = Monomial(ma.qexp + mb.qexp,
                          tuple(a + b for a, b in zip(ma.vexps, mb.vexps)))
             raw[k] = raw.get(k, 0) + Fraction(ca) * Fraction(cb)
-    floor = f.qfloor + g.qfloor
-    top = floor + min(f.caps.qmax - f.qfloor, g.caps.qmax - g.qfloor)
     return make_series([(c, m) for m, c in raw.items()],
-                       TruncationSpec(top, f.caps.meet(g.caps).vcaps),
-                       f.table)
+                       f.caps.meet(g.caps), f.table)
 
 
 # denominators that share factors, so an operand's lcm is not their product
@@ -434,13 +445,13 @@ scalars = st.one_of(st.integers(-6, 6), rationals)
 
 
 @st.composite
-def laurent_series_st(draw):
-    """Laurent floors, caps drawn per operand, int / mixed coefficients."""
+def varied_series_st(draw):
+    """Caps drawn per operand, terms up to q^8, int / mixed coefficients."""
     pcaps = caps(draw(st.integers(2, 6)), default=0,
                  x=draw(st.integers(0, 3)), y=draw(st.integers(0, 3)))
     coeff = st.integers(-6, 6) if draw(st.booleans()) else scalars
     entries = draw(st.lists(
-        st.tuples(coeff, st.integers(-3, 5), st.integers(0, 3),
+        st.tuples(coeff, st.integers(0, 8), st.integers(0, 3),
                   st.integers(0, 3)), max_size=6))
     return make_series(
         [(c, mono(qe, {"x": xe, "y": ye})) for c, qe, xe, ye in entries],
@@ -455,8 +466,8 @@ _binds = st.lists(st.tuples(st.sampled_from("xyz"), scalars,
 
 @settings(max_examples=300, deadline=None)
 # a den != 1 operand; rows that cancel once both names are bound; a name
-# absent from the series; the zero series; and x dilated past the top at
-# a Laurent floor, beside y bound to a Fraction
+# absent from the series; the zero series; and x dilated past the top,
+# beside y bound to a Fraction
 @example(make_series([(Q(1, 2), mono(0, {"x": 1})),
                       (Q(1, 3), mono(1, {"y": 2}))], C),
          [("x", Q(2, 3), 0, False), ("y", Q(-3, 2), 1, False)])
@@ -464,10 +475,10 @@ _binds = st.lists(st.tuples(st.sampled_from("xyz"), scalars,
          [("x", 2, 0, False), ("y", 2, 0, False)])
 @example(make_series([(1, mono(1, {"x": 1}))], C), [("z", 3, 1, True)])
 @example(zero(caps_=C), [("x", Q(1, 2), 2, True), ("y", 3, 0, False)])
-@example(make_series([(1, mono(-1, {"x": 1})), (1, mono(2, {"x": 2})),
-                      (1, mono(-1, {"y": 1}))], caps(5, x=3, y=1)),
+@example(make_series([(1, mono(0, {"x": 1})), (1, mono(3, {"x": 2})),
+                      (1, mono(0, {"y": 1}))], caps(5, x=3, y=1)),
          [("x", Q(-1, 2), 2, True), ("y", Q(2, 3), 1, False)])
-@given(laurent_series_st(), _binds)
+@given(varied_series_st(), _binds)
 def test_substitute_of_several_names_is_the_fold_of_one_name_ones(f, binds):
     subs = {name: (r, mono(p, {name: 1} if dilate else {}))
             for name, r, p, dilate in binds}
@@ -476,8 +487,7 @@ def test_substitute_of_several_names_is_the_fold_of_one_name_ones(f, binds):
         fold = fold.substitute(name, r, m)
     got = f.substitute(subs)
     assert got == fold
-    assert (got.caps, got.qfloor, got.den, got.rows) \
-        == (fold.caps, fold.qfloor, fold.den, fold.rows)
+    assert (got.caps, got.den, got.rows) == (fold.caps, fold.den, fold.rows)
 
 
 def _assert_same_product(got, want):
@@ -487,12 +497,12 @@ def _assert_same_product(got, want):
 
 
 @settings(max_examples=300, deadline=None)
-@example(zero(caps_=C), make_series([(Q(1, 2), mono(-1)), (3, mono(2))], C))
-# one-term operands: a Laurent floor, a key at the window top, a sum of
-# variable exponents above a cap, a Fraction scalar of value -1 or 1, and
-# two Fractions whose product is an integer
-@example(make_series([(Q(1, 2), mono(-2, {"x": 1}))], C),
-         make_series([(3, mono(-1)), (Q(2, 3), mono(4, {"y": 1}))], caps(6)))
+@example(zero(caps_=C), make_series([(Q(1, 2), mono(0)), (3, mono(3))], C))
+# one-term operands: a key at the window top of the narrower operand, a
+# sum of variable exponents above a cap, a Fraction scalar of value -1 or
+# 1, and two Fractions whose product is an integer
+@example(make_series([(Q(1, 2), mono(0, {"x": 1}))], C),
+         make_series([(3, mono(0)), (Q(2, 3), mono(5, {"y": 1}))], caps(6)))
 @example(make_series([(3, mono(5))], C),
          make_series([(1, mono(0)), (Q(2, 3), mono(1))], C))
 @example(make_series([(2, mono(0, {"x": 2}))], caps(5, x=3)),
@@ -501,7 +511,7 @@ def _assert_same_product(got, want):
 @example(make_series([(Q(-1), mono(0))], C),
          make_series([(Q(1, 2), mono(1)), (Q(3, 4), mono(2, {"x": 1}))], C))
 @example(make_series([(Q(1), mono(1))], C),
-         make_series([(Q(1, 2), mono(-1)), (3, mono(2))], caps(4)))
+         make_series([(Q(1, 2), mono(0)), (3, mono(3))], caps(4)))
 @example(make_series([(Q(2, 3), mono(0))], C),
          make_series([(Q(3, 2), mono(1)), (Q(1, 2), mono(2))], C))
 # a pure-q one-term operand with the narrower x-cap: the unmoved x^3 row
@@ -511,7 +521,7 @@ def _assert_same_product(got, want):
 # (x + y)(y - x) cancels its whole xy row, which must not be stored
 @example(make_series([(1, mono(0, {"x": 1})), (1, mono(0, {"y": 1}))], C),
          make_series([(1, mono(0, {"y": 1})), (-1, mono(0, {"x": 1}))], C))
-@given(laurent_series_st(), laurent_series_st())
+@given(varied_series_st(), varied_series_st())
 def test_mul_matches_schoolbook_fraction_product(f, g):
     _assert_same_product(f * g, _schoolbook_mul(f, g))
 
@@ -535,7 +545,7 @@ def wide_series_st(draw):
     coeff = wide if draw(st.booleans()) else st.builds(
         Fraction, wide, st.sampled_from([1, 2, 3, 6, 2 ** 40]))
     entries = draw(st.lists(
-        st.tuples(coeff, st.integers(-3, 63), st.integers(0, 3),
+        st.tuples(coeff, st.integers(0, 66), st.integers(0, 3),
                   st.integers(0, 3)), max_size=40))
     return make_series(
         [(c, mono(qe, {"x": xe, "y": ye})) for c, qe, xe, ye in entries],
@@ -566,26 +576,25 @@ def wide_series_st(draw):
 # a smaller operand of 3 and of 4 terms, with terms past a variable cap
 @example(_row(-2, 3, x=2), _row(3, 9, x=2, qmax=20))
 @example(_row(-2, 4, x=2), _row(3, 9, x=2, qmax=20))
-# a 2-term and a 3-term operand over a den != 1 at a Laurent floor: only a
-# one-term operand skips the packed rows
-@example(make_series([(Q(1, 2), mono(-2)), (Q(-3, 4), mono(1, {"x": 1}))],
+# a 2-term and a 3-term operand over a den != 1: only a one-term operand
+# skips the packed rows
+@example(make_series([(Q(1, 2), mono(0)), (Q(-3, 4), mono(3, {"x": 1}))],
                      caps(20, x=3, y=3)),
          _row(5, 9, x=1, qmax=20))
-@example(make_series([(Q(2, 3), mono(-1, {"y": 1})), (Q(1, 6), mono(0)),
-                      (-1, mono(3, {"x": 2}))], caps(20, x=3, y=3)),
-         make_series([(Q(5, 7), mono(-3)), (Q(-1, 3), mono(2, {"x": 1})),
-                      (4, mono(5, {"y": 2}))], caps(18, x=3, y=3)))
+@example(make_series([(Q(2, 3), mono(0, {"y": 1})), (Q(1, 6), mono(1)),
+                      (-1, mono(4, {"x": 2}))], caps(20, x=3, y=3)),
+         make_series([(Q(5, 7), mono(0)), (Q(-1, 3), mono(5, {"x": 1})),
+                      (4, mono(8, {"y": 2}))], caps(18, x=3, y=3)))
 # 9- to 16-byte slots, which move as int64s plus a sign fill: every entry
 # in and out fits in int64 (a 9-byte bound over 41- and 21-bit
 # numerators); outputs of 82 bits, read back per slot; an input of 71
 # bits, packed per slot beside a bulk-packed operand; and over dens 6 and
-# 5 at a Laurent floor, where one output row leaves int64 and the others
-# are read in bulk
+# 5, where one output row leaves int64 and the others are read in bulk
 @example(_row(2 ** 40, 4), _row(-(2 ** 20), 4, x=1))
 @example(_row(-(2 ** 40), 4), _row(2 ** 40, 4, x=1))
 @example(_row(2 ** 70, 4), _row(-1, 4, x=1))
-@example(make_series([(Q(2 ** 40, 3), mono(-1)), (Q(-1, 2), mono(0, {"x": 1})),
-                      (Q(5, 6), mono(3)), (1, mono(7, {"y": 1}))],
+@example(make_series([(Q(2 ** 40, 3), mono(0)), (Q(-1, 2), mono(1, {"x": 1})),
+                      (Q(5, 6), mono(4)), (1, mono(8, {"y": 1}))],
                      caps(20, x=3, y=3)),
          make_series([(Q(2 ** 21, 5), mono(0)), (Q(-3, 5), mono(2, {"x": 1})),
                       (2 ** 21, mono(4)), (-1, mono(9, {"x": 2}))],
@@ -596,11 +605,27 @@ def test_packed_mul_matches_schoolbook_fraction_product(f, g):
 
 
 @settings(max_examples=150, deadline=None)
-@given(laurent_series_st(), scalars)
+@given(varied_series_st(), scalars)
 def test_scalar_mul_matches_schoolbook_fraction_product(f, c):
     want = _schoolbook_mul(f, constant(c, caps_=f.caps))
     _assert_same_product(c * f, want)
     _assert_same_product(f * c, want)
+
+
+@settings(max_examples=150, deadline=None)
+# den 6 over two variables, a row that starts at q^0 and one at the top
+@example(make_series([(Q(1, 2), mono(0, {"x": 1})), (5, mono(6)),
+                      (Q(-1, 3), mono(2, {"y": 2}))], caps(6, x=3, y=3)), 3)
+@given(varied_series_st(), st.integers(0, 6))
+def test_divide_q_power_undoes_the_product_by_a_q_power(f, s):
+    # q^s f is known through the top of f, so its quotient by q^s is f,
+    # known through s powers of q less
+    s %= f.caps.qmax + 1
+    got = divide_q_power(qp(s, f.caps) * f, s)
+    want = f.truncate(TruncationSpec(f.caps.qmax - s, f.caps.vcaps))
+    assert got == want and got.caps == want.caps
+    assert got.json_text() == want.json_text()
+    assert _canonical(got)
 
 
 # -- one stored form per series ------------------------------------------------------
@@ -610,35 +635,32 @@ def _canonical(s):
     """One q-row per variable part: a tuple of int numerators, none empty,
     each ending in a nonzero entry, inside the variable caps and at or
     below the top; an int den >= 1 that shares no factor with all the
-    numerators, so den is 1 for an integral or zero series; a floor of 0,
-    or below 0 with a nonzero entry at it."""
+    numerators, so den is 1 for an integral or zero series."""
     rows = s.rows.values()
     ns = [n for r in rows for n in r]
     return (all(type(r) is tuple and r and r[-1] for r in rows)
-            and all(s.caps.admits(ve) and s.qfloor + len(r) - 1 <= s.caps.qmax
+            and all(s.caps.admits(ve) and len(r) - 1 <= s.caps.qmax
                     for ve, r in s.rows.items())
             and all(type(n) is int for n in ns) and type(s.den) is int
-            and s.den >= 1 and math.gcd(s.den, *ns) == 1
-            and (s.qfloor == 0 or s.qfloor < 0 and any(r[0] for r in rows)))
+            and s.den >= 1 and math.gcd(s.den, *ns) == 1)
 
 
 def test_canonical_rejects_other_forms():
     zv, xv = DEFAULT_TABLE.zero_vexps, mono(0, {"x": 1}).vexps
-    assert _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,)}, C, 2))
-    assert _canonical(Series(DEFAULT_TABLE, -1, {zv: (1, 0, 2)}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (2,)}, C, 2))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (Q(1, 2),)}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,)}, C, 0))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {}, C, 3))
+    assert _canonical(Series(DEFAULT_TABLE, {zv: (1,)}, C, 2))
+    assert _canonical(Series(DEFAULT_TABLE, {zv: (0, 0, 2)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, {zv: (2,)}, C, 2))
+    assert not _canonical(Series(DEFAULT_TABLE, {zv: (Q(1, 2),)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, {zv: (1,)}, C, 0))
+    assert not _canonical(Series(DEFAULT_TABLE, {}, C, 3))
     # a trailing zero, an empty row, a row outside a cap, a row above the
-    # top, a list row and a floor with nothing at it
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1, 0)}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,), xv: ()}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, 0,
+    # top and a list row
+    assert not _canonical(Series(DEFAULT_TABLE, {zv: (1, 0)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, {zv: (1,), xv: ()}, C))
+    assert not _canonical(Series(DEFAULT_TABLE,
                                  {mono(0, {"x": 9}).vexps: (1,)}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: (1,) * 7}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, 0, {zv: [1]}, C))
-    assert not _canonical(Series(DEFAULT_TABLE, -1, {zv: (0, 1)}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, {zv: (1,) * 7}, C))
+    assert not _canonical(Series(DEFAULT_TABLE, {zv: [1]}, C))
 
 
 @settings(max_examples=150, deadline=None)
@@ -649,7 +671,7 @@ def test_canonical_rejects_other_forms():
          zero(caps_=C), Q(4, 2))
 @example(make_series([(2, mono(0)), (-4, mono(1))], C), zero(caps_=C), 1)
 @example(make_series([(Q(3, 2), mono(0, {"x": 1}))], C), zero(caps_=C), 1)
-@given(laurent_series_st(), laurent_series_st(), scalars)
+@given(varied_series_st(), varied_series_st(), scalars)
 def test_coefficients_stay_canonical(f, g, c):
     # q/2 + q/2 as duplicate entries or as h + h for h = q/2 give den 1;
     # D_q(x/2 - 3/2 q x) = 1/2 - 2q + 3/2 q^2, x/2 + 3/2 q under x -> q and
@@ -659,17 +681,17 @@ def test_coefficients_stay_canonical(f, g, c):
     results = [make_series([(c, mono(0)), half, half], f.caps),
                f + g, f - g, -f, dq(f, "x"), f.substitute("x", c, mono(1)),
                f.substitute("x", Q(2, 3), mono(1, {"x": 1}))]
-    if f.coeff(mono(f.qfloor)):
+    if f.coeff(mono(0)):
         results.append(f.reciprocal())
     for s in results:
         assert _canonical(s), s.rows
 
 
 @settings(max_examples=100, deadline=None)
-@given(laurent_series_st())
+@given(varied_series_st())
 def test_terms_view_matches_monomials(s):
-    # the flat (qrel, vexps) -> numerator view of the rows
-    assert s.terms == {(m.qexp - s.qfloor, m.vexps): Fraction(c) * s.den
+    # the flat (qexp, vexps) -> numerator view of the rows
+    assert s.terms == {(m.qexp, m.vexps): Fraction(c) * s.den
                        for m, c in s.monomials()}
     assert all(type(n) is int and n for n in s.terms.values())
 
@@ -720,14 +742,14 @@ def _per_term(op, f, g, c):
 @example("substitute",
          make_series([(1, mono(0)), (Q(1, 2), mono(0, {"x": 1})),
                       (3, mono(1, {"x": 2}))], C), zero(caps_=C), Q(2, 3))
-# a row that cancels to zero in a sum; a lowest row that cancels, so the
-# floor lifts and every row shifts; a row cut by truncate, ending in zeros
-# there; D_q emptying the row at x^0, and cutting 1 - q^2 at the top q^1
+# a row that cancels to zero in a sum; a lowest row that cancels, leaving
+# rows that start above q^0; a row cut by truncate, ending in zeros there;
+# D_q emptying the row at x^0, and cutting 1 - q^2 at the top q^1
 @example("add", make_series([(1, mono(0)), (Q(1, 2), mono(1, {"x": 1}))], C),
          make_series([(Q(-1, 2), mono(1, {"x": 1}))], C), 1)
-@example("sub", make_series([(1, mono(-2)), (2, mono(-1, {"x": 1})),
-                             (1, mono(1, {"y": 1}))], C),
-         make_series([(1, mono(-2))], C), 1)
+@example("sub", make_series([(1, mono(0)), (2, mono(1, {"x": 1})),
+                             (1, mono(3, {"y": 1}))], C),
+         make_series([(1, mono(0))], C), 1)
 @example("truncate", make_series([(1, mono(0, {"x": 1})),
                                   (Q(1, 3), mono(3, {"x": 1})),
                                   (1, mono(5))], C), zero(caps_=caps(2)), 1)
@@ -735,7 +757,7 @@ def _per_term(op, f, g, c):
                             (1, mono(0, {"x": 1})), (1, mono(1, {"x": 1}))],
                            caps(1)), zero(caps_=C), 1)
 @given(st.sampled_from(["add", "sub", "dq", "substitute", "truncate"]),
-       laurent_series_st(), laurent_series_st(), scalars)
+       varied_series_st(), varied_series_st(), scalars)
 def test_linear_ops_match_per_term_fraction_reference(op, f, g, c):
     got = {"add": lambda: f + g, "sub": lambda: f - g,
            "dq": lambda: dq(f, "x"),
@@ -770,23 +792,19 @@ def test_den_is_the_reduced_lcm():
 def _pair_add(f, g):
     """Reference sum of two series, the accumulation Series.__add__ ran
     before sum_series: both operands truncated to the meet of the caps,
-    scaled to the lcm of the dens and added into one dict at the least
-    floor."""
+    scaled to the lcm of the dens and added into one dict."""
     mcaps = f.caps.meet(g.caps)
     f, g = (s if s.caps == mcaps else s.truncate(mcaps) for s in (f, g))
-    floor = min(f.qfloor, g.qfloor)
     den = math.lcm(f.den, g.den)
     raw: dict = {}
     for src in (f, g):
-        shift = src.qfloor - floor
-        for (qr, ve), c in src.terms.items():
-            k = (qr + shift, ve)
+        for k, c in src.terms.items():
             raw[k] = raw.get(k, 0) + c * (den // src.den)
-    return Series._lift_floor(f.table, mcaps, floor, _rows_of(raw), den)
+    return Series._reduced(f.table, mcaps, _rows_of(raw), den)
 
 
 def _rows_of(raw):
-    """Rows of the nonzero numerators of a (qrel, vexps) -> numerator map."""
+    """Rows of the nonzero numerators of a (qexp, vexps) -> numerator map."""
     rows: dict = {}
     for (qr, ve), c in sorted(raw.items()):
         if c:
@@ -797,21 +815,20 @@ def _rows_of(raw):
 
 
 @settings(max_examples=150, deadline=None)
-# terms that cancel to zero, lowest terms that cancel so the floor lifts,
-# a zero part that narrows the window, dens 2, 2 and 3 that reduce, and a
-# single part
-@example([make_series([(Q(1, 2), mono(-1)), (3, mono(2, {"x": 1}))], C),
-          make_series([(Q(-1, 2), mono(-1)), (-3, mono(2, {"x": 1}))], C)])
-@example([make_series([(1, mono(-2)), (2, mono(1))], C),
-          make_series([(-1, mono(-2)), (Q(1, 3), mono(3))], caps(4)),
-          make_series([(1, mono(-1, {"y": 1}))], caps(5, y=0))])
-@example([make_series([(Q(1, 2), mono(-1))], C), zero(caps_=caps(3, x=1)),
+# terms that cancel to zero, lowest terms that cancel, a zero part that
+# narrows the window, dens 2, 2 and 3 that reduce, and a single part
+@example([make_series([(Q(1, 2), mono(0)), (3, mono(3, {"x": 1}))], C),
+          make_series([(Q(-1, 2), mono(0)), (-3, mono(3, {"x": 1}))], C)])
+@example([make_series([(1, mono(0)), (2, mono(3))], C),
+          make_series([(-1, mono(0)), (Q(1, 3), mono(4))], caps(4)),
+          make_series([(1, mono(1, {"y": 1}))], caps(5, y=0))])
+@example([make_series([(Q(1, 2), mono(0))], C), zero(caps_=caps(3, x=1)),
           make_series([(2, mono(3)), (1, mono(0, {"x": 2}))], C)])
 @example([make_series([(Q(1, 2), mono(1))], C),
           make_series([(Q(1, 2), mono(1))], C),
           make_series([(Q(1, 3), mono(2))], C)])
-@example([make_series([(Q(1, 2), mono(-1)), (1, mono(0, {"x": 1}))], C)])
-@given(st.lists(laurent_series_st(), min_size=1, max_size=5))
+@example([make_series([(Q(1, 2), mono(0)), (1, mono(1, {"x": 1}))], C)])
+@given(st.lists(varied_series_st(), min_size=1, max_size=5))
 def test_sum_series_matches_left_fold_of_pair_sums(parts):
     want = reduce(_pair_add, parts)
     got = sum_series(iter(parts))  # read once, as a stream
@@ -879,24 +896,24 @@ def _per_term_json_terms(s):
 
 C45 = caps(45, x=3, y=3)
 # Fraction coefficients, +-1 with and without factors, bare constants,
-# terms over three variables at a Laurent floor, the zero series; rows of
-# different lengths with zeros inside them over more than 32 q-columns, at
-# a Laurent floor and at den != 1; and two family values deep in q
+# terms over three variables, the zero series; rows of different lengths
+# with zeros inside them over more than 32 q-columns, at den != 1; and two
+# family values deep in q
 _RENDER_EXAMPLES = (
-    make_series([(Q(-3, 2), mono(2, {"x": 1})), (Q(7, 3), mono(0)),
-                 (Q(1, 6), mono(-1, {"y": 2}))], C),
+    make_series([(Q(-3, 2), mono(3, {"x": 1})), (Q(7, 3), mono(1)),
+                 (Q(1, 6), mono(0, {"y": 2}))], C),
     make_series([(-1, mono(0)), (1, mono(1)), (-1, mono(0, {"x": 1})),
                  (1, mono(2, {"x": 2, "y": 1}))], C),
     make_series([(1, mono(0)), (-1, mono(1)), (Q(-1, 1), mono(3))], C),
     constant(-1, caps_=C),
     constant(Q(5, 3), caps_=C),
-    make_series([(2, mono(1, {"x": 1, "y": 2, "z": 3})),
-                 (Q(-1, 2), mono(-2, {"z": 1})),
-                 (-1, mono(0, {"x": 1, "z": 1}))], C),
+    make_series([(2, mono(3, {"x": 1, "y": 2, "z": 3})),
+                 (Q(-1, 2), mono(0, {"z": 1})),
+                 (-1, mono(2, {"x": 1, "z": 1}))], C),
     zero(caps_=C),
-    make_series([(1, mono(-2)), (Q(-3, 4), mono(0, {"x": 1})), (2, mono(40)),
-                 (-1, mono(37, {"x": 2})), (Q(1, 2), mono(12, {"y": 1})),
-                 (1, mono(5, {"x": 1})), (Q(5, 4), mono(-1, {"x": 2}))],
+    make_series([(1, mono(0)), (Q(-3, 4), mono(2, {"x": 1})), (2, mono(42)),
+                 (-1, mono(39, {"x": 2})), (Q(1, 2), mono(14, {"y": 1})),
+                 (1, mono(7, {"x": 1})), (Q(5, 4), mono(1, {"x": 2}))],
                 C45),
     make_series([(-1, mono(0)), (1, mono(33)), (-1, mono(1, {"x": 1})),
                  (1, mono(34, {"x": 1, "y": 2})), (3, mono(20, {"y": 1})),
@@ -914,14 +931,14 @@ def _render_examples(test):
 
 @settings(max_examples=150, deadline=None)
 @_render_examples
-@given(laurent_series_st())
+@given(varied_series_st())
 def test_text_matches_per_term_renderer(s):
     assert s.text() == _per_term_text(s)
 
 
 @settings(max_examples=150, deadline=None)
 @_render_examples
-@given(laurent_series_st())
+@given(varied_series_st())
 def test_json_terms_are_the_sorted_monomials(s):
     # dumped, so that the order of terms and of exponents is compared too
     assert json.dumps(s.to_json_dict()["terms"]) \
@@ -937,8 +954,7 @@ def _equals_by_monomial(f, g):
     mcaps = f.caps.meet(g.caps)
     seen = set()
     for s in (f, g):
-        for qr, ve in s.terms:
-            qa = qr + s.qfloor
+        for qa, ve in s.terms:
             if qa <= mcaps.qmax and mcaps.admits(ve):
                 seen.add((qa, ve))
     bad = []
@@ -957,13 +973,13 @@ def _equals_by_monomial(f, g):
 def compared_pair_st(draw):
     """f and a g that is equal to it, perturbed by one term, the same
     entries at other caps, or drawn on its own."""
-    f = draw(laurent_series_st())
+    f = draw(varied_series_st())
     kind = draw(st.sampled_from(["equal", "perturbed", "recapped", "other"]))
     if kind == "other":
-        return f, draw(laurent_series_st())
+        return f, draw(varied_series_st())
     entries = [(c, m) for m, c in f.monomials()]
     if kind == "perturbed":
-        entries.append((draw(scalars), mono(draw(st.integers(-3, 6)), {
+        entries.append((draw(scalars), mono(draw(st.integers(0, 9)), {
             "x": draw(st.integers(0, 3)), "y": draw(st.integers(0, 3))})))
     pcaps = f.caps
     if kind == "recapped":
@@ -975,8 +991,8 @@ def compared_pair_st(draw):
 @settings(max_examples=300, deadline=None)
 @example((make_series([(1, mono(0)), (2, mono(1))], C),
           make_series([(1, mono(0)), (3, mono(1))], C)))
-@example((make_series([(1, mono(-2)), (Q(1, 2), mono(3, {"x": 1}))], C),
-          make_series([(1, mono(-1)), (Q(1, 2), mono(3, {"x": 1}))],
+@example((make_series([(1, mono(0)), (Q(1, 2), mono(5, {"x": 1}))], C),
+          make_series([(1, mono(1)), (Q(1, 2), mono(5, {"x": 1}))],
                       caps(4, x=0))))
 # den 6 against den 2: inside the meet (to q^3) both are q/2
 @example((make_series([(Q(1, 2), mono(1)), (Q(1, 3), mono(5))], caps(5)),
@@ -993,7 +1009,7 @@ def test_equals_mod_caps_matches_per_monomial_oracle(pair):
 WIDEN = 30
 
 _window_entries = st.lists(
-    st.tuples(scalars, st.integers(-4, 8), st.integers(0, 3)), max_size=4)
+    st.tuples(scalars, st.integers(0, 12), st.integers(0, 3)), max_size=4)
 
 
 def _at(entries, qmax, **var_caps):
@@ -1001,34 +1017,28 @@ def _at(entries, qmax, **var_caps):
                        caps(qmax, **var_caps))
 
 
-def _floor_top(s):
-    """(floor, top) of the claimed window, read from the JSON rendering:
-    the series is known from q^floor through q^top."""
-    d = s.to_json_dict()
-    return d["qFloor"], d["qFloor"] + d["caps"]["qMax"]
+def _top(s):
+    """The top of the claimed window, read from the JSON rendering: the
+    series is known from q^0 through q^top."""
+    return s.to_json_dict()["caps"]["qMax"]
 
 
 def _window_op(op, fe, ge, fq, gq, widen):
     """op on the entries fe (at qmax fq) and ge (at qmax gq), every window
     widened by widen; returns (result, the top derived from its inputs)."""
     f, g = _at(fe, fq + widen), _at(ge, gq + widen)
-    (ff, ft), (gf, gt) = _floor_top(f), _floor_top(g)
-    if op == "add":
-        return f + g, min(ft, gt)
-    if op == "mul":
-        return f * g, ff + gf + min(ft - ff, gt - gf)
+    ft, gt = _top(f), _top(g)
+    if op in ("add", "mul"):
+        return (f + g if op == "add" else f * g), min(ft, gt)
     if op == "truncate":
         return f.truncate(caps(gq + widen)), min(ft, gq + widen)
     if op == "dilate":
         # x -> q^p x, p >= 0, moves an unknown term only up in q
         return f.substitute("x", 1, mono(gq % 4, {"x": 1})), ft
     if op == "reciprocal":
-        # a unit: a constant term at its floor, at or below every entry
-        low = min([qe for c, qe, _ in fe if c] + [0])
-        u = _at([t for t in fe if t[1:] != (low, 0)] + [(3, low, 0)],
-                fq + widen)
-        uf, ut = _floor_top(u)
-        return u.reciprocal(), ut - 2 * uf
+        # a unit: the constant term 3
+        u = _at([t for t in fe if t[1:] != (0, 0)] + [(3, 0, 0)], fq + widen)
+        return u.reciprocal(), _top(u)
     # the weight-certified 2phi1(a, a q^2; a q; q, z): z of positive weight
     # and a ordinary, each exact inside the window
     c = caps(fq + widen)
@@ -1040,10 +1050,10 @@ def _window_op(op, fe, ge, fq, gq, widen):
 
 
 @settings(max_examples=200, deadline=None)
-@example("add", [(1, -3, 0)], [(1, -1, 0)], 12, 8)
+@example("add", [(1, 0, 0)], [(1, 2, 0)], 12, 8)
 @example("phi", [(1, 0, 1)], [(2, 0, 0), (1, 1, 1)], 12, 4)
-@example("mul", [(1, 6, 0)], [(1, -1, 0)], 5, 5)
-@example("dilate", [(1, -2, 1), (1, 3, 3)], [], 5, 2)
+@example("mul", [(1, 6, 0)], [(1, 1, 0)], 5, 5)
+@example("dilate", [(1, 0, 1), (1, 3, 3)], [], 5, 2)
 @given(st.sampled_from(["add", "mul", "truncate", "reciprocal", "phi",
                         "dilate"]),
        _window_entries, _window_entries, st.integers(0, 12),
@@ -1051,15 +1061,14 @@ def _window_op(op, fe, ge, fq, gq, widen):
 def test_window_is_sound(op, fe, ge, fq, gq):
     # the result at caps C must agree with the result at C widened by
     # WIDEN on the whole window it claims, and claim at least the top
-    # derived from its inputs: q^-3 (to q^12) + q^-1 (to q^8) is known to
-    # q^8, 2phi1(a, a q^2; a q; q, x) at caps(12) to q^12, 0 (q^6 at
-    # caps(5)) times q^-1 only to q^4, since the true product is q^5,
-    # and q^-2 x + q^3 x^3 at caps(5) under x -> q^2 x to q^5, where the
-    # dilated q^9 x^3 is above the window
+    # derived from its inputs: 1 (to q^12) + q^2 (to q^8) is known to q^8,
+    # 2phi1(a, a q^2; a q; q, x) at caps(12) to q^12, 0 (q^6 at caps(5))
+    # times q to q^5, and x + q^3 x^3 at caps(5) under x -> q^2 x to q^5,
+    # where the dilated q^9 x^3 is above the window
     r, derived = _window_op(op, fe, ge, fq, gq, 0)
     wide, _ = _window_op(op, fe, ge, fq, gq, WIDEN)
-    assert _floor_top(r)[1] >= derived
-    assert _floor_top(wide)[1] >= _floor_top(r)[1]
+    assert _top(r) >= derived
+    assert _top(wide) >= _top(r)
     ok, witness = equals_mod_caps(r, wide)
     assert ok, witness
 
@@ -1068,33 +1077,27 @@ def test_window_is_sound(op, fe, ge, fq, gq):
 
 
 def _newton_reciprocal(f):
-    """Reference inverse: Newton's iteration x <- x + x (1 - g x) on the
-    floor-stripped ordinary part g of f, at its whole window every step."""
-    width = f.caps.qmax - f.qfloor
-    gcaps = TruncationSpec(width, f.caps.vcaps)
-    g = Series(f.table, 0, f.rows, gcaps, f.den)
-    x = constant(Fraction(1) / f.coeff(mono(f.qfloor)), f.table, gcaps)
-    unit = one(f.table, gcaps)
-    for _ in range(width + sum(gcaps.vcaps) + 2):
-        err = unit - g * x
+    """Reference inverse: Newton's iteration x <- x + x (1 - f x), at the
+    whole window of f every step."""
+    x = constant(Fraction(1) / f.coeff(mono(0)), f.table, f.caps)
+    unit = one(f.table, f.caps)
+    for _ in range(f.caps.qmax + sum(f.caps.vcaps) + 2):
+        err = unit - f * x
         if err.is_zero():
             break
         x = x + x * err
     else:
         raise AssertionError("Newton's iteration failed to converge")
-    # 1/f = q^(-floor) / g is known through width powers of q above -floor
-    return Series._build(f.table, TruncationSpec(width - f.qfloor, gcaps.vcaps),
-                         -f.qfloor, x.rows, x.den)
+    return x
 
 
 @st.composite
-def laurent_unit_st(draw):
-    """A multivariate Laurent unit c0 q^p + (terms above it): caps per
-    variable, int or mixed coefficients, c0 not +-1."""
+def unit_st(draw):
+    """A multivariate unit c0 + (terms above it): caps per variable, int
+    or mixed coefficients, c0 not +-1."""
     pcaps = caps(draw(st.integers(0, 8)), default=0,
                  x=draw(st.integers(1, 3)), y=draw(st.integers(1, 3)),
                  z=draw(st.integers(0, 2)))
-    p = draw(st.integers(-3, 0))
     coeff = st.integers(-6, 6) if draw(st.booleans()) else scalars
     c0 = draw(coeff.filter(lambda c: c not in (0, 1, -1)))
     rest = draw(st.lists(
@@ -1102,7 +1105,7 @@ def laurent_unit_st(draw):
                   st.integers(0, 2), st.integers(0, 1))
         .filter(lambda t: any(t[1:])), max_size=6))
     return make_series(
-        [(c0, mono(p))] + [(c, mono(p + i, {"x": a, "y": b, "z": d}))
+        [(c0, mono(0))] + [(c, mono(i, {"x": a, "y": b, "z": d}))
                            for c, i, a, b, d in rest], pcaps)
 
 
@@ -1115,8 +1118,8 @@ def _unit(entries, qmax, **vcaps):
 @settings(max_examples=200, deadline=None)
 # c0 = -3 at an even and at an odd top grade T (the sign of the den is that
 # of c0^(T+1)), c0 = +-1 over den 2 and 3, c0 = -1 over den 1, a width-0
-# window, a Laurent floor under c0 = 3, and x^2, which the x-cap 1 makes
-# unreachable from the parts x and q y
+# window, c0 = 3 over den 2, and x^2, which the x-cap 1 makes unreachable
+# from the parts x and q y
 @example(_unit([(-3, 0, {}), (1, 1, {}), (2, 0, {"x": 1})], 3, x=1))
 @example(_unit([(-3, 0, {}), (1, 1, {}), (2, 0, {"x": 1})], 4, x=1))
 @example(_unit([(Q(1, 2), 0, {}), (1, 1, {}), (1, 0, {"x": 1})], 5, x=2))
@@ -1124,10 +1127,10 @@ def _unit(entries, qmax, **vcaps):
 @example(_unit([(-1, 0, {}), (1, 1, {}), (1, 0, {"x": 1})], 5, x=2))
 @example(_unit([(-3, 0, {}), (2, 0, {"x": 1}), (1, 0, {"y": 1})], 0, x=2,
                y=1))
-@example(_unit([(Q(3, 2), -2, {}), (1, -1, {"x": 1}), (2, 1, {})], 4, x=2))
+@example(_unit([(Q(3, 2), 0, {}), (1, 1, {"x": 1}), (2, 3, {})], 4, x=2))
 @example(_unit([(2, 0, {}), (1, 0, {"x": 1}), (-1, 1, {"y": 1})], 5, x=1,
                y=2))
-@given(laurent_unit_st())
+@given(unit_st())
 def test_reciprocal_matches_newton(u):
     got, want = u.reciprocal(), _newton_reciprocal(u)
     assert got == want
@@ -1166,19 +1169,18 @@ _part_st = st.tuples(
 
 
 @settings(max_examples=200, deadline=None)
-@example([({"x": 0, "y": 0}, 10 ** 12, [1], 1)], 0, 5, 1)  # far above the top
+@example([({"x": 0, "y": 0}, 10 ** 12, [1], 1)], 5, 1)  # far above the top
 @example([({"x": 0, "y": 0}, 0, [1, 2], Q(1, 2)),
-          ({"x": 0, "y": 0}, 1, [2], Q(-1, 3))], 0, 4, 1)  # lcm 6, gcd 2 out
-@example([({"x": 2, "y": 0}, 0, [1], 1)], -2, 3, 1)  # outside the x-cap
-@example([({"x": 1, "y": 0}, 3, [1, -1], 2)], 4, 8, 2)  # a positive floor
-@example([({"x": 0, "y": 1}, 1, [0, 5], 1)], -3, -1, 2)  # a negative top
-@given(st.lists(_part_st, max_size=5), st.integers(-6, 6),
-       st.integers(-4, 12), st.integers(0, 3))
-def test_from_rows_matches_its_terms_one_at_a_time(parts, floor, qmax, xcap):
+          ({"x": 0, "y": 0}, 1, [2], Q(-1, 3))], 4, 1)  # lcm 6, gcd 2 out
+@example([({"x": 2, "y": 0}, 0, [1], 1)], 3, 1)  # outside the x-cap
+@example([({"x": 1, "y": 0}, 7, [1, -1], 2)], 7, 2)  # a row cut at the top
+@example([({"x": 0, "y": 1}, 1, [0, 5], 1)], 0, 2)  # wholly above the top
+@given(st.lists(_part_st, max_size=5), st.integers(0, 12), st.integers(0, 3))
+def test_from_rows_matches_its_terms_one_at_a_time(parts, qmax, xcap):
     c = TruncationSpec(qmax, caps(0, x=xcap).vcaps)
     got = from_rows([(mono(0, v).vexps, off, row, scale)
-                     for v, off, row, scale in parts], c, DEFAULT_TABLE, floor)
-    terms = [monomial_series(scale * n, floor + off + i, v, caps_=c)
+                     for v, off, row, scale in parts], c, DEFAULT_TABLE)
+    terms = [monomial_series(scale * n, off + i, v, caps_=c)
              for v, off, row, scale in parts for i, n in enumerate(row)]
     want = sum_series([zero(caps_=c)] + terms)
     assert got == want and got.caps == want.caps
