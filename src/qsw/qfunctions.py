@@ -3,25 +3,25 @@ the q-exponentials, Garrett's coefficient polynomials, and the Ramanujan
 q-exponential, all as exact truncated series.
 
 The pure-q rows (Gaussian binomials, (q;q)_n, 1/(q;q)_n, Garrett's a_k and
-b_k) are int coefficient tuples; _dense and the Garrett polynomials place
-them through series.from_rows, which cuts each at the window top, with no
-monomial objects.  A Pochhammer product takes one pass of
-series.times_binomials per argument, which multiplies by every factor
-1 - a q^(base k) in int rows, with the infinite product truncated at
-qmax // base + 1 factors; a running ratio (_poch_ratios) takes one pass
-per parameter and index.  An infinite
-product is inverted through its cheapest exact inverse: the arguments
-that are bare powers q^j share one dense int row, divided in place by
-each factor 1 - q^p as 1/(q^base; q^base)_n is; other weighted arguments
-take the Euler sum; Series.reciprocal is the fallback.  The
-weighted sums _qexp_sum and _qbinom_sum, which build the q-exponentials,
-phi, R(yD_q) and the identities' sums, stream their terms into one
-series.sum_series, so the running total is never copied.  A finite
-Gaussian sum whose weights go negative (the q-Leibniz rule) places every
-term at its weight plus one shift S that makes them all >= 0, and divides
-the sum by q^S exactly (series.divide_q_power).
-The termination and weight certificates are Series comparisons and
-truncations; nothing here reads the stored rows.
+b_k) are int coefficient tuples; the builders place them through
+series.from_rows, which cuts each at the window top, with no monomial
+objects.  A Pochhammer product takes one pass of series.times_binomials
+per argument, which multiplies by every factor 1 - a q^(base k) in int
+rows, with the infinite product truncated at qmax // base + 1 factors; a
+running ratio (_poch_ratios) takes one pass per parameter and index.
+The weighted sums _qexp_sum and _qbinom_sum, which build the
+q-exponentials, phi, R(yD_q), 1/(c;q)_inf and the identities' sums, place
+their int rows through one helper, _placed_sum: the argument of _qexp_sum
+is zero or one term c q^d v^e, so its n-th term is the row 1/(q;q)_n
+placed at q^(w(n) + nd) v^(ne) and scaled by c^n, and a sum with no
+factor stream is one from_rows call.  An infinite product is inverted
+without Series.reciprocal: the arguments that are bare powers q^j share
+one dense int row, divided in place by each factor 1 - q^p as
+1/(q^base; q^base)_n is, and every other argument of positive weight takes
+the Euler sum.  A finite Gaussian sum whose weights go negative (the
+q-Leibniz rule) places every term at its weight plus one shift S that
+makes them all >= 0, and divides the sum by q^S exactly
+(series.divide_q_power).  Nothing here reads the stored rows.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from itertools import chain, count
 from typing import Sequence, Union
 
 from .series import (
-    DEFAULT_TABLE, Scalar, Series, TruncationSpec, VarTable, constant,
-    divide_q_power, from_rows, one, q_power, sum_series, times_binomials,
-    zero,
+    DEFAULT_TABLE, Monomial, Scalar, Series, TruncationSpec, VarTable,
+    constant, divide_q_power, from_rows, one, q_power, sum_series,
+    times_binomials, zero,
 )
 
 INFINITY = math.inf
@@ -77,11 +77,11 @@ def poch(args: Sequence[Arg], count, caps: TruncationSpec,
     return result
 
 
-def _dense(coeffs: Sequence[int], caps: TruncationSpec, table: VarTable,
-           shift: int = 0) -> Series:
-    """The pure q-series sum_i coeffs[i] q^(i + shift) of int coeffs at caps,
-    shift >= 0, placed as the one row of a Series, cut at the window top."""
-    return from_rows([(table.zero_vexps, shift, coeffs, 1)], caps, table)
+def _dense(coeffs: Sequence[int], caps: TruncationSpec,
+           table: VarTable) -> Series:
+    """The pure q-series sum_i coeffs[i] q^i of int coeffs at caps, placed
+    as the one row of a Series, cut at the window top."""
+    return from_rows([(table.zero_vexps, 0, coeffs, 1)], caps, table)
 
 
 @lru_cache(maxsize=None)
@@ -159,40 +159,60 @@ def qfact_inv(n: int, caps: TruncationSpec,
     return _dense(_qfact_inv_coeffs(n, caps.qmax, 1), caps, table)
 
 
+def _one_term(z: Series) -> tuple:
+    """(c, d, e) with z = c q^d v^e, e the exponents of the non-q
+    variables, and c = 0 for z = 0; a z of two terms raises ValueError."""
+    terms = z.monomials()
+    m, c = next(terms, (Monomial(0, z.table.zero_vexps), 0))
+    if next(terms, None) is not None:
+        raise ValueError("the argument must be zero or one term c q^d v^e")
+    return c, m.qexp, m.vexps
+
+
+def _weight_certificate(z: Series) -> bool:
+    """True iff z = c q^d v^e (_one_term) has c = 0, d >= 1 or e != 0."""
+    c, d, e = _one_term(z)
+    return c == 0 or d >= 1 or any(e)
+
+
+def _placed_sum(parts, window: TruncationSpec, table: VarTable,
+                factors=None) -> Series:
+    """sum f_i scale_i q^off_i row_i v^vexps_i over the from_rows parts
+    (vexps, off, row, scale) at window, f_i the i-th item of the iterator
+    factors, or 1 when it is None: then the sum is one from_rows call.
+    A part is drawn before its factor, so a stream is read no further than
+    the parts reach; a stream that ends means every later f_i is zero."""
+    if factors is None:
+        return from_rows(parts, window, table)
+    terms = (from_rows((p,), window, table) * f
+             for p, f in zip(parts, factors))
+    # the empty sum at window: a sum with no terms is zero there
+    return sum_series(chain((zero(table, window),), terms))
+
+
 def _qexp_sum(z: Series, caps: TruncationSpec, weight, base: int = 1,
               factors=None) -> Series:
-    """sum_n q^weight(n) z^n f_n / (q^base; q^base)_n modulo caps, where f_n
-    is the n-th item of the iterator factors (f_n = 1 when it is None).
+    """sum_n q^weight(n) z^n f_n / (q^base; q^base)_n modulo caps and
+    z.caps, z = c q^d v^e (_one_term), f_n as in _placed_sum.
 
-    weight must be >= 0 and make weight(n) + n*val(z) eventually
-    increasing, where val(z) >= 0 is the
-    least q-exponent of z: the sum stops at the first n where that bound
-    exceeds qmax, z^n vanishes or factors runs out (a stream that ends
-    means every later f_n is zero), and every later term vanishes too.
+    Term n is the row 1/(q^base; q^base)_n placed at q^(weight(n) + nd)
+    v^(ne) and scaled by c^n.  weight must be >= 0 and make weight(n) + nd
+    eventually increasing: the sum stops at the first n where that exponent
+    exceeds the window top, v^(ne) leaves the variable caps, c^n is 0 or
+    factors runs out, and every later term vanishes too.
     """
-    table = z.table
-    v = z.min_qexp()
+    c, d, e = _one_term(z)
+    window = caps.meet(z.caps)
 
-    def terms():
-        # the empty sum, which keeps the sum's window inside caps
-        yield zero(table, caps)
-        zpow = one(table, caps)
+    def parts():
+        scale = 1
         for n in count():
-            w = weight(n)
-            if w + n * v > caps.qmax:
+            off, ve = weight(n) + n * d, tuple(n * i for i in e)
+            if not scale or off > window.qmax or not window.admits(ve):
                 return
-            if n:
-                zpow = zpow * z
-                if zpow.is_zero():
-                    return
-            if factors is not None:
-                f = next(factors, None)
-                if f is None:
-                    return
-            term = zpow * _dense(_qfact_inv_coeffs(n, caps.qmax, base), caps,
-                                 table, w)
-            yield term if factors is None else term * f
-    return sum_series(terms())
+            yield ve, off, _qfact_inv_coeffs(n, window.qmax, base), scale
+            scale *= c
+    return _placed_sum(parts(), window, z.table, factors)
 
 
 def _poch_ratios(ups: Sequence[Series], lows: Sequence[Series],
@@ -233,21 +253,10 @@ def _qbinom_sum(n: int, weight, factors, caps: TruncationSpec,
     ws = [weight(k) for k in range(n + 1)]
     shift = max(0, -min(ws))
     work = replace(caps, qmax=caps.qmax + shift)
-    terms = (_dense(qbinom_coeffs(n, k), work, table, ws[k] + shift) * f
-             for k, f in zip(range(n + 1), factors(work)))
-    # zero if empty
-    return divide_q_power(sum_series(chain((zero(table, work),), terms)),
+    parts = ((table.zero_vexps, ws[k] + shift, qbinom_coeffs(n, k), 1)
+             for k in range(n + 1))
+    return divide_q_power(_placed_sum(parts, work, table, factors(work)),
                           shift)
-
-
-def _bare_q_power(s: Series) -> int:
-    """j when s is exactly q^j with j >= 1, else 0."""
-    terms = s.monomials()
-    first, second = next(terms, None), next(terms, None)
-    if first is None or second is not None:
-        return 0
-    m, c = first
-    return m.qexp if c == 1 and m.qexp >= 1 and not any(m.vexps) else 0
 
 
 def _q_power_poch_inv_row(exps: Sequence[int], qmax: int,
@@ -265,28 +274,27 @@ def _q_power_poch_inv_row(exps: Sequence[int], qmax: int,
 
 def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
                  table: VarTable = DEFAULT_TABLE, base: int = 1) -> Series:
-    """1 / (a1, ..., am; q^base)_inf.
+    """1 / (a1, ..., am; q^base)_inf, each argument zero or one term
+    c q^d v^e of positive weight (d >= 1 or e != 0).
 
     The arguments that are bare powers q^j, j >= 1 (the Rogers-Ramanujan
     products), share one dense int row, divided in place by each factor
-    1 - q^(j + base*k) (_q_power_poch_inv_row).  Other arguments with
-    positive weight are expanded by the q-exponential sum
-    1/(c; q^base)_inf = sum c^m / (q^base; q^base)_m, which needs fewer
-    products than the graded recurrence of Series.reciprocal; anything else
-    falls back to inverting the truncated product with it.
+    1 - q^(j + base*k) (_q_power_poch_inv_row).  Every other argument is
+    expanded by the Euler sum 1/(c; q^base)_inf = sum c^m / (q^base;
+    q^base)_m.  An argument of two or more terms raises ValueError, and
+    one of weight 0, such as a constant, NonTerminatingSeries.
     """
     result = one(table, caps)
     exps = []
     for a in args:
         s = _coerce(a, table, caps)
-        j = _bare_q_power(s)
-        if j:
-            exps.append(j)
-        elif _weight_certificate(s):
-            result = result * _qexp_sum(s, caps, lambda n: 0, base)
+        if not _weight_certificate(s):
+            raise NonTerminatingSeries("(a;q)inf needs a of positive weight")
+        c, d, e = _one_term(s)
+        if c == 1 and not any(e):
+            exps.append(d)
         else:
-            result = result * poch([s], INFINITY, caps, table,
-                                   base=base).reciprocal()
+            result = result * _qexp_sum(s, caps, lambda n: 0, base)
     if not exps:
         return result
     return result * _dense(_q_power_poch_inv_row(exps, caps.qmax, base),
@@ -296,19 +304,13 @@ def poch_inf_inv(args: Sequence[Arg], caps: TruncationSpec,
 # -- basic hypergeometric series ------------------------------------------------
 
 
-def _weight_certificate(z: Series) -> bool:
-    """True iff every monomial of z has positive q-exponent or variable content."""
-    return z.truncate(TruncationSpec(0, (0,) * z.table.nvars)).is_zero()
-
-
 def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
         caps: TruncationSpec, table: VarTable = DEFAULT_TABLE) -> Series:
     """Basic hypergeometric series r_phi_s(upper; lower; q, z), truncated.
 
     The n-th term carries [(-1)^n q^C(n,2)]^(1+s-r).  A weight certificate
-    is required: r <= s + 1, and every monomial of z has positive
-    q-exponent or nonzero variable degree.  Arguments are treated as exact
-    representatives.
+    is required: r <= s + 1, and z is zero or one term c q^d v^e with
+    d >= 1 or e != 0.  Arguments are treated as exact representatives.
     """
     if isinstance(z, Series):
         table = z.table
@@ -324,14 +326,14 @@ def phi(upper: Sequence[Arg], lower: Sequence[Arg], z: Arg,
 
 
 def eq_small(z: Series, caps: TruncationSpec = None) -> Series:
-    """q-exponential e_q(z) = sum z^n / (q; q)_n."""
+    """q-exponential e_q(z) = sum z^n / (q; q)_n of a one-term z."""
     if not _weight_certificate(z):
         raise NonTerminatingSeries("e_q needs z with positive weight")
     return _qexp_sum(z, caps if caps is not None else z.caps, lambda n: 0)
 
 
 def eq_big(z: Series, caps: TruncationSpec = None) -> Series:
-    """q-exponential E_q(z) = sum q^C(n,2) z^n / (q; q)_n."""
+    """q-exponential E_q(z) = sum q^C(n,2) z^n / (q; q)_n of a one-term z."""
     if not _weight_certificate(z):
         raise NonTerminatingSeries("E_q needs z with positive weight")
     return _qexp_sum(z, caps if caps is not None else z.caps,
@@ -345,8 +347,8 @@ def rq(z: Union[Series, Scalar], caps: TruncationSpec = None,
        table: VarTable = DEFAULT_TABLE) -> Series:
     """Ramanujan q-exponential sum q^(n^2) z^n / (q; q)_n, truncated.
 
-    z must be a series or a scalar; the per-term q-valuation
-    n^2 + n*val(z) diverges, so the sum terminates against any caps.
+    z is a scalar or a one-term series c q^d v^e; the exponent n^2 + nd
+    of term n diverges, so the sum terminates against any caps.
     """
     if isinstance(z, Series):
         table = z.table

@@ -263,13 +263,6 @@ def _unpack_wide(raw: bytes, kb: int) -> tuple:
                  for i in range(0, len(raw), kb))
 
 
-def _lead(row) -> int:
-    """Index of the first nonzero entry of a row that has one."""
-    for i, c in enumerate(row):
-        if c:
-            return i
-
-
 def _add_at(acc: dict, key, off: int, row, scale=1):
     """Add scale * row into the row acc[key] from index off, growing it as
     needed.  A tuple is stored as it is and copied before the first add
@@ -379,12 +372,6 @@ class Series:
             for i, n in enumerate(r):
                 if n:
                     yield Monomial(i, ve), n if den == 1 else _value(n, den)
-
-    def min_qexp(self) -> int:
-        """Least q-exponent among stored terms (0 for the zero series)."""
-        if not self.rows:
-            return 0
-        return min(map(_lead, self.rows.values()))
 
     # -- ring operations ----------------------------------------------------
 

@@ -472,9 +472,9 @@ def _sides_reaching(monkeypatch, name, mods):
     reached = []
     real = getattr(mods[-1], name)
 
-    def tracing(*args):
+    def tracing(*args, **kwargs):
         reached.append(True)
-        return real(*args)
+        return real(*args, **kwargs)
     for mod in mods:
         monkeypatch.setattr(mod, name, tracing)
     out = set()
@@ -536,6 +536,28 @@ def test_only_the_garrett_kernels_reach_the_q_power_inverse_row(monkeypatch):
     # its oracle: the truncated product inverted by Series.reciprocal
     assert _has_test("test_qfunctions.py",
                      "test_poch_inf_inv_matches_reciprocal")
+
+
+def test_sides_reaching_the_weighted_sum_name_their_oracle(monkeypatch):
+    # _qexp_sum and _qbinom_sum place their rows through one helper, which
+    # 15 identities reach on both sides: a fault in it could cancel out of
+    # their verdicts
+    sides = _sides_reaching(monkeypatch, "_placed_sum", (qfunctions,))
+    both = ("I-DQ-5", "I-DQ-8", "I-DQ-9", "I-GARRETT", "I-QBINTHM",
+            "I-RQ-DIFFEQ", "I-RQ-DQN", "T4-2PROD", "T4-2PROD-RQ", "T4-BY1",
+            "T4-BY1-RQ", "T4-INVPOCH", "T4-POCH", "T4-RATIO", "T5-OPPROD")
+    lhs = ("I-EQ-PROD", "I-EQBIG-PROD", "I-LEIBNIZ", "I-RR1", "I-RR2",
+           "T4-XN")
+    rhs = ("I-DQ-7", "I-GF1", "I-GF2", "I-GF3", "I-POCH-1", "T4-ABGF",
+           "T4-ALTGF", "T4-GF", "T4-RSGF", "T4-RSGF-BZY1", "T4-SRIAGA",
+           "T4-SRIAGA-YZ1", "T5-ALTMEHLER", "T5-MEHLER", "T6-ROGERS",
+           "T6-ROGERS-ALT")
+    assert sides == {*((i, s) for i in both for s in ("lhs", "rhs")),
+                     *((i, "lhs") for i in lhs), *((i, "rhs") for i in rhs)}
+    # its oracles: each sum against its explicit product-and-sum
+    for oracle in ("test_qexp_sum_factor_stream_matches_explicit_sum",
+                   "test_qbinom_sum_matches_explicit_sum"):
+        assert _has_test("test_qfunctions.py", oracle)
 
 
 def test_garrett_convention_resolution():

@@ -8,7 +8,7 @@ from itertools import count, islice
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qsw.qfunctions as qfunctions
 from qsw.polynomials import MAX_QMAX
@@ -97,6 +97,22 @@ def test_poch_inf_rejects_laurent_arg():
                            match="q cannot carry negative exponents") as info:
             build()
         assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("arg", [
+    lambda: qp(2) * var("x") - qp(1), lambda: 3 + qp(2),
+    lambda: var("x") + Fraction(1, 2),
+], ids=["weighted", "constant-and-q", "constant-and-x"])
+@pytest.mark.parametrize("build", [
+    lambda z: phi([var("a")], [], z, C), eq_small, eq_big, rq,
+    lambda z: poch_inf_inv([z], C), qfunctions._weight_certificate,
+], ids=["phi", "eq_small", "eq_big", "rq", "poch_inf_inv", "certificate"])
+def test_weighted_sums_refuse_a_two_term_argument(build, arg):
+    # the argument of every weighted sum is zero or one term c q^d v^e,
+    # even where each of its terms has positive weight
+    with pytest.raises(ValueError, match="zero or one term") as info:
+        build(arg())
+    assert "\n" not in str(info.value)
 
 
 def _poch_by_factors(args, count, caps, table=DEFAULT_TABLE, base=1):
@@ -274,10 +290,9 @@ def test_poch_inf_inv_matches_reciprocal():
                  poch([a * x], INFINITY, C).reciprocal())
     assert_equal(poch_inf_inv([qp(1), qp(4)], C, base=5),
                  poch([qp(1), qp(4)], INFINITY, C, base=5).reciprocal())
-    # a rational argument has no weight certificate, so the truncated
-    # product is inverted by reciprocal
-    assert_equal(poch_inf_inv([constant(Fraction(1, 2), caps_=C)], C),
-                 poch([Fraction(1, 2)], INFINITY, C).reciprocal())
+    # a rational argument has no weight certificate, and is refused
+    with pytest.raises(NonTerminatingSeries):
+        poch_inf_inv([constant(Fraction(1, 2), caps_=C)], C)
     # bare q-powers share one dense row: the Rogers-Ramanujan products at
     # a deep window, several powers at one base, and powers beside an
     # argument that keeps the Euler sum
@@ -303,19 +318,18 @@ def test_poch_inf_inv_of_q_powers_makes_no_euler_sum(monkeypatch):
     assert poch_inf_inv([qp(1), qp(4)], C, base=5) == want
 
 
-# a weighted argument: monomials c q^i x^j with i + j >= 1
-_weighted_arg = st.lists(
-    st.tuples(st.sampled_from([1, -1, 2, Fraction(2, 3), Fraction(-3, 2)]),
-              st.integers(0, 4), st.integers(0, 2))
-    .filter(lambda t: t[1] + t[2] >= 1), min_size=1, max_size=3)
+# a weighted argument: one monomial c q^i x^j with i + j >= 1
+_weighted_arg = st.tuples(
+    st.sampled_from([1, -1, 2, Fraction(2, 3), Fraction(-3, 2)]),
+    st.integers(0, 4), st.integers(0, 2)).filter(lambda t: t[1] + t[2] >= 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_weighted_arg, min_size=1, max_size=2), st.integers(1, 5))
+@given(st.lists(_weighted_arg, min_size=1, max_size=3), st.integers(1, 5))
 def test_poch_inf_inv_matches_reciprocal_property(arg_terms, base):
     c = caps(12, default=3)
-    args = [make_series([(k, mono(i, {"x": j})) for k, i, j in terms], c)
-            for terms in arg_terms]
+    args = [make_series([(k, mono(i, {"x": j}))], c)
+            for k, i, j in arg_terms]
     assert poch_inf_inv(args, c, base=base) \
         == poch(args, INFINITY, c, base=base).reciprocal()
 
@@ -384,24 +398,43 @@ _ordinary = st.lists(
               st.integers(0, 3), st.integers(0, 2)), max_size=3)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_ordinary, st.lists(_ordinary, max_size=8), st.integers(0, 2),
-       st.integers(0, 10))
-def test_qexp_sum_factor_stream_matches_explicit_sum(z_terms, f_terms, wi,
-                                                     qmax):
-    # the explicit sum runs over the whole stream; the primitive must stop
-    # only where every later term vanishes
+# a one-term argument c q^d x^e, or None for zero
+_one_term_z = st.none() | st.tuples(
+    st.sampled_from([1, -1, 2, Fraction(2, 3), Fraction(-3, 2)]),
+    st.integers(0, 3), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@example((Fraction(2, 3), 1, 2), None, 0, 10, 5)  # plain, den != 1, base 5
+@example(None, [[(1, 0, 0)], [(2, 1, 1)]], 1, 4, 1)  # z = 0 with factors
+@given(_one_term_z, st.none() | st.lists(_ordinary, max_size=8),
+       st.integers(0, 2), st.integers(0, 10), st.sampled_from([1, 5]))
+def test_qexp_sum_factor_stream_matches_explicit_sum(z_term, f_terms, wi,
+                                                     qmax, base):
+    # sum_n q^w(n) z^n f_n / (q^b; q^b)_n by powers of z, products and
+    # reciprocals of Pochhammer products; the explicit sum runs over the
+    # whole stream, or through n = qmax + 3, past the last term the window
+    # holds, when f_n = 1 (f_terms None); the primitive must stop only
+    # where every later term vanishes
     c = caps(qmax, default=3)
 
     def series(terms):
         return make_series([(k, mono(i, {"x": j})) for k, i, j in terms], c)
-    z, fs = series(z_terms), [series(t) for t in f_terms]
+    z = series([z_term] if z_term else [])
     weight = (lambda n: 0, lambda n: n * (n - 1) // 2, lambda n: n * n)[wi]
+    if f_terms is None:
+        # a plain sum needs a weight or a z that raises each term
+        assume(wi or not z_term or z_term[1] + z_term[2])
+        fs = [one(caps_=c)] * (qmax + 4)
+    else:
+        fs = [series(t) for t in f_terms]
     explicit = zero(caps_=c)
     for n, f in enumerate(fs):
-        explicit = explicit + q_power(weight(n), caps_=c) * z ** n * f \
-            * qfact_inv(n, c)
-    assert _qexp_sum(z, c, weight, factors=iter(fs)) == explicit
+        inv = poch([qp(base, c)], n, c, base=base).reciprocal()
+        explicit = explicit + qp(weight(n), c) * z ** n * f * inv
+    got = _qexp_sum(z, c, weight, base,
+                    None if f_terms is None else iter(fs))
+    assert got == explicit and got.caps == c
 
 
 def _qbinom(n, k, c):
@@ -453,7 +486,7 @@ def test_qbinom_sum_matches_explicit_sum(n, f_terms, wi, qmax, lift):
         return _qbinom_sum(n, weight, lambda work: (
             series(k, t, work) for k, t in enumerate(f_terms)), c,
             explicit.table)
-    if explicit.min_qexp() < s and not explicit.is_zero():
+    if min((m.qexp for m, _ in explicit.monomials()), default=s) < s:
         with pytest.raises(ValueError, match=f"not divisible by q\\^{s}$"):
             build()
         return
@@ -543,11 +576,14 @@ def test_phi_requires_certificate():
 
 @pytest.mark.parametrize("build, ok", [
     (lambda: var("x"), True), (lambda: qp(1), True),
-    (lambda: qp(2) * var("x") - qp(1), True), (lambda: zero(caps_=C), True),
-    (lambda: one(caps_=C), False), (lambda: 3 + qp(2), False),
-    (lambda: var("x") + Fraction(1, 2), False),
+    (lambda: Fraction(-3, 2) * qp(2) * var("x"), True),
+    (lambda: zero(caps_=C), True),
+    (lambda: one(caps_=C), False), (lambda: constant(3, caps_=C), False),
+    (lambda: constant(Fraction(-1, 2), caps_=C), False),
 ])
 def test_weight_certificate(build, ok):
+    # one term or zero; two terms are refused
+    # (test_weighted_sums_refuse_a_two_term_argument)
     assert qfunctions._weight_certificate(build()) is ok
 
 
@@ -669,30 +705,27 @@ def test_garrett_small_values():
 # -- dense builders against their monomial-list constructions ---------------------------
 
 
-def _dense_by_monomials(coeffs, c, shift=0):
+def _dense_by_monomials(coeffs, c):
     """Reference _dense: one Monomial per nonzero coefficient, whatever its
     exponent, normalised by make_series."""
     zv = DEFAULT_TABLE.zero_vexps
-    return make_series([(x, Monomial(i + shift, zv))
+    return make_series([(x, Monomial(i, zv))
                         for i, x in enumerate(coeffs) if x], c)
 
 
 @settings(max_examples=200, deadline=None)
-@example((0, 0, 4, 1), 3, 4)  # leading zeros below a shifted row
-@example((3, -1), 9, 5)  # every term above the top
-@example((0, 0, 0), 1, 5)  # an all-zero row
-@example((1, 2, 3), 0, 0)  # a row cut to its entry at the top q^0
-@given(st.lists(st.integers(-3, 3), max_size=12).map(tuple),
-       st.integers(0, 14), st.integers(0, 12))
-def test_dense_matches_monomial_construction(coeffs, shift, qmax):
+@example((0, 0, 4, 1), 4)  # leading zeros below the first entry
+@example((0,) * 6 + (3, -1), 5)  # every term above the top
+@example((0, 0, 0), 5)  # an all-zero row
+@example((1, 2, 3), 0)  # a row cut to its entry at the top q^0
+@given(st.lists(st.integers(-3, 3), max_size=24).map(tuple),
+       st.integers(0, 12))
+def test_dense_matches_monomial_construction(coeffs, qmax):
     c = replace(C, qmax=qmax)
-    got, want = _dense(coeffs, c, DEFAULT_TABLE, shift), \
-        _dense_by_monomials(coeffs, c, shift)
+    got, want = _dense(coeffs, c, DEFAULT_TABLE), \
+        _dense_by_monomials(coeffs, c)
     assert got == want and got.caps == want.caps
     assert got.json_text() == want.json_text()
-    # a negative shift would place a Laurent row, and is refused
-    with pytest.raises(ValueError, match="q cannot carry negative exponents"):
-        _dense(coeffs, c, DEFAULT_TABLE, -1 - shift)
 
 
 def _garrett_by_monomials(k, exp_coef, offset, c):

@@ -1039,10 +1039,10 @@ def _window_op(op, fe, ge, fq, gq, widen):
         # a unit: the constant term 3
         u = _at([t for t in fe if t[1:] != (0, 0)] + [(3, 0, 0)], fq + widen)
         return u.reciprocal(), _top(u)
-    # the weight-certified 2phi1(a, a q^2; a q; q, z): z of positive weight
-    # and a ordinary, each exact inside the window
+    # the weight-certified 2phi1(a, a q^2; a q; q, z): z the first entry
+    # of positive weight and a ordinary, each exact inside the window
     c = caps(fq + widen)
-    z = _at([t for t in fe if 0 <= t[1] <= fq and t[1] + t[2] > 0],
+    z = _at([t for t in fe if 0 <= t[1] <= fq and t[1] + t[2] > 0][:1],
             fq + widen)
     a = _at([t for t in ge if 0 <= t[1] <= fq], fq + widen)
     return phi([a, a * q_power(2, caps_=c)], [a * q_power(1, caps_=c)], z,
